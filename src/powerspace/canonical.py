@@ -27,7 +27,9 @@ from .core import (
     check_continuous,
     compose,
     identity_map,
+    intersection_of,
     set_label,
+    union_of,
 )
 from .errors import NotContinuous, PowerspaceTooLarge, ShapeMismatch
 from .powerspaces import (
@@ -36,8 +38,6 @@ from .powerspaces import (
     KIND_OPENS,
     KIND_UPPER,
     ConstructedSpace,
-    box_mask,
-    diamond_mask,
     functor_map,
     lower_powerspace,
     monad_mult,
@@ -97,12 +97,22 @@ class Powers:
     @cached_property
     def diamonds(self) -> tuple[int, ...]:
         """diamond(U) over the points of A(X), indexed like O(X)."""
-        return tuple(diamond_mask(self.A.extents, u) for u in self.O.extents)
+        return tuple(map(self.A.diamond, self.O.extents))
 
     @cached_property
     def boxes(self) -> tuple[int, ...]:
         """box(U) over the points of K(X), indexed like O(X)."""
-        return tuple(box_mask(self.K.extents, u) for u in self.O.extents)
+        return tuple(map(self.K.box, self.O.extents))
+
+    @cached_property
+    def triangles(self) -> tuple[int, ...]:
+        """The opens meeting each closed set, over O(X), indexed like A(X)."""
+        return tuple(map(self.O.diamond, self.A.extents))
+
+    @cached_property
+    def nablas(self) -> tuple[int, ...]:
+        """The opens containing each compact, over O(X), indexed like K(X)."""
+        return tuple(map(self.O.containing, self.K.extents))
 
 
 def _powers(x, limits: Limits) -> Powers:
@@ -127,23 +137,11 @@ def sigma_tau(x, limits: Limits = DEFAULT_LIMITS) -> CanonicalMapPair:
     """sigma sends a closed family of compacts to the closed sets meeting
     all of them; tau is the analogous map back."""
     pw = _powers(x, limits)
-    a_ext, k_ext = pw.A.extents, pw.K.extents
-    fwd = []
-    for fam in pw.AK.extents:
-        compacts = [k_ext[j] for j in bits(fam)]
-        sel = 0
-        for i, a in enumerate(a_ext):
-            if all(a & k for k in compacts):
-                sel |= 1 << i
-        fwd.append(pw.KA.point_of(sel))
-    bwd = []
-    for fam in pw.KA.extents:
-        closeds = [a_ext[j] for j in bits(fam)]
-        sel = 0
-        for i, k in enumerate(k_ext):
-            if all(a & k for a in closeds):
-                sel |= 1 << i
-        bwd.append(pw.AK.point_of(sel))
+    meeting_k = tuple(map(pw.A.diamond, pw.K.extents))
+    meeting_a = tuple(map(pw.K.diamond, pw.A.extents))
+    full_a, full_k = pw.A.space.full_mask, pw.K.space.full_mask
+    fwd = [pw.KA.point_of(intersection_of(meeting_k, fam, full_a)) for fam in pw.AK.extents]
+    bwd = [pw.AK.point_of(intersection_of(meeting_a, fam, full_k)) for fam in pw.KA.extents]
     return CanonicalMapPair(
         "sigma/tau",
         SpaceMap(pw.AK.space, pw.KA.space, tuple(fwd)),
@@ -158,21 +156,9 @@ def phi_psi(x, limits: Limits = DEFAULT_LIMITS) -> CanonicalMapPair:
     """phi reads off which opens a compact family of closed sets hits
     everywhere; psi intersects the diamonds of a Scott-open family."""
     pw = _powers(x, limits)
-    dia = pw.diamonds
-    fwd = []
-    for fam in pw.KA.extents:
-        sel = 0
-        for u_idx in range(len(pw.O.extents)):
-            if not (fam & ~dia[u_idx]):
-                sel |= 1 << u_idx
-        fwd.append(pw.OO.point_of(sel))
-    bwd = []
-    full_a = pw.A.space.full_mask
-    for setofopens in pw.OO.extents:
-        sel = full_a
-        for u_idx in bits(setofopens):
-            sel &= dia[u_idx]
-        bwd.append(pw.KA.point_of(sel))
+    full_o, full_a = pw.O.space.full_mask, pw.A.space.full_mask
+    fwd = [pw.OO.point_of(intersection_of(pw.triangles, fam, full_o)) for fam in pw.KA.extents]
+    bwd = [pw.KA.point_of(intersection_of(pw.diamonds, fam, full_a)) for fam in pw.OO.extents]
     return CanonicalMapPair(
         "phi/psi",
         SpaceMap(pw.KA.space, pw.OO.space, tuple(fwd)),
@@ -187,20 +173,10 @@ def alpha_beta(x, limits: Limits = DEFAULT_LIMITS) -> CanonicalMapPair:
     """alpha unions the boxes of a closed family of opens; beta collects
     the opens whose box sits inside a given open family of compacts."""
     pw = _powers(x, limits)
-    boxes = pw.boxes
-    fwd = []
-    for fam in pw.AO.extents:
-        sel = 0
-        for u_idx in bits(fam):
-            sel |= boxes[u_idx]
-        fwd.append(pw.OK.point_of(sel))
-    bwd = []
-    for u_fam in pw.OK.extents:
-        sel = 0
-        for u_idx in range(len(pw.O.extents)):
-            if not (boxes[u_idx] & ~u_fam):
-                sel |= 1 << u_idx
-        bwd.append(pw.AO.point_of(sel))
+    full_o, full_k = pw.O.space.full_mask, pw.K.space.full_mask
+    fwd = [pw.OK.point_of(union_of(pw.boxes, fam)) for fam in pw.AO.extents]
+    # an open's box leaves the family exactly when the open contains a compact outside it
+    bwd = [pw.AO.point_of(full_o & ~union_of(pw.nablas, full_k & ~u_fam)) for u_fam in pw.OK.extents]
     return CanonicalMapPair(
         "alpha/beta",
         SpaceMap(pw.AO.space, pw.OK.space, tuple(fwd)),
@@ -215,21 +191,9 @@ def gamma_delta(x, limits: Limits = DEFAULT_LIMITS) -> CanonicalMapPair:
     """gamma intersects the diamonds of a compact family of opens; delta
     collects the opens whose diamond contains a given open family."""
     pw = _powers(x, limits)
-    dia = pw.diamonds
-    full_a = pw.A.space.full_mask
-    fwd = []
-    for fam in pw.KO.extents:
-        sel = full_a
-        for u_idx in bits(fam):
-            sel &= dia[u_idx]
-        fwd.append(pw.OA.point_of(sel))
-    bwd = []
-    for u_fam in pw.OA.extents:
-        sel = 0
-        for u_idx in range(len(pw.O.extents)):
-            if not (u_fam & ~dia[u_idx]):
-                sel |= 1 << u_idx
-        bwd.append(pw.KO.point_of(sel))
+    full_o, full_a = pw.O.space.full_mask, pw.A.space.full_mask
+    fwd = [pw.OA.point_of(intersection_of(pw.diamonds, fam, full_a)) for fam in pw.KO.extents]
+    bwd = [pw.KO.point_of(intersection_of(pw.triangles, u_fam, full_o)) for u_fam in pw.OA.extents]
     return CanonicalMapPair(
         "gamma/delta",
         SpaceMap(pw.KO.space, pw.OA.space, tuple(fwd)),
@@ -299,10 +263,10 @@ def modal_set(space: ConstructedSpace, gen: ModalGenerator) -> PtSet:
         if shape == "diamond":
             if space.kind not in (KIND_LOWER, KIND_CONVEX):
                 raise ShapeMismatch("diamond applies to lower or convex constructions")
-            return PtSet(space.space, diamond_mask(space.extents, arg.mask))
+            return PtSet(space.space, space.diamond(arg.mask))
         if space.kind not in (KIND_UPPER, KIND_CONVEX):
             raise ShapeMismatch("box applies to upper or convex constructions")
-        return PtSet(space.space, box_mask(space.extents, arg.mask))
+        return PtSet(space.space, space.box(arg.mask))
     if shape in ("nabla", "triangle"):
         if space.kind != KIND_OPENS:
             raise ShapeMismatch(f"{shape} applies to an open-set lattice")
@@ -311,18 +275,10 @@ def modal_set(space: ConstructedSpace, gen: ModalGenerator) -> PtSet:
         if shape == "nabla":
             if space.base.saturation_mask(arg.mask) != arg.mask:
                 raise ShapeMismatch("nabla needs a saturated argument")
-            m = 0
-            for i, u in enumerate(space.extents):
-                if not (arg.mask & ~u):
-                    m |= 1 << i
-            return PtSet(space.space, m)
+            return PtSet(space.space, space.containing(arg.mask))
         if space.base.closure_mask(arg.mask) != arg.mask:
             raise ShapeMismatch("triangle needs a closed argument")
-        m = 0
-        for i, u in enumerate(space.extents):
-            if arg.mask & u:
-                m |= 1 << i
-        return PtSet(space.space, m)
+        return PtSet(space.space, space.diamond(arg.mask))
     if shape == "boxtimes":
         inner = space.base_construction
         if space.kind != KIND_OPENS or inner is None or inner.kind != KIND_OPENS:
@@ -331,12 +287,7 @@ def modal_set(space: ConstructedSpace, gen: ModalGenerator) -> PtSet:
             raise ShapeMismatch("argument must be an open of the inner base")
         if not inner.base.is_open(arg.mask):
             raise ShapeMismatch("boxtimes needs an open argument")
-        u_idx = inner.point_of(arg.mask)
-        m = 0
-        for i, fam in enumerate(space.extents):
-            if (fam >> u_idx) & 1:
-                m |= 1 << i
-        return PtSet(space.space, m)
+        return PtSet(space.space, space.members[inner.point_of(arg.mask)])
     raise ShapeMismatch(f"unknown modal shape {shape!r}")
 
 
@@ -362,12 +313,9 @@ def check_preimage_identities(x, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     # over opens U of the base
     for u_idx in range(n_opens):
         u_label = set_label(pw.base.names, pw.O.extents[u_idx])
-        box_dia = box_mask(pw.KA.extents, dia[u_idx])
-        dia_box = diamond_mask(pw.AK.extents, boxes[u_idx])
-        boxtimes = 0
-        for i, fam in enumerate(pw.OO.extents):
-            if (fam >> u_idx) & 1:
-                boxtimes |= 1 << i
+        box_dia = pw.KA.box(dia[u_idx])
+        dia_box = pw.AK.diamond(boxes[u_idx])
+        boxtimes = pw.OO.members[u_idx]
         checked += 4
         if st.forward.preimage_mask(box_dia) != dia_box:
             return fail("sigma^-1(box diamond U) = diamond box U", u_label)
@@ -380,46 +328,26 @@ def check_preimage_identities(x, limits: Limits = DEFAULT_LIMITS) -> Verdict:
 
     # alpha over closed families of compacts
     for i, fam in enumerate(pw.AK.extents):
-        tri = 0
-        for j, u_fam in enumerate(pw.OK.extents):
-            if fam & u_fam:
-                tri |= 1 << j
         phi_sigma = pw.OO.extents[pp.forward.table[st.forward.table[i]]]
-        rhs = diamond_mask(pw.AO.extents, phi_sigma)
         checked += 1
-        if ab.forward.preimage_mask(tri) != rhs:
+        if ab.forward.preimage_mask(pw.OK.diamond(fam)) != pw.AO.diamond(phi_sigma):
             return fail("alpha^-1(triangle F) = diamond phi(sigma(F))", pw.AK.space.names[i])
 
     # beta and delta over Scott-open families of opens
     for i, fam in enumerate(pw.OO.extents):
-        dia_fam = diamond_mask(pw.AO.extents, fam)
         tau_psi = pw.AK.extents[st.backward.table[pp.backward.table[i]]]
-        tri = 0
-        for j, u_fam in enumerate(pw.OK.extents):
-            if tau_psi & u_fam:
-                tri |= 1 << j
         checked += 2
-        if ab.backward.preimage_mask(dia_fam) != tri:
+        if ab.backward.preimage_mask(pw.AO.diamond(fam)) != pw.OK.diamond(tau_psi):
             return fail("beta^-1(diamond H) = triangle tau(psi(H))", pw.OO.space.names[i])
-        box_fam = box_mask(pw.KO.extents, fam)
         psi_h = pw.KA.extents[pp.backward.table[i]]
-        nab = 0
-        for j, u_fam in enumerate(pw.OA.extents):
-            if not (psi_h & ~u_fam):
-                nab |= 1 << j
-        if gd.backward.preimage_mask(box_fam) != nab:
+        if gd.backward.preimage_mask(pw.KO.box(fam)) != pw.OA.containing(psi_h):
             return fail("delta^-1(box H) = nabla psi(H)", pw.OO.space.names[i])
 
     # gamma over compact families of closed sets
     for i, fam in enumerate(pw.KA.extents):
-        nab = 0
-        for j, u_fam in enumerate(pw.OA.extents):
-            if not (fam & ~u_fam):
-                nab |= 1 << j
         phi_fam = pw.OO.extents[pp.forward.table[i]]
-        rhs = box_mask(pw.KO.extents, phi_fam)
         checked += 1
-        if gd.forward.preimage_mask(nab) != rhs:
+        if gd.forward.preimage_mask(pw.OA.containing(fam)) != pw.KO.box(phi_fam):
             return fail("gamma^-1(nabla F) = box phi(F)", pw.KA.space.names[i])
 
     return Verdict(True, info={"checker": "check_preimage_identities", "instances": checked})

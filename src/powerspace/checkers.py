@@ -15,7 +15,6 @@ can separate the candidates.  The checkers make no claim either way.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .config import DEFAULT_LIMITS, Limits
 from .core import (
@@ -30,23 +29,8 @@ from .core import (
     weak_topology_family,
 )
 from .errors import NotSaturated
-from .powerspaces import ConstructedSpace, diamond_mask
+from .powerspaces import ConstructedSpace, open_lattice
 from .canonical import Powers, sigma_tau
-
-
-@dataclass(frozen=True)
-class ScottOpenFamily:
-    """An upward-closed family of opens of the lattice's base space."""
-
-    lattice: ConstructedSpace
-    members_mask: int
-
-    def __post_init__(self):
-        if not self.lattice.space.is_upper(self.members_mask):
-            raise ValueError("a Scott-open family must be upward closed")
-
-    def opens(self) -> tuple[int, ...]:
-        return tuple(self.lattice.extents[i] for i in bits(self.members_mask))
 
 
 def _families(lattice_space: FiniteSpace, limits: Limits, seed: int):
@@ -77,13 +61,8 @@ def is_consonant(x: FiniteSpace, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     closed family containing U, so the fallback scan is a safeguard.
     """
     opens = x.opens(limits)
-    pos = {u: i for i, u in enumerate(opens)}
-    filters = [0] * len(opens)
-    for i, u in enumerate(opens):
-        for j, v in enumerate(opens):
-            if not (u & ~v):
-                filters[i] |= 1 << j
-    lattice_space = _lattice_space(x, opens, pos)
+    lattice_space = open_lattice(x, limits).space
+    filters = lattice_space.up
     fams, sampled = _families(lattice_space, limits, _seed_for(x, limits))
     pairs = 0
     for fam in fams:
@@ -110,12 +89,9 @@ def is_co_consonant(x: FiniteSpace, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     above U.  A bounded scan over closed-set pairs backs it up."""
     opens = x.opens(limits)
     closed = [x.full_mask ^ u for u in opens]
-    lattice_space = _lattice_space(x, opens, {u: i for i, u in enumerate(opens)})
-    tri = [0] * len(closed)
-    for a_idx, a in enumerate(closed):
-        for j, v in enumerate(opens):
-            if a & v:
-                tri[a_idx] |= 1 << j
+    lattice = open_lattice(x, limits)
+    lattice_space = lattice.space
+    tri = [lattice.diamond(a) for a in closed]
     fams, sampled = _families(lattice_space, limits, _seed_for(x, limits) ^ 0x5A5A)
     all_opens_mask = (1 << len(opens)) - 1
     pairs = 0
@@ -145,19 +121,6 @@ def is_co_consonant(x: FiniteSpace, limits: Limits = DEFAULT_LIMITS) -> Verdict:
                     info={"checker": "is_co_consonant", "sampled": sampled},
                 )
     return Verdict(True, info={"checker": "is_co_consonant", "families": len(fams), "pairs": pairs, "sampled": sampled})
-
-
-def _lattice_space(x: FiniteSpace, opens, pos) -> FiniteSpace:
-    """The opens of x as a poset under inclusion (the point set of O(x))."""
-    names = tuple(set_label(x.names, u) for u in opens)
-    up = []
-    for u in opens:
-        m = 0
-        for v, j in pos.items():
-            if not (u & ~v):
-                m |= 1 << j
-        up.append(m)
-    return FiniteSpace(names, tuple(up))
 
 
 def is_strongly_compact(x: FiniteSpace, k: PtSet, limits: Limits = DEFAULT_LIMITS) -> Verdict:
@@ -200,7 +163,7 @@ def is_wilker(x: FiniteSpace, limits: Limits = DEFAULT_LIMITS) -> Verdict:
                 k1, k2 = k & u1, k & u2
                 if not (k1 & ~u1) and not (k2 & ~u2) and not (k & ~(k1 | k2)):
                     continue
-                if not _wilker_scan(x, saturated, k, u1, u2):
+                if not wilker_scan(saturated, k, u1, u2):
                     return Verdict(
                         False,
                         witness={
@@ -213,7 +176,9 @@ def is_wilker(x: FiniteSpace, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     return Verdict(True, info={"checker": "is_wilker", "triples": triples})
 
 
-def _wilker_scan(x, saturated, k, u1, u2) -> bool:
+def wilker_scan(saturated, k, u1, u2) -> bool:
+    """Brute-force existence of saturated k1 inside u1 and k2 inside u2
+    covering k."""
     for k1 in saturated:
         if k1 & ~u1:
             continue
@@ -259,11 +224,9 @@ def consonance_equivalence(x: FiniteSpace, limits: Limits = DEFAULT_LIMITS) -> V
     pair = sigma_tau(pw, limits)
     bijective = len(set(pair.forward.table)) == pw.KA.space.n == pw.AK.space.n
     tau_equality = True
-    from .powerspaces import box_mask
     for u in x.opens(limits):
-        dia = diamond_mask(pw.A.extents, u)
-        box_dia = box_mask(pw.KA.extents, dia)
-        dia_box = diamond_mask(pw.AK.extents, box_mask(pw.K.extents, u))
+        box_dia = pw.KA.box(pw.A.diamond(u))
+        dia_box = pw.AK.diamond(pw.K.box(u))
         if pair.backward.preimage_mask(dia_box) != box_dia:
             tau_equality = False
             break
@@ -298,10 +261,10 @@ def strong_compactness_implications(x: FiniteSpace, limits: Limits = DEFAULT_LIM
 
 
 def topology_coincidence(space: ConstructedSpace, against: str, limits: Limits = DEFAULT_LIMITS) -> Verdict:
-    """Compare the generated topology of a construction with a reference
-    family recomputed from the specialization order alone."""
+    """Compare the topology generated by a construction's subbasis with a
+    reference family recomputed from the specialization order alone."""
     cs_space = space.space
-    generated = close_family(space.subbasis, cs_space.full_mask, limits.max_construction_points)
+    generated = close_family(space.subbasis(limits), cs_space.full_mask, limits.max_construction_points)
     if against == "weak":
         reference = weak_topology_family(cs_space, limits)
     elif against == "scott":

@@ -15,8 +15,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import permutations, product
+from operator import and_, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
@@ -36,6 +37,16 @@ def mask_of(indices: Iterable[int]) -> int:
     for i in indices:
         m |= 1 << i
     return m
+
+
+def union_of(masks: Sequence[int], sel: int) -> int:
+    """Union of masks[i] over the set bits i of sel."""
+    return reduce(or_, map(masks.__getitem__, bits(sel)), 0)
+
+
+def intersection_of(masks: Sequence[int], sel: int, full: int) -> int:
+    """Intersection of masks[i] over the set bits i of sel; full when sel is empty."""
+    return reduce(and_, map(masks.__getitem__, bits(sel)), full)
 
 
 def set_label(names: Sequence[str], mask: int) -> str:
@@ -351,13 +362,6 @@ def space_from_opens(names: Sequence[str], opens: Iterable[Iterable[int] | int])
     return FiniteSpace(names, tuple(up))
 
 
-def space_from_subbasis(names: Sequence[str], subbasis: Sequence[int]) -> FiniteSpace:
-    """Space generated by a subbasis of opens.  Same derivation as
-    space_from_opens; kept separate so constructions share one audited
-    entry point that takes raw masks."""
-    return space_from_opens(names, list(subbasis))
-
-
 def space_from_poset(names: Sequence[str], covers: Iterable[tuple]) -> FiniteSpace:
     """Build a space from order generators (x below y per pair)."""
     names = tuple(names)
@@ -468,6 +472,26 @@ def enumerate_lower_sets(space: FiniteSpace, cap: int | None = None) -> list[int
     return enumerate_upper_sets(space.down, cap)
 
 
+def count_upper_sets(space: FiniteSpace) -> int:
+    """Number of upper sets, equal by complement to the number of lower sets.
+
+    Memoized split over subsets P of the points: an upper set of P either
+    misses x and with it all of down(x), or contains all of up(x), so
+    D(P) = D(P - down(x)) + D(P - up(x)).  It shares no code with
+    enumerate_upper_sets, which it audits.
+    """
+    return _count_split(space.full_mask, space.up, space.down, {0: 1})
+
+
+def _count_split(p: int, up, down, memo: dict) -> int:
+    got = memo.get(p)
+    if got is None:
+        x = (p & -p).bit_length() - 1
+        got = _count_split(p & ~down[x], up, down, memo) + _count_split(p & ~up[x], up, down, memo)
+        memo[p] = got
+    return got
+
+
 def close_family(seeds: Iterable[int], full: int, cap: int | None = None) -> frozenset[int]:
     """Close a family of sets under pairwise union and intersection,
     with the empty and full sets adjoined."""
@@ -504,28 +528,25 @@ def scott_topology_family(space: FiniteSpace, limits: Limits = DEFAULT_LIMITS) -
 # enumeration of all finite T0 spaces
 
 
+def _relabelings(up: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The order under every point permutation, point i renamed perm[i]."""
+    n = len(up)
+    for perm in permutations(range(n)):
+        relabeled = [0] * n
+        for i in range(n):
+            relabeled[perm[i]] = mask_of(perm[j] for j in bits(up[i]))
+        yield tuple(relabeled)
+
+
 _CANONICAL_CACHE: dict[tuple[int, ...], tuple[int, ...]] = {}
 
 
 def canonical_order_key(up: tuple[int, ...]) -> tuple[int, ...]:
     """Least relabeling of the order under all point permutations."""
     got = _CANONICAL_CACHE.get(up)
-    if got is not None:
-        return got
-    n = len(up)
-    best: tuple[int, ...] | None = None
-    for perm in permutations(range(n)):
-        relabeled = [0] * n
-        for i in range(n):
-            m = 0
-            for j in bits(up[i]):
-                m |= 1 << perm[j]
-            relabeled[perm[i]] = m
-        t = tuple(relabeled)
-        if best is None or t < best:
-            best = t
-    _CANONICAL_CACHE[up] = best
-    return best
+    if got is None:
+        got = _CANONICAL_CACHE[up] = min(_relabelings(up))
+    return got
 
 
 _POSET_CACHE: dict[int, list[tuple[int, ...]]] = {}
@@ -576,17 +597,7 @@ def enumerate_spaces(n: int, up_to_iso: bool = True, limits: Limits = DEFAULT_LI
         if up_to_iso:
             ups: list[tuple[int, ...]] = reps
         else:
-            labeled: set[tuple[int, ...]] = set()
-            for up in reps:
-                for perm in permutations(range(k)):
-                    relabeled = [0] * k
-                    for i in range(k):
-                        m = 0
-                        for j in bits(up[i]):
-                            m |= 1 << perm[j]
-                        relabeled[perm[i]] = m
-                    labeled.add(tuple(relabeled))
-            ups = sorted(labeled)
+            ups = sorted({t for up in reps for t in _relabelings(up)})
         names = tuple(f"p{i}" for i in range(k))
         spaces.extend(FiniteSpace(names, up) for up in ups)
     result = tuple(spaces)
@@ -628,12 +639,42 @@ def space_to_json(space: FiniteSpace) -> dict:
 
 
 def space_from_json(data: dict | str) -> FiniteSpace:
-    """Accepts either the covers form or the explicit opens form."""
+    """Accepts either the covers form or the explicit opens form.
+
+    Points must be distinct strings.  Order pairs name two points, by name
+    or index; opens list point indices.  Anything else raises ValueError.
+    """
     if isinstance(data, str):
         data = json.loads(data)
-    names = data["points"]
+    if not isinstance(data, dict):
+        raise ValueError("space JSON must be an object")
+    names = data.get("points")
+    if not isinstance(names, list) or not all(isinstance(nm, str) for nm in names):
+        raise ValueError("'points' must be a list of strings")
+    if len(set(names)) != len(names):
+        raise ValueError("point names must be pairwise distinct")
+
+    def index(item) -> int:
+        if isinstance(item, str) and item in names:
+            return names.index(item)
+        if type(item) is int and 0 <= item < len(names):
+            return item
+        raise ValueError(f"{item!r} is not a point")
+
+    def entries(key: str) -> list:
+        value = data[key]
+        if not isinstance(value, list) or not all(isinstance(e, list) for e in value):
+            raise ValueError(f"'{key}' must be a list of lists")
+        return value
+
     if "order" in data:
-        return space_from_poset(names, [tuple(p) for p in data["order"]])
+        pairs = entries("order")
+        if any(len(p) != 2 for p in pairs):
+            raise ValueError("each order entry must be a pair of points")
+        return space_from_poset(names, [(index(a), index(b)) for a, b in pairs])
     if "opens" in data:
-        return space_from_opens(names, [list(o) for o in data["opens"]])
+        opens = entries("opens")
+        if any(type(i) is not int for o in opens for i in o):
+            raise ValueError("opens must list point indices")
+        return space_from_opens(names, [[index(i) for i in o] for o in opens])
     raise ValueError("space JSON needs either 'order' or 'opens'")

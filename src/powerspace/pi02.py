@@ -24,9 +24,7 @@ from .core import (
 )
 from .errors import NotEmbedding, PresentationMismatch
 from .powerspaces import (
-    box_mask,
     convex_powerspace,
-    diamond_mask,
     functor_map,
     lower_powerspace,
     monad_unit,
@@ -219,26 +217,20 @@ def eta_image_characterizations(x: FiniteSpace, limits: Limits = DEFAULT_LIMITS)
     basis = x.opens(limits)
 
     a_space = a_ps.space
-    a_pairs = [(a_space.full_mask, diamond_mask(a_ps.extents, x.full_mask))]
+    a_pairs = [(a_space.full_mask, a_ps.diamond(x.full_mask))]
     for u in basis:
         for v in basis:
-            a_pairs.append(
-                (diamond_mask(a_ps.extents, u) & diamond_mask(a_ps.extents, v),
-                 diamond_mask(a_ps.extents, u & v))
-            )
+            a_pairs.append((a_ps.diamond(u) & a_ps.diamond(v), a_ps.diamond(u & v)))
     a_set = pi02_eval(Pi02Presentation(a_space, tuple(a_pairs))).mask
     if a_set != mask_of(eta_a.table):
         return Verdict(False, witness={"side": "lower", "condition_set": set_label(a_space.names, a_set)},
                        info={"checker": "eta_image_characterizations"})
 
     k_space = k_ps.space
-    k_pairs = [(box_mask(k_ps.extents, 0), 0)]
+    k_pairs = [(k_ps.box(0), 0)]
     for u in basis:
         for v in basis:
-            k_pairs.append(
-                (box_mask(k_ps.extents, u | v),
-                 box_mask(k_ps.extents, u) | box_mask(k_ps.extents, v))
-            )
+            k_pairs.append((k_ps.box(u | v), k_ps.box(u) | k_ps.box(v)))
     k_set = pi02_eval(Pi02Presentation(k_space, tuple(k_pairs))).mask
     if k_set != mask_of(eta_k.table):
         return Verdict(False, witness={"side": "upper", "condition_set": set_label(k_space.names, k_set)},

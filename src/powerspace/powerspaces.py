@@ -5,9 +5,12 @@ K(X)  saturated (hence compact) subsets, generated by the sets box(U)
 L(X)  lens pairs <closed, saturated>, generated by both families
 O(X)  the open-set lattice under inclusion with its upper-set topology
 
-All four go through one generated-topology routine: compute the modal
-subbasis over the enumerated points and let space_from_subbasis derive
-the order.  Points are sorted by extent so identical expressions always
+On a finite base the specialization order of each topology is plain
+extent inclusion: subset for A and O, superset for K, and for L the
+Egli-Milner order (closed parts by subset, saturated parts by superset).
+Every construction leaves through _finish, which indexes the extents by
+base point once; ConstructedSpace reads the order and the modal sets off
+that index.  Points are sorted by extent so identical expressions always
 rebuild identical spaces.
 
 The empty lens <{}, {}> qualifies under the pair conditions and is kept;
@@ -16,7 +19,7 @@ parts of the literature insist on non-empty lenses, this library does not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .config import DEFAULT_LIMITS, Limits
@@ -29,8 +32,10 @@ from .core import (
     check_continuous,
     enumerate_lower_sets,
     enumerate_upper_sets,
+    intersection_of,
+    mask_of,
     set_label,
-    space_from_subbasis,
+    union_of,
 )
 from .errors import NotContinuous, PowerspaceTooLarge
 
@@ -45,18 +50,54 @@ class ConstructedSpace:
     """A finite space whose points carry extents over a base space.
 
     extents holds one base mask per point, except for kind L where each
-    entry is a (closed, saturated) pair.  subbasis keeps the generating
-    opens (as masks over the constructed points) so topology audits can
-    recompute the generated family instead of trusting the derived order.
+    entry is a (closed, saturated) pair.  members[p] is the mask of points
+    whose extent, or closed part for L, contains base point p; sat_members
+    is the same over the saturated parts of L, and members itself for the
+    other kinds.  The order of space is read off this index and validated
+    by FiniteSpace.
     """
 
-    space: FiniteSpace
     base: FiniteSpace
     kind: str
     extents: tuple
     label: str
-    subbasis: tuple[int, ...]
+    members: tuple[int, ...]
+    sat_members: tuple[int, ...]
     base_construction: "ConstructedSpace | None" = None
+    space: FiniteSpace = field(init=False)
+
+    def __post_init__(self):
+        names = self.base.names
+        if self.kind == KIND_CONVEX:
+            labels = tuple(f"<{set_label(names, a)},{set_label(names, k)}>" for a, k in self.extents)
+            up = tuple(self.containing(a) & self.box(k) for a, k in self.extents)
+        else:
+            labels = tuple(set_label(names, e) for e in self.extents)
+            up = tuple(map(self.box if self.kind == KIND_UPPER else self.containing, self.extents))
+        object.__setattr__(self, "space", FiniteSpace(labels, up))
+
+    def diamond(self, m: int) -> int:
+        """Points whose extent, or closed part for L, meets the base set m."""
+        return union_of(self.members, m)
+
+    def box(self, m: int) -> int:
+        """Points whose extent, or saturated part for L, lies inside the base set m."""
+        return ((1 << len(self.extents)) - 1) & ~union_of(self.sat_members, self.base.full_mask & ~m)
+
+    def containing(self, m: int) -> int:
+        """Points whose extent, or closed part for L, contains the base set m."""
+        return intersection_of(self.members, m, (1 << len(self.extents)) - 1)
+
+    def subbasis(self, limits: Limits = DEFAULT_LIMITS) -> list[int]:
+        """The generating opens listed in the module docstring, U running
+        over the opens of the base.  Built on demand for the topology
+        audits, which close it and compare the result with the order."""
+        opens = self.base.opens(limits)
+        if self.kind == KIND_OPENS:
+            return [mask_of(j for j, v in enumerate(self.extents) if not (u & ~v)) for u in opens]
+        dia = [self.diamond(u) for u in opens] if self.kind in (KIND_LOWER, KIND_CONVEX) else []
+        box = [self.box(u) for u in opens] if self.kind in (KIND_UPPER, KIND_CONVEX) else []
+        return dia + box
 
     @cached_property
     def _index(self) -> dict:
@@ -81,61 +122,37 @@ def _base_of(x) -> tuple[FiniteSpace, "ConstructedSpace | None", str]:
     return x, None, "X"
 
 
-def diamond_mask(extents, u_mask: int) -> int:
-    """Points whose extent meets u_mask; lens extents use the closed part."""
-    m = 0
+def _members(n: int, extents) -> tuple[int, ...]:
+    members = [0] * n
     for i, e in enumerate(extents):
-        closed = e[0] if isinstance(e, tuple) else e
-        if closed & u_mask:
-            m |= 1 << i
-    return m
+        for p in bits(e):
+            members[p] |= 1 << i
+    return tuple(members)
 
 
-def box_mask(extents, u_mask: int) -> int:
-    """Points whose extent is inside u_mask; lens extents use the saturated part."""
-    m = 0
-    for i, e in enumerate(extents):
-        sat = e[1] if isinstance(e, tuple) else e
-        if not (sat & ~u_mask):
-            m |= 1 << i
-    return m
-
-
-def _finish(base, base_cs, label, kind, extents, subbasis_masks, limits) -> ConstructedSpace:
+def _finish(base, base_cs, label, kind, extents, limits) -> ConstructedSpace:
     if len(extents) > limits.max_construction_points:
         raise PowerspaceTooLarge(f"{label} would have {len(extents)} points")
     if kind == KIND_CONVEX:
-        names = tuple(
-            f"<{set_label(base.names, a)},{set_label(base.names, k)}>" for a, k in extents
-        )
+        members = _members(base.n, (a for a, _ in extents))
+        sat_members = _members(base.n, (k for _, k in extents))
     else:
-        names = tuple(set_label(base.names, e) for e in extents)
-    space = space_from_subbasis(names, subbasis_masks)
-    return ConstructedSpace(
-        space=space,
-        base=base,
-        kind=kind,
-        extents=tuple(extents),
-        label=label,
-        subbasis=tuple(subbasis_masks),
-        base_construction=base_cs,
-    )
+        members = sat_members = _members(base.n, extents)
+    return ConstructedSpace(base, kind, tuple(extents), label, members, sat_members, base_cs)
 
 
 def lower_powerspace(x, limits: Limits = DEFAULT_LIMITS) -> ConstructedSpace:
     """A(X): closed sets with the lower Vietoris topology."""
     base, base_cs, inner = _base_of(x)
     extents = enumerate_lower_sets(base, limits.max_construction_points)
-    subbasis = [diamond_mask(extents, u) for u in base.opens(limits)]
-    return _finish(base, base_cs, f"A({inner})", KIND_LOWER, extents, subbasis, limits)
+    return _finish(base, base_cs, f"A({inner})", KIND_LOWER, extents, limits)
 
 
 def upper_powerspace(x, limits: Limits = DEFAULT_LIMITS) -> ConstructedSpace:
     """K(X): saturated sets with the upper Vietoris topology."""
     base, base_cs, inner = _base_of(x)
     extents = enumerate_upper_sets(base.up, limits.max_construction_points)
-    subbasis = [box_mask(extents, u) for u in base.opens(limits)]
-    return _finish(base, base_cs, f"K({inner})", KIND_UPPER, extents, subbasis, limits)
+    return _finish(base, base_cs, f"K({inner})", KIND_UPPER, extents, limits)
 
 
 def convex_powerspace(x, limits: Limits = DEFAULT_LIMITS) -> ConstructedSpace:
@@ -150,26 +167,14 @@ def convex_powerspace(x, limits: Limits = DEFAULT_LIMITS) -> ConstructedSpace:
             if base.closure_mask(core) == a and base.saturation_mask(core) == k:
                 extents.append((a, k))
     extents.sort()
-    if len(extents) > limits.max_construction_points:
-        raise PowerspaceTooLarge(f"L({inner}) would have {len(extents)} points")
-    opens = base.opens(limits)
-    subbasis = [diamond_mask(extents, u) for u in opens] + [box_mask(extents, u) for u in opens]
-    return _finish(base, base_cs, f"L({inner})", KIND_CONVEX, extents, subbasis, limits)
+    return _finish(base, base_cs, f"L({inner})", KIND_CONVEX, extents, limits)
 
 
 def open_lattice(x, limits: Limits = DEFAULT_LIMITS) -> ConstructedSpace:
     """O(X): the opens of X ordered by inclusion, upper-set topology."""
     base, base_cs, inner = _base_of(x)
     extents = list(base.opens(limits))
-    pos = {u: i for i, u in enumerate(extents)}
-    subbasis = []
-    for u in extents:
-        m = 0
-        for v in extents:
-            if not (u & ~v):
-                m |= 1 << pos[v]
-        subbasis.append(m)
-    return _finish(base, base_cs, f"O({inner})", KIND_OPENS, extents, subbasis, limits)
+    return _finish(base, base_cs, f"O({inner})", KIND_OPENS, extents, limits)
 
 
 BUILDERS = {
@@ -200,26 +205,16 @@ def functor_map(
     verdict = check_continuous(f)
     if not verdict.holds:
         raise NotContinuous(f"cannot lift a discontinuous map (witness {verdict.witness.label()})")
-    if kind == KIND_LOWER:
-        dom_ps = dom_ps or lower_powerspace(f.domain, limits)
-        cod_ps = cod_ps or lower_powerspace(f.codomain, limits)
-        down = f.codomain.down
+    if kind in (KIND_LOWER, KIND_UPPER):
+        build = BUILDERS[kind]
+        dom_ps = dom_ps or build(f.domain, limits)
+        cod_ps = cod_ps or build(f.codomain, limits)
+        hull = f.codomain.down if kind == KIND_LOWER else f.codomain.up
         table = []
         for ext in dom_ps.extents:
             img = 0
             for p in bits(ext):
-                img |= down[f.table[p]]
-            table.append(cod_ps.point_of(img))
-        return SpaceMap(dom_ps.space, cod_ps.space, tuple(table))
-    if kind == KIND_UPPER:
-        dom_ps = dom_ps or upper_powerspace(f.domain, limits)
-        cod_ps = cod_ps or upper_powerspace(f.codomain, limits)
-        up = f.codomain.up
-        table = []
-        for ext in dom_ps.extents:
-            img = 0
-            for p in bits(ext):
-                img |= up[f.table[p]]
+                img |= hull[f.table[p]]
             table.append(cod_ps.point_of(img))
         return SpaceMap(dom_ps.space, cod_ps.space, tuple(table))
     if kind == KIND_OPENS:
@@ -258,13 +253,8 @@ def monad_mult(
     build = BUILDERS[kind]
     ps = ps or build(base, limits)
     pps = pps or build(ps, limits)
-    table = []
-    for fam in pps.extents:
-        union = 0
-        for j in bits(fam):
-            union |= ps.extents[j]
-        table.append(ps.point_of(union))
-    return SpaceMap(pps.space, ps.space, tuple(table))
+    table = tuple(ps.point_of(union_of(ps.extents, fam)) for fam in pps.extents)
+    return SpaceMap(pps.space, ps.space, table)
 
 
 def structure_map_union(
@@ -277,13 +267,8 @@ def structure_map_union(
     base, _, _ = _base_of(x)
     lattice = lattice or open_lattice(base, limits)
     ao = ao or lower_powerspace(lattice, limits)
-    table = []
-    for fam in ao.extents:
-        u = 0
-        for j in bits(fam):
-            u |= lattice.extents[j]
-        table.append(lattice.point_of(u))
-    return SpaceMap(ao.space, lattice.space, tuple(table))
+    table = tuple(lattice.point_of(union_of(lattice.extents, fam)) for fam in ao.extents)
+    return SpaceMap(ao.space, lattice.space, table)
 
 
 def structure_map_intersection(
@@ -296,13 +281,8 @@ def structure_map_intersection(
     base, _, _ = _base_of(x)
     lattice = lattice or open_lattice(base, limits)
     ko = ko or upper_powerspace(lattice, limits)
-    table = []
-    for fam in ko.extents:
-        u = base.full_mask
-        for j in bits(fam):
-            u &= lattice.extents[j]
-        table.append(lattice.point_of(u))
-    return SpaceMap(ko.space, lattice.space, tuple(table))
+    table = tuple(lattice.point_of(intersection_of(lattice.extents, fam, base.full_mask)) for fam in ko.extents)
+    return SpaceMap(ko.space, lattice.space, table)
 
 
 # ---------------------------------------------------------------------------
@@ -364,16 +344,16 @@ def monad_preimage_identities(kind: str, x, limits: Limits = DEFAULT_LIMITS) -> 
     """
     base, _, _ = _base_of(x)
     build = BUILDERS[kind]
-    modal = diamond_mask if kind == KIND_LOWER else box_mask
+    modal = ConstructedSpace.diamond if kind == KIND_LOWER else ConstructedSpace.box
     t1 = build(base, limits)
     t2 = build(t1, limits)
     eta = monad_unit(kind, base, ps=t1, limits=limits)
     mult = monad_mult(kind, base, ps=t1, pps=t2, limits=limits)
     for u in base.opens(limits):
-        m1 = modal(t1.extents, u)
+        m1 = modal(t1, u)
         if eta.preimage_mask(m1) != u:
             return Verdict(False, witness={"identity": "unit", "open": set_label(base.names, u)})
-        if mult.preimage_mask(m1) != modal(t2.extents, m1):
+        if mult.preimage_mask(m1) != modal(t2, m1):
             return Verdict(False, witness={"identity": "mult", "open": set_label(base.names, u)})
     return Verdict(True, info={"checker": "monad_preimage_identities", "kind": kind, "opens": len(base.opens(limits))})
 

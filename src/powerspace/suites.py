@@ -20,6 +20,7 @@ from .core import (
     PtSet,
     Verdict,
     _jsonable,
+    count_upper_sets,
     enumerate_spaces,
     enumerate_upper_sets,
     iter_continuous_maps,
@@ -123,25 +124,6 @@ def _spaces(max_points: int, include_empty: bool, limits: Limits):
 # per-space jobs (top level, so a process pool can pickle them)
 
 
-def _brute_upper_count(space: FiniteSpace) -> int:
-    """Independent enumerator: filter every subset for upward closure."""
-    n = space.n
-    count = 0
-    for mask in range(1 << n):
-        if space.is_upper(mask):
-            count += 1
-    return count
-
-
-def _brute_lower_count(space: FiniteSpace) -> int:
-    n = space.n
-    count = 0
-    for mask in range(1 << n):
-        if space.is_lower(mask):
-            count += 1
-    return count
-
-
 def homeo_space_job(args) -> list[CheckRecord]:
     space, limits = args
     subject = _label(space)
@@ -155,15 +137,13 @@ def homeo_space_job(args) -> list[CheckRecord]:
     out.append(_rec("preimage_identities", subject, canonical.check_preimage_identities(pw, limits), t0))
     t0 = time.monotonic()
     sizes = {"A(K)": pw.AK.space.n, "K(A)": pw.KA.space.n, "O(O)": pw.OO.space.n}
-    oracle = None
-    if space.n <= 18:
-        k_space, a_space, o_space = pw.K.space, pw.A.space, pw.O.space
-        oracle = {
-            "A(K)": _brute_lower_count(k_space),
-            "K(A)": _brute_upper_count(a_space),
-            "O(O)": _brute_upper_count(o_space),
-        }
-    ok = sizes["A(K)"] == sizes["K(A)"] == sizes["O(O)"] and (oracle is None or oracle == sizes)
+    # lower sets of K(X), upper sets of A(X) and of O(X), counted independently
+    oracle = {
+        "A(K)": count_upper_sets(pw.K.space),
+        "K(A)": count_upper_sets(pw.A.space),
+        "O(O)": count_upper_sets(pw.O.space),
+    }
+    ok = sizes["A(K)"] == sizes["K(A)"] == sizes["O(O)"] and oracle == sizes
     verdict = Verdict(ok, witness=None if ok else {"sizes": sizes, "oracle": oracle})
     out.append(_rec("cardinality_crosscheck", subject, verdict, t0))
     return out
@@ -284,7 +264,7 @@ def wilker_space_job(args) -> list[CheckRecord]:
                     not (k1.mask & ~u1)
                     and not (k2.mask & ~u2)
                     and not (k & ~(k1.mask | k2.mask))
-                    and _wilker_oracle(space, opens, k, u1, u2)
+                    and checkers.wilker_scan(opens, k, u1, u2)
                 )
                 if not good:
                     failure = {"K": PtSet(space, k), "U1": PtSet(space, u1), "U2": PtSet(space, u2)}
@@ -296,17 +276,6 @@ def wilker_space_job(args) -> list[CheckRecord]:
     verdict = Verdict(failure is None, witness=failure, info={"triples": triples})
     out.append(_rec("decompose_all_triples", subject, verdict, t0))
     return out
-
-
-def _wilker_oracle(space, saturated, k, u1, u2) -> bool:
-    """Brute-force existence of a decomposition over saturated pairs."""
-    for k1 in saturated:
-        if k1 & ~u1:
-            continue
-        for k2 in saturated:
-            if not (k2 & ~u2) and not (k & ~(k1 | k2)):
-                return True
-    return False
 
 
 JOBS = {

@@ -26,7 +26,6 @@ from powerspace.core import (
     sierpinski,
 )
 from powerspace.errors import NotContinuous, PowerspaceTooLarge, ShapeMismatch
-from powerspace.powerspaces import box_mask, diamond_mask
 
 S = sierpinski()
 D2 = antichain(2, names=("a", "b"))
@@ -88,7 +87,7 @@ def test_alpha_example():
     ab = alpha_beta(pw)
     i = pw.AO.point_of(pw.O.space.closure_mask(1 << pw.O.point_of(0b10)))
     image = pw.OK.extents[ab.forward.table[i]]
-    assert image == box_mask(pw.K.extents, 0b10)
+    assert image == pw.K.box(0b10)
     for j in range(pw.AO.space.n):
         assert ab.backward.table[ab.forward.table[j]] == j
 
@@ -100,7 +99,7 @@ def test_alpha_after_unit_is_box():
     ab = alpha_beta(pw)
     eta = monad_unit("A", pw.O, ps=pw.AO)
     u = pw.O.point_of(0b10)
-    assert pw.OK.extents[ab.forward.table[eta.table[u]]] == box_mask(pw.K.extents, 0b10)
+    assert pw.OK.extents[ab.forward.table[eta.table[u]]] == pw.K.box(0b10)
 
 
 def test_gamma_example_and_unit():
@@ -110,12 +109,12 @@ def test_gamma_example_and_unit():
     gd = gamma_delta(pw)
     i = pw.KO.point_of(pw.O.space.saturation_mask(1 << pw.O.point_of(0b10)))
     image = pw.OA.extents[gd.forward.table[i]]
-    assert image == diamond_mask(pw.A.extents, 0b10)
+    assert image == pw.A.diamond(0b10)
     for j in range(pw.KO.space.n):
         assert gd.backward.table[gd.forward.table[j]] == j
     eta = monad_unit("K", pw.O, ps=pw.KO)
     u = pw.O.point_of(0b10)
-    assert pw.OA.extents[gd.forward.table[eta.table[u]]] == diamond_mask(pw.A.extents, 0b10)
+    assert pw.OA.extents[gd.forward.table[eta.table[u]]] == pw.A.diamond(0b10)
 
 
 def test_tau_preimage_inclusion_without_equality():
@@ -124,8 +123,8 @@ def test_tau_preimage_inclusion_without_equality():
         pw = Powers(sp)
         st_pair = sigma_tau(pw)
         for u in sp.opens():
-            dia_box = diamond_mask(pw.AK.extents, box_mask(pw.K.extents, u))
-            box_dia = box_mask(pw.KA.extents, diamond_mask(pw.A.extents, u))
+            dia_box = pw.AK.diamond(pw.K.box(u))
+            box_dia = pw.KA.box(pw.A.diamond(u))
             pre = st_pair.backward.preimage_mask(dia_box)
             assert not (pre & ~box_dia)
 

@@ -2,7 +2,6 @@ import pytest
 
 from powerspace.canonical import Powers
 from powerspace.checkers import (
-    ScottOpenFamily,
     consonance_equivalence,
     irreducible_closed_sets,
     is_co_consonant,
@@ -91,16 +90,6 @@ def test_topology_coincidences():
     assert topology_coincidence(Powers(D2).KA, "weak").holds
     with pytest.raises(ValueError):
         topology_coincidence(Powers(S).A, "metric")
-
-
-def test_scott_open_family_validation():
-    pw = Powers(S)
-    lattice = pw.O
-    full = lattice.space.full_mask
-    fam = ScottOpenFamily(lattice, full & ~1)  # everything above the empty open
-    assert len(fam.opens()) == 2
-    with pytest.raises(ValueError):
-        ScottOpenFamily(lattice, 0b001)  # the empty open alone is not upward closed
 
 
 def test_powerspace_sobriety():

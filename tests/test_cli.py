@@ -100,6 +100,17 @@ def test_build_bad_expression(d2_file, capsys):
     assert main(["build", str(d2_file), "--expr", "Z(X)"]) == 3
 
 
+@pytest.mark.parametrize("doc", [
+    {"points": ["a", "b"], "opens": [["a"]]},  # opens must list indices
+    {"points": [1, 2], "order": []},  # points must be strings
+])
+def test_build_malformed_space_file(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["build", str(path), "--expr", "A(X)"]) == 3
+    assert "input error:" in capsys.readouterr().err
+
+
 def test_build_missing_file(tmp_path):
     assert main(["build", str(tmp_path / "nope.json"), "--expr", "A(X)"]) == 3
 

@@ -11,6 +11,7 @@ from powerspace.core import (
     check_continuous,
     closure,
     compose,
+    count_upper_sets,
     empty_space,
     enumerate_spaces,
     enumerate_upper_sets,
@@ -156,6 +157,20 @@ def test_enumerate_spaces_against_brute_force(n, count):
     assert len(exact) == count
     if n <= 3:
         assert len(brute_force_posets(n)) == count
+
+
+@pytest.mark.parametrize("n,dedekind", [(0, 2), (1, 3), (2, 6), (3, 20), (4, 168), (5, 7581)])
+def test_count_upper_sets_gives_dedekind_numbers(n, dedekind):
+    # the upper sets of the Boolean lattice A(antichain(n)) number M(n), OEIS A000372
+    from powerspace.powerspaces import lower_powerspace
+
+    assert count_upper_sets(lower_powerspace(antichain(n)).space) == dedekind
+
+
+def test_count_upper_sets_against_subset_filter():
+    for sp in enumerate_spaces(4):
+        brute = sum(1 for m in range(sp.full_mask + 1) if sp.is_upper(m))
+        assert count_upper_sets(sp) == brute == len(enumerate_upper_sets(sp.up))
 
 
 def test_enumerate_spaces_labeled_counts():

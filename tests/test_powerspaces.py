@@ -17,10 +17,8 @@ from powerspace.errors import NotContinuous, PowerspaceTooLarge
 from powerspace.config import Limits
 from powerspace.powerspaces import (
     algebra_laws,
-    box_mask,
     construction_to_json,
     convex_powerspace,
-    diamond_mask,
     functor_map,
     lower_powerspace,
     monad_laws,
@@ -86,17 +84,46 @@ def test_open_lattice_shapes():
     assert open_lattice(open_lattice(antichain(3))).space.n == 20
 
 
+def _subset(a, b):
+    return not (a & ~b)
+
+
+ORDERS = {
+    "subset": _subset,
+    "superset": lambda a, b: _subset(b, a),
+    # Egli-Milner: closed parts grow, saturated parts shrink
+    "egli-milner": lambda a, b: _subset(a[0], b[0]) and _subset(b[1], a[1]),
+}
+
+
 @pytest.mark.parametrize("builder,expected_order", [
     (lower_powerspace, "subset"),
     (upper_powerspace, "superset"),
+    (convex_powerspace, "egli-milner"),
+    (open_lattice, "subset"),
 ])
 def test_specialization_order_of_constructions(builder, expected_order):
+    leq = ORDERS[expected_order]
     for sp in enumerate_spaces(4):
         ps = builder(sp)
         for i, a in enumerate(ps.extents):
             for j, b in enumerate(ps.extents):
-                expected = not (a & ~b) if expected_order == "subset" else not (b & ~a)
-                assert ps.space.leq(i, j) == expected
+                assert ps.space.leq(i, j) == leq(a, b)
+
+
+def test_set_formers_match_pairwise_definitions():
+    # diamond meets, box lies inside, containing contains: checked point by
+    # point against the extents, closed parts of lenses for diamond and
+    # containing, saturated parts for box
+    for sp in enumerate_spaces(3):
+        for builder in (lower_powerspace, upper_powerspace, convex_powerspace, open_lattice):
+            ps = builder(sp)
+            closed = [e[0] if ps.kind == "L" else e for e in ps.extents]
+            saturated = [e[1] if ps.kind == "L" else e for e in ps.extents]
+            for m in range(sp.full_mask + 1):
+                assert ps.diamond(m) == mask_of(i for i, e in enumerate(closed) if e & m)
+                assert ps.box(m) == mask_of(i for i, e in enumerate(saturated) if _subset(e, m))
+                assert ps.containing(m) == mask_of(i for i, e in enumerate(closed) if _subset(m, e))
 
 
 def test_generated_topology_is_upper_family():
@@ -107,7 +134,7 @@ def test_generated_topology_is_upper_family():
     for sp in enumerate_spaces(3):
         for builder in (lower_powerspace, upper_powerspace, convex_powerspace, open_lattice):
             ps = builder(sp)
-            generated = close_family(ps.subbasis, ps.space.full_mask)
+            generated = close_family(ps.subbasis(), ps.space.full_mask)
             assert generated == set(enumerate_upper_sets(ps.space.up))
 
 
@@ -146,8 +173,8 @@ def test_functor_preimage_identities():
                 kf = functor_map("K", f, dom_ps=k_dom, cod_ps=k_cod)
                 for u in cod.opens():
                     pre = f.preimage_mask(u)
-                    assert af.preimage_mask(diamond_mask(a_cod.extents, u)) == diamond_mask(a_dom.extents, pre)
-                    assert kf.preimage_mask(box_mask(k_cod.extents, u)) == box_mask(k_dom.extents, pre)
+                    assert af.preimage_mask(a_cod.diamond(u)) == a_dom.diamond(pre)
+                    assert kf.preimage_mask(k_cod.box(u)) == k_dom.box(pre)
 
 
 def test_monad_unit_examples():
