@@ -45,6 +45,10 @@ class ApproxRelation:
     def refiners_of(self, v: int) -> list[int]:
         return self._by_coarse.get(v, [])
 
+    @cached_property
+    def _verdicts(self) -> dict[Limits, Verdict]:
+        return {}
+
 
 def canonical_approx_relation(x: FiniteSpace, limits: Limits = DEFAULT_LIMITS) -> ApproxRelation:
     """U refines V exactly when U is a minimal point neighborhood inside V.
@@ -62,7 +66,18 @@ def canonical_approx_relation(x: FiniteSpace, limits: Limits = DEFAULT_LIMITS) -
 
 
 def validate_approx_relation(r: ApproxRelation, limits: Limits = DEFAULT_LIMITS) -> Verdict:
-    """The four axioms; the limit axiom in its cycle form."""
+    """The four axioms; the limit axiom in its cycle form.
+
+    The relation is frozen, so its verdict is computed once per Limits
+    and kept on it; wilker_decompose asks for it on every call.
+    """
+    got = r._verdicts.get(limits)
+    if got is None:
+        got = r._verdicts[limits] = _check_axioms(r, limits)
+    return got
+
+
+def _check_axioms(r: ApproxRelation, limits: Limits) -> Verdict:
     x = r.space
     opens = x.opens(limits)
     open_set = set(opens)

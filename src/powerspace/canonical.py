@@ -15,7 +15,7 @@ the verifications below re-derive that instead of assuming it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 from .config import DEFAULT_LIMITS, Limits
 from .core import (
@@ -23,11 +23,11 @@ from .core import (
     PtSet,
     SpaceMap,
     Verdict,
-    bits,
     check_continuous,
     compose,
     identity_map,
     intersection_of,
+    is_monotone,
     set_label,
     union_of,
 )
@@ -48,11 +48,13 @@ from .powerspaces import (
 
 
 class Powers:
-    """Lazily built tower of constructions over one base space."""
+    """Lazily built tower of constructions over one base space, with the
+    canonical pairs built over it (keyed by builder name)."""
 
     def __init__(self, base: FiniteSpace, limits: Limits = DEFAULT_LIMITS):
         self.base = base
         self.limits = limits
+        self.pairs: dict[str, CanonicalMapPair] = {}
 
     @cached_property
     def A(self) -> ConstructedSpace:
@@ -121,6 +123,23 @@ def _powers(x, limits: Limits) -> Powers:
     return Powers(x, limits)
 
 
+def _kept_on_powers(build):
+    """Turn build(pw) into a pair builder over a base space or a Powers.
+    Over a Powers the pair is built once and kept in pw.pairs, so every
+    later check on the same tower reuses its tables."""
+
+    @wraps(build)
+    def builder(x, limits: Limits = DEFAULT_LIMITS) -> CanonicalMapPair:
+        if not isinstance(x, Powers):
+            return build(Powers(x, limits))
+        pair = x.pairs.get(build.__name__)
+        if pair is None:
+            pair = x.pairs[build.__name__] = build(x)
+        return pair
+
+    return builder
+
+
 @dataclass(frozen=True)
 class CanonicalMapPair:
     """A forward/backward pair between two constructions over one base."""
@@ -133,10 +152,10 @@ class CanonicalMapPair:
     cod: ConstructedSpace
 
 
-def sigma_tau(x, limits: Limits = DEFAULT_LIMITS) -> CanonicalMapPair:
+@_kept_on_powers
+def sigma_tau(pw: Powers) -> CanonicalMapPair:
     """sigma sends a closed family of compacts to the closed sets meeting
     all of them; tau is the analogous map back."""
-    pw = _powers(x, limits)
     meeting_k = tuple(map(pw.A.diamond, pw.K.extents))
     meeting_a = tuple(map(pw.K.diamond, pw.A.extents))
     full_a, full_k = pw.A.space.full_mask, pw.K.space.full_mask
@@ -152,10 +171,10 @@ def sigma_tau(x, limits: Limits = DEFAULT_LIMITS) -> CanonicalMapPair:
     )
 
 
-def phi_psi(x, limits: Limits = DEFAULT_LIMITS) -> CanonicalMapPair:
+@_kept_on_powers
+def phi_psi(pw: Powers) -> CanonicalMapPair:
     """phi reads off which opens a compact family of closed sets hits
     everywhere; psi intersects the diamonds of a Scott-open family."""
-    pw = _powers(x, limits)
     full_o, full_a = pw.O.space.full_mask, pw.A.space.full_mask
     fwd = [pw.OO.point_of(intersection_of(pw.triangles, fam, full_o)) for fam in pw.KA.extents]
     bwd = [pw.KA.point_of(intersection_of(pw.diamonds, fam, full_a)) for fam in pw.OO.extents]
@@ -169,10 +188,10 @@ def phi_psi(x, limits: Limits = DEFAULT_LIMITS) -> CanonicalMapPair:
     )
 
 
-def alpha_beta(x, limits: Limits = DEFAULT_LIMITS) -> CanonicalMapPair:
+@_kept_on_powers
+def alpha_beta(pw: Powers) -> CanonicalMapPair:
     """alpha unions the boxes of a closed family of opens; beta collects
     the opens whose box sits inside a given open family of compacts."""
-    pw = _powers(x, limits)
     full_o, full_k = pw.O.space.full_mask, pw.K.space.full_mask
     fwd = [pw.OK.point_of(union_of(pw.boxes, fam)) for fam in pw.AO.extents]
     # an open's box leaves the family exactly when the open contains a compact outside it
@@ -187,10 +206,10 @@ def alpha_beta(x, limits: Limits = DEFAULT_LIMITS) -> CanonicalMapPair:
     )
 
 
-def gamma_delta(x, limits: Limits = DEFAULT_LIMITS) -> CanonicalMapPair:
+@_kept_on_powers
+def gamma_delta(pw: Powers) -> CanonicalMapPair:
     """gamma intersects the diamonds of a compact family of opens; delta
     collects the opens whose diamond contains a given open family."""
-    pw = _powers(x, limits)
     full_o, full_a = pw.O.space.full_mask, pw.A.space.full_mask
     fwd = [pw.OA.point_of(intersection_of(pw.diamonds, fam, full_a)) for fam in pw.KO.extents]
     bwd = [pw.KO.point_of(intersection_of(pw.triangles, u_fam, full_o)) for u_fam in pw.OA.extents]
@@ -213,24 +232,28 @@ PAIR_BUILDERS = {
 
 
 def verify_pair(pair: CanonicalMapPair) -> Verdict:
-    """Mutually inverse, continuous both ways; phi/psi also as an order
-    isomorphism (monotone in both directions)."""
+    """Mutually inverse (table equality) and continuous both ways.
+
+    check_continuous decides continuity as monotonicity, with one preimage
+    per image point, so no step loops over pairs of points.  phi/psi must
+    also be an order isomorphism (monotone both ways, by is_monotone); on
+    finite spaces that repeats the continuity decision.
+    """
     fb = compose(pair.backward, pair.forward)
     bf = compose(pair.forward, pair.backward)
     if fb != identity_map(pair.dom.space):
         return Verdict(False, witness={"pair": pair.name, "failure": "backward(forward) is not the identity"})
     if bf != identity_map(pair.cod.space):
         return Verdict(False, witness={"pair": pair.name, "failure": "forward(backward) is not the identity"})
-    for direction, m in (("forward", pair.forward), ("backward", pair.backward)):
+    directions = (("forward", pair.forward), ("backward", pair.backward))
+    for direction, m in directions:
         v = check_continuous(m)
         if not v.holds:
             return Verdict(False, witness={"pair": pair.name, "failure": f"{direction} not continuous", "open": v.witness.label()})
     if pair.name == "phi/psi":
-        for direction, m in (("forward", pair.forward), ("backward", pair.backward)):
-            for i in range(m.domain.n):
-                for j in bits(m.domain.up[i]):
-                    if not m.codomain.leq(m.table[i], m.table[j]):
-                        return Verdict(False, witness={"pair": pair.name, "failure": f"{direction} not monotone"})
+        for direction, m in directions:
+            if not is_monotone(m):
+                return Verdict(False, witness={"pair": pair.name, "failure": f"{direction} not monotone"})
     return Verdict(True, info={"checker": "verify_pair", "pair": pair.name, "points": pair.dom.space.n})
 
 

@@ -82,6 +82,14 @@ def test_decompose_preconditions():
         wilker_decompose(S, r, PtSet(S, 0b11), PtSet(S, 0b10), PtSet(S, 0b10))  # not covered
 
 
+def test_decompose_rejects_an_invalid_relation_on_every_call():
+    bad = ApproxRelation(S, frozenset({(0b11, 0b10)}))  # fails the subset axiom
+    assert validate_approx_relation(bad) is validate_approx_relation(bad)  # validated once
+    for _ in range(2):
+        with pytest.raises(PreconditionViolated):
+            wilker_decompose(S, bad, PtSet(S, 0b10), PtSet(S, 0b10), PtSet(S, 0b10))
+
+
 def test_decompose_all_triples_with_oracle():
     def oracle(sp, k, u1, u2):
         sats = sp.opens()

@@ -15,6 +15,7 @@ from powerspace.canonical import (
     verify_pair,
 )
 from powerspace.core import (
+    FiniteSpace,
     PtSet,
     SpaceMap,
     antichain,
@@ -36,6 +37,31 @@ def test_all_pairs_on_small_spaces():
         pw = Powers(sp)
         for builder in PAIR_BUILDERS.values():
             assert verify_pair(builder(pw)).holds
+
+
+def test_pair_builders_keep_one_pair_per_powers():
+    pw = Powers(D2)
+    for builder in PAIR_BUILDERS.values():
+        pair = builder(pw)
+        assert builder(pw) is pair
+        fresh = builder(D2)  # a bare space builds a new pair each time
+        assert fresh is not pair and fresh is not builder(D2)
+        assert (fresh.forward.table, fresh.backward.table) == (pair.forward.table, pair.backward.table)
+    assert set(pw.pairs) == {"sigma_tau", "phi_psi", "alpha_beta", "gamma_delta"}
+
+
+def test_five_point_subject():
+    # the 4-point antichain with p4 below p0; every iterated construction
+    # has 887 points, more than any other subject in these tests
+    pw = Powers(FiniteSpace(("p0", "p1", "p2", "p3", "p4"), up=(1, 2, 4, 8, 17)))
+    for name in ("AK", "KA", "OO", "AO", "OK", "KO", "OA"):
+        assert getattr(pw, name).space.n == 887, name
+    for name, builder in PAIR_BUILDERS.items():
+        v = verify_pair(builder(pw))
+        assert v.holds, (name, v.witness)
+    v = check_preimage_identities(pw)
+    assert v.holds, v.witness
+    assert v.info["instances"] == 3644
 
 
 def test_sigma_example_on_discrete_pair():

@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -114,20 +117,69 @@ def test_continuity_examples():
         assert check_continuous(SpaceMap(d, s, table)).holds
 
 
+def literal_preimage(f, mask):
+    return mask_of(i for i, v in enumerate(f.table) if mask >> v & 1)
+
+
+def literal_is_upper(space, mask):
+    return all(mask >> j & 1 for i in bits(mask) for j in range(space.n) if space.leq(i, j))
+
+
+def literal_monotone(f):
+    n = f.domain.n
+    return all(f.codomain.leq(f(i), f(j)) for i in range(n) for j in range(n) if f.domain.leq(i, j))
+
+
+def all_maps(dom, cod):
+    return (SpaceMap(dom, cod, table) for table in product(range(cod.n), repeat=dom.n))
+
+
 def test_continuity_equals_monotone_and_full_open_preimages():
     spaces = enumerate_spaces(3)
     for dom in spaces:
         for cod in spaces:
-            if cod.n == 0 and dom.n > 0:
-                continue
-            from itertools import product
-            tables = product(range(max(cod.n, 1)), repeat=dom.n) if cod.n else [()]
-            for table in tables:
-                f = SpaceMap(dom, cod, tuple(table))
+            for f in all_maps(dom, cod):
                 by_check = check_continuous(f).holds
-                by_monotone = is_monotone(f)
-                by_opens = all(dom.is_open(f.preimage_mask(u)) for u in cod.opens())
-                assert by_check == by_monotone == by_opens
+                by_pairs = literal_monotone(f)
+                by_opens = all(literal_is_upper(dom, literal_preimage(f, u)) for u in cod.opens())
+                assert by_check == is_monotone(f) == by_pairs == by_opens
+
+
+def test_preimage_mask_matches_literal_preimage():
+    rng = random.Random(0)
+    cases = [(0, ())]  # empty domain into the empty space
+    for cod_n in (1, 2, 3, 8, 70):
+        cases.append((cod_n, ()))  # empty domain
+        cases.append((cod_n, tuple(rng.sample(range(cod_n), cod_n))))  # bijection
+        for dom_n in (1, 2, 5, 90):
+            cases.append((cod_n, (cod_n - 1,) * dom_n))  # constant
+            cases.append((cod_n, tuple(rng.randrange(cod_n) for _ in range(dom_n))))
+    assert any(1 < len(set(table)) < len(table) for _, table in cases)  # neither injective nor constant
+    for cod_n, table in cases:
+        f = SpaceMap(antichain(len(table)), antichain(cod_n), table)
+        masks = [0, (1 << cod_n) - 1, 1 << cod_n, (1 << (cod_n + 9)) - 1]  # the last two reach above cod_n
+        masks += [rng.getrandbits(cod_n + 9) for _ in range(30)]
+        for mask in masks:
+            assert f.preimage_mask(mask) == literal_preimage(f, mask), (cod_n, table, mask)
+
+
+def test_discontinuity_witness_is_first_bad_subbasic_open():
+    # oracle: the literal subbasic scan, the first y whose up(y) has a non-open preimage
+    spaces = enumerate_spaces(3, up_to_iso=False)
+    failing = 0
+    for dom in spaces:
+        for cod in spaces:
+            for f in all_maps(dom, cod):
+                v = check_continuous(f)
+                bad = [y for y in range(cod.n) if not literal_is_upper(dom, literal_preimage(f, cod.up[y]))]
+                if bad:
+                    failing += 1
+                    assert not v.holds
+                    assert v.witness == PtSet(cod, cod.up[bad[0]])
+                    assert v.info == {"checker": "check_continuous"}
+                else:
+                    assert v.holds and v.info == {"checker": "check_continuous", "subbasics": cod.n}
+    assert failing > 0
 
 
 def brute_force_posets(n):
