@@ -16,7 +16,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import permutations, product
+from itertools import compress, count, permutations, product
 from operator import and_, itemgetter, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -24,12 +24,26 @@ from .config import DEFAULT_LIMITS, Limits
 from .errors import CycleDetected, LimitExceeded, NotT0, PowerspaceTooLarge
 
 
+_DIGIT_TO_BYTE = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _selectors(mask: int) -> bytes:
+    """Byte k is bit k of a non-negative mask, as 0 or 1.
+
+    bin(mask) reversed without its "0b" has the digit of bit k at index k;
+    translating the digits to bytes is one C-level pass.
+    """
+    return bin(mask)[:1:-1].encode().translate(_DIGIT_TO_BYTE)
+
+
 def bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """The set bit positions of a non-negative mask, lowest first.
+
+    The selector bytes pick the positions out of count() in C, with no
+    Python step per bit.  The result is a lazy iterator, so next(bits(m))
+    is the lowest set bit.
+    """
+    return compress(count(), _selectors(mask))
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -40,13 +54,31 @@ def mask_of(indices: Iterable[int]) -> int:
 
 
 def union_of(masks: Sequence[int], sel: int) -> int:
-    """Union of masks[i] over the set bits i of sel."""
-    return reduce(or_, map(masks.__getitem__, bits(sel)), 0)
+    """Union of masks[i] over the set bits i of sel.
+
+    The selector bytes of sel pick the masks directly, with no index step;
+    bits of sel at or above len(masks) pick nothing.
+    """
+    return reduce(or_, compress(masks, _selectors(sel)), 0)
 
 
 def intersection_of(masks: Sequence[int], sel: int, full: int) -> int:
-    """Intersection of masks[i] over the set bits i of sel; full when sel is empty."""
-    return reduce(and_, map(masks.__getitem__, bits(sel)), full)
+    """Intersection of masks[i] over the set bits i of sel; full when sel
+    picks nothing.  Picked as in union_of."""
+    return reduce(and_, compress(masks, _selectors(sel)), full)
+
+
+def _digit_picker(table: Sequence[int]) -> itemgetter:
+    """Picker for _pick_bits: bit i of the result is bit table[i] of the mask."""
+    # bin(mask | 1 << width) has bit v of mask at index -1 - v and "0" at
+    # index 0; this picks that "0" and then bit table[i] for i from
+    # len(table) - 1 down to 0, which int(..., 2) reads back.
+    return itemgetter(0, *(-1 - v for v in reversed(table)))
+
+
+def _pick_bits(pick: itemgetter, mask: int, width: int) -> int:
+    """Relabel mask through a _digit_picker whose entries lie below width."""
+    return int("".join(pick(bin(mask | 1 << width))), 2)
 
 
 def set_label(names: Sequence[str], mask: int) -> str:
@@ -63,28 +95,36 @@ class FiniteSpace:
     The open sets are the upper sets of the order.  They are enumerated
     lazily because iterated powerspace constructions make the family
     Dedekind-large long before the point count becomes a problem.
+
+    Every space is validated on construction, in this order over all rows:
+    masks in range and reflexive, then transitive, then antisymmetric.
+    Transitivity is up[j] inside up[i] for every j in up[i], that is, the
+    union of up over the bits of up[i] is up[i] itself: one C-level OR per
+    order pair.  Once the order is reflexive and transitive, i <= j <= i
+    holds exactly when up[i] == up[j], so it is antisymmetric exactly when
+    the rows are pairwise distinct.
     """
 
     names: tuple[str, ...]
     up: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.names)
-        if len(self.up) != n:
+        n, up = len(self.names), self.up
+        if len(up) != n:
             raise ValueError("names and up must have equal length")
         if len(set(self.names)) != n:
             raise ValueError("point names must be pairwise distinct")
         full = (1 << n) - 1
-        for i, m in enumerate(self.up):
+        for i, m in enumerate(up):
             if m & ~full:
                 raise ValueError("up mask out of range")
             if not (m >> i) & 1:
                 raise ValueError("order must be reflexive")
-            for j in bits(m):
-                if self.up[j] & ~m:
-                    raise ValueError("order must be transitive")
-                if j != i and (self.up[j] >> i) & 1:
-                    raise ValueError("order must be antisymmetric")
+        for m in up:
+            if union_of(up, m) != m:
+                raise ValueError("order must be transitive")
+        if len(set(up)) != n:
+            raise ValueError("order must be antisymmetric")
 
     @property
     def n(self) -> int:
@@ -114,33 +154,21 @@ class FiniteSpace:
         return bool((self.up[i] >> j) & 1)
 
     def is_upper(self, mask: int) -> bool:
-        for i in bits(mask):
-            if self.up[i] & ~mask:
-                return False
-        return True
+        return union_of(self.up, mask) == mask
 
     # opens are upper sets, closed sets are lower sets
     is_open = is_upper
 
     def is_lower(self, mask: int) -> bool:
-        for i in bits(mask):
-            if self.down[i] & ~mask:
-                return False
-        return True
+        return union_of(self.down, mask) == mask
 
     is_closed = is_lower
 
     def closure_mask(self, mask: int) -> int:
-        m = 0
-        for i in bits(mask):
-            m |= self.down[i]
-        return m
+        return union_of(self.down, mask)
 
     def saturation_mask(self, mask: int) -> int:
-        m = 0
-        for i in bits(mask):
-            m |= self.up[i]
-        return m
+        return union_of(self.up, mask)
 
     def interior_mask(self, mask: int) -> int:
         m = 0
@@ -171,15 +199,31 @@ class FiniteSpace:
         return got
 
     def covers(self) -> list[tuple[int, int]]:
-        """Pairs (i, j) with j covering i in the order."""
+        """Pairs (i, j) with j covering i in the order, by i then j.
+
+        Points sorted by the size of up[i], descending, form a linear
+        extension: i < j makes up[j] a proper subset of up[i].  Each row is relabeled by
+        rank along it, so the lowest bit of a row is its point and every
+        other bit ranks higher.  Of the strict upper set of i, the lowest
+        ranked point j is a cover, since a point strictly between would
+        rank lower; removing up[j] leaves only points not above j, whose
+        lowest is again a cover, and no cover is ever removed.  That is
+        O(n) C-level relabels and O(edges) big-int steps.
+        """
+        n = self.n
+        order = sorted(range(n), key=lambda i: -self.up[i].bit_count())
+        pick = _digit_picker(order)
+        ranked = [_pick_bits(pick, m, n) for m in self.up]
         out = []
-        for i in range(self.n):
-            strict = self.up[i] & ~(1 << i)
-            shadow = 0
-            for j in bits(strict):
-                shadow |= self.up[j] & ~(1 << j)
-            for j in bits(strict & ~shadow):
-                out.append((i, j))
+        for i, rest in enumerate(ranked):
+            rest &= rest - 1
+            found = []
+            while rest:
+                j = order[(rest & -rest).bit_length() - 1]
+                found.append(j)
+                rest &= ~ranked[j]
+            found.sort()
+            out.extend((i, j) for j in found)
         return out
 
     def point_index(self, name: str) -> int:
@@ -273,11 +317,7 @@ class SpaceMap:
 
     @cached_property
     def _pick_preimage(self) -> itemgetter:
-        # bin(mask | 1 << codomain.n) has bit v of mask at index -1 - v and
-        # "0" at index 0; this picks that "0" and then bit table[i] for
-        # i from domain.n - 1 down to 0, which int(..., 2) reads back as
-        # the preimage.
-        return itemgetter(0, *(-1 - v for v in reversed(self.table)))
+        return _digit_picker(self.table)
 
     def preimage_mask(self, mask: int) -> int:
         """Points whose image lies in mask: bit i is bit table[i] of mask.
@@ -287,8 +327,7 @@ class SpaceMap:
         digits in one C-level pass, so a call costs no Python step per
         point.
         """
-        digits = bin(mask | 1 << self.codomain.n)
-        return int("".join(self._pick_preimage(digits)), 2)
+        return _pick_bits(self._pick_preimage, mask, self.codomain.n)
 
 
 def identity_map(space: FiniteSpace) -> SpaceMap:

@@ -210,12 +210,8 @@ def functor_map(
         dom_ps = dom_ps or build(f.domain, limits)
         cod_ps = cod_ps or build(f.codomain, limits)
         hull = f.codomain.down if kind == KIND_LOWER else f.codomain.up
-        table = []
-        for ext in dom_ps.extents:
-            img = 0
-            for p in bits(ext):
-                img |= hull[f.table[p]]
-            table.append(cod_ps.point_of(img))
+        image_hulls = [hull[v] for v in f.table]
+        table = [cod_ps.point_of(union_of(image_hulls, ext)) for ext in dom_ps.extents]
         return SpaceMap(dom_ps.space, cod_ps.space, tuple(table))
     if kind == KIND_OPENS:
         dom_ps = dom_ps or open_lattice(f.codomain, limits)

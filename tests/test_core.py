@@ -20,6 +20,7 @@ from powerspace.core import (
     enumerate_upper_sets,
     identity_map,
     interior,
+    intersection_of,
     is_monotone,
     iter_continuous_maps,
     mask_of,
@@ -31,8 +32,10 @@ from powerspace.core import (
     space_to_json,
     subspace,
     space_product,
+    union_of,
 )
 from powerspace.errors import CycleDetected, LimitExceeded, NotT0
+from powerspace.powerspaces import convex_powerspace, lower_powerspace, open_lattice, upper_powerspace
 
 
 @st.composite
@@ -286,3 +289,108 @@ def test_upper_set_enumeration_matches_filter(space):
     dfs = enumerate_upper_sets(space.up)
     filtered = [m for m in range(space.full_mask + 1) if space.is_upper(m)]
     assert dfs == filtered
+
+
+@pytest.mark.parametrize("names, up, message", [
+    (("a", "b"), (0b01,), "equal length"),
+    (("a", "a"), (0b01, 0b10), "pairwise distinct"),
+    (("a", "b"), (0b101, 0b10), "out of range"),
+    (("a", "b"), (0b01, 0b01), "reflexive"),
+    (("a", "b", "c"), (0b011, 0b110, 0b100), "transitive"),
+    (("a", "b"), (0b11, 0b11), "antisymmetric"),
+])
+def test_finite_space_rejects_each_violation(names, up, message):
+    with pytest.raises(ValueError, match=message):
+        FiniteSpace(names, up)
+
+
+def _literal_violation(up: tuple[int, ...]) -> str | None:
+    """The first violated partial-order axiom, read off pairs and triples of points."""
+    n = len(up)
+
+    def leq(i, j):
+        return up[i] >> j & 1
+
+    if not all(leq(i, i) for i in range(n)):
+        return "reflexive"
+    if any(leq(i, j) and leq(j, k) and not leq(i, k) for i, j, k in product(range(n), repeat=3)):
+        return "transitive"
+    if any(i != j and leq(i, j) and leq(j, i) for i, j in product(range(n), repeat=2)):
+        return "antisymmetric"
+    return None
+
+
+def _relations(n: int, reflexive: bool):
+    """Every relation on n points as up rows; with reflexive, only those with the diagonal set."""
+    free = [(i, j) for i in range(n) for j in range(n) if not (reflexive and i == j)]
+    for chosen in product((0, 1), repeat=len(free)):
+        up = [1 << i if reflexive else 0 for i in range(n)]
+        for (i, j), bit in zip(free, chosen):
+            up[i] |= bit << j
+        yield tuple(up)
+
+
+@pytest.mark.parametrize("n, reflexive, total", [(3, False, 512), (4, True, 4096)])
+def test_finite_space_validation_matches_pairwise_definition(n, reflexive, total):
+    names = tuple(f"p{i}" for i in range(n))
+    seen = accepted = 0
+    for up in _relations(n, reflexive):
+        seen += 1
+        expected = _literal_violation(up)
+        if expected is None:
+            accepted += 1
+            assert FiniteSpace(names, up).up == up
+        else:
+            # range and reflexivity over all rows, then transitivity, then antisymmetry
+            with pytest.raises(ValueError, match=expected):
+                FiniteSpace(names, up)
+    assert seen == total
+    assert accepted == {3: 19, 4: 219}[n]  # labelled posets, OEIS A001035
+
+
+def _literal_covers(space: FiniteSpace) -> list[tuple[int, int]]:
+    n, leq = space.n, space.leq
+    return [
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if i != j and leq(i, j) and not any(k not in (i, j) and leq(i, k) and leq(k, j) for k in range(n))
+    ]
+
+
+def test_covers_match_literal_definition():
+    spaces = list(enumerate_spaces(4, up_to_iso=False))
+    for sp in enumerate_spaces(3, up_to_iso=False):
+        for builder in (lower_powerspace, upper_powerspace, convex_powerspace, open_lattice):
+            spaces.append(builder(sp).space)
+    assert len(spaces) == 243 + 4 * 24
+    for sp in spaces:
+        assert sp.covers() == _literal_covers(sp)
+
+
+def test_bits_match_literal_scan():
+    rng = random.Random(5)
+    masks = [0, 1, 2, 1 << 4999, (1 << 5000) - 1]
+    masks += [rng.getrandbits(rng.randint(1, 5000)) for _ in range(200)]
+    for m in masks:
+        expected = [i for i in range(m.bit_length()) if m >> i & 1]
+        assert list(bits(m)) == expected
+        if m:
+            assert next(bits(m)) == (m & -m).bit_length() - 1
+
+
+def test_union_and_intersection_match_literal_loops():
+    rng = random.Random(7)
+    for size in (0, 1, 5, 64, 700):
+        masks = [rng.getrandbits(300) for _ in range(size)]
+        full = (1 << 300) - 1
+        for sel in [0, (1 << size) - 1] + [rng.getrandbits(size) for _ in range(20)]:
+            picked = [masks[i] for i in range(size) if sel >> i & 1]
+            union, meet = 0, full
+            for m in picked:
+                union |= m
+                meet &= m
+            assert union_of(masks, sel) == union
+            assert intersection_of(masks, sel, full) == meet
+            # bits of sel beyond the masks pick nothing
+            assert union_of(masks, sel | 1 << size + 3) == union
