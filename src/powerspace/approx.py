@@ -255,19 +255,19 @@ def _decompose(x: FiniteSpace, r: ApproxRelation, k_mask: int, u1: int, u2: int,
     seen: dict[tuple[frozenset, frozenset], int] = {}
     while (fvals, gvals) not in seen:
         seen[(fvals, gvals)] = len(levels)
-        pool = [
-            v
-            for v in opens
-            if any(r.refines(v, u) for u in fvals) or any(r.refines(v, u) for u in gvals)
-        ]
+        # the opens refining some live value, filtered from opens in order
+        # so the greedy cover scans them by open-family index
+        f_refiners = {v for u in fvals for v in r.refiners_of(u)}
+        g_refiners = {v for u in gvals for v in r.refiners_of(u)}
+        pool = [v for v in opens if v in f_refiners or v in g_refiners]
         chosen, remaining = _greedy_cover(pool, k_mask)
         if remaining:
             raise PreconditionViolated(
                 "the refinement relation cannot cover the compact set "
                 f"(missing {set_label(x.names, remaining)})"
             )
-        next_f = frozenset(v for v in chosen if any(r.refines(v, u) for u in fvals))
-        next_g = frozenset(v for v in chosen if any(r.refines(v, u) for u in gvals))
+        next_f = frozenset(v for v in chosen if v in f_refiners)
+        next_g = frozenset(v for v in chosen if v in g_refiners)
         levels.append({"f": fvals, "g": gvals, "chosen": tuple(chosen)})
         fvals, gvals = next_f, next_g
     start = seen[(fvals, gvals)]

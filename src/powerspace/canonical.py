@@ -374,6 +374,84 @@ def check_preimage_identities(x, limits: Limits = DEFAULT_LIMITS) -> Verdict:
 # naturality squares
 
 
+# Each square names a canonical pair, the two constructions it runs between
+# and the direction of the pair it checks.  sigma, tau, phi, psi ride
+# covariantly on f; the other four mix in the contravariant O, so their
+# squares run against the arrows: beta_X o O(K(f)) = A(O(f)) o beta_Y, etc.
+_SQUARES = {
+    "sigma": (sigma_tau, "AK", "KA", "forward"),
+    "tau": (sigma_tau, "AK", "KA", "backward"),
+    "phi": (phi_psi, "KA", "OO", "forward"),
+    "psi": (phi_psi, "KA", "OO", "backward"),
+    "alpha": (alpha_beta, "AO", "OK", "forward"),
+    "beta": (alpha_beta, "AO", "OK", "backward"),
+    "gamma": (gamma_delta, "KO", "OA", "forward"),
+    "delta": (gamma_delta, "KO", "OA", "backward"),
+}
+
+
+class _Lifts:
+    """The lifts of a continuous f: X -> Y over the towers px and py.
+
+    lifts[word] is T1(T2(...(f))) for a word such as "AK", built at most
+    once, from the lift of the word's tail.  An odd number of O's turns
+    the arrow around, so that lift runs from py's construction to px's.
+    Nothing refers back to the object, so the lifts go with it.
+    """
+
+    def __init__(self, f: SpaceMap, pw_dom: Powers | None, pw_cod: Powers | None, limits: Limits):
+        if not check_continuous(f).holds:
+            raise NotContinuous("naturality needs a continuous map")
+        self.px = pw_dom or Powers(f.domain, limits)
+        self.py = pw_cod or Powers(f.codomain, limits)
+        self.limits = limits
+        self._made: dict[str, SpaceMap] = {"": f}
+
+    def __getitem__(self, word: str) -> SpaceMap:
+        g = self._made.get(word)
+        if g is None:
+            src, dst = (self.py, self.px) if word.count(KIND_OPENS) % 2 else (self.px, self.py)
+            g = self._made[word] = functor_map(
+                word[0], self[word[1:]], dom_ps=getattr(src, word), cod_ps=getattr(dst, word), limits=self.limits
+            )
+        return g
+
+    def square(self, which: str) -> Verdict:
+        builder, dom, cod, direction = _SQUARES[which]
+        tx, ty = builder(self.px, self.limits), builder(self.py, self.limits)
+        if cod.count(KIND_OPENS) % 2:
+            tx, ty = ty, tx  # contravariant: the pair over X sits on the left
+        before, after = self[dom], self[cod]
+        if direction == "backward":
+            before, after = after, before
+        left = compose(getattr(ty, direction), before)
+        right = compose(after, getattr(tx, direction))
+        if left.table != right.table:
+            for i, (a, b) in enumerate(zip(left.table, right.table)):
+                if a != b:
+                    return Verdict(
+                        False,
+                        witness={"square": which, "point": left.domain.names[i],
+                                 "left": left.codomain.names[a], "right": left.codomain.names[b]},
+                    )
+        return Verdict(True, info={"checker": "check_naturality", "square": which, "points": left.domain.n})
+
+
+def naturality_squares(
+    f: SpaceMap,
+    pw_dom: Powers | None = None,
+    pw_cod: Powers | None = None,
+    limits: Limits = DEFAULT_LIMITS,
+):
+    """Yield (square, verdict) for the eight squares over a continuous
+    f: X -> Y, in the order sigma, tau, phi, psi, alpha, beta, gamma,
+    delta.  The ten lifts of f the squares need are shared between them
+    and built on first use; they go when the generator does."""
+    lifts = _Lifts(f, pw_dom, pw_cod, limits)
+    for which in _SQUARES:
+        yield which, lifts.square(which)
+
+
 def check_naturality(
     f: SpaceMap,
     which: str,
@@ -381,77 +459,12 @@ def check_naturality(
     pw_cod: Powers | None = None,
     limits: Limits = DEFAULT_LIMITS,
 ) -> Verdict:
-    """Commutation of the named square over a continuous f: X -> Y.
-
-    sigma, tau, phi, psi ride covariantly on f.  The other four mix in the
-    contravariant O, so their squares run against the arrows:
-    beta_X o O(K(f)) = A(O(f)) o beta_Y and so on.
-    """
-    v = check_continuous(f)
-    if not v.holds:
-        raise NotContinuous("naturality needs a continuous map")
-    px = pw_dom or Powers(f.domain, limits)
-    py = pw_cod or Powers(f.codomain, limits)
-
-    def lifted(kind, g, dom_ps, cod_ps):
-        return functor_map(kind, g, dom_ps=dom_ps, cod_ps=cod_ps, limits=limits)
-
-    kf = lifted(KIND_UPPER, f, px.K, py.K)
-    af = lifted(KIND_LOWER, f, px.A, py.A)
-    of = lifted(KIND_OPENS, f, py.O, px.O)
-
-    if which in ("sigma", "tau"):
-        akf = lifted(KIND_LOWER, kf, px.AK, py.AK)
-        kaf = lifted(KIND_UPPER, af, px.KA, py.KA)
-        sx, sy = sigma_tau(px, limits), sigma_tau(py, limits)
-        if which == "sigma":
-            left = compose(sy.forward, akf)
-            right = compose(kaf, sx.forward)
-        else:
-            left = compose(sy.backward, kaf)
-            right = compose(akf, sx.backward)
-    elif which in ("phi", "psi"):
-        kaf = lifted(KIND_UPPER, af, px.KA, py.KA)
-        oof = lifted(KIND_OPENS, of, px.OO, py.OO)
-        fx, fy = phi_psi(px, limits), phi_psi(py, limits)
-        if which == "phi":
-            left = compose(fy.forward, kaf)
-            right = compose(oof, fx.forward)
-        else:
-            left = compose(fy.backward, oof)
-            right = compose(kaf, fx.backward)
-    elif which in ("alpha", "beta"):
-        okf = lifted(KIND_OPENS, kf, py.OK, px.OK)
-        aof = lifted(KIND_LOWER, of, py.AO, px.AO)
-        ax, ay = alpha_beta(px, limits), alpha_beta(py, limits)
-        if which == "beta":
-            left = compose(ax.backward, okf)
-            right = compose(aof, ay.backward)
-        else:
-            left = compose(ax.forward, aof)
-            right = compose(okf, ay.forward)
-    elif which in ("gamma", "delta"):
-        oaf = lifted(KIND_OPENS, af, py.OA, px.OA)
-        kof = lifted(KIND_UPPER, of, py.KO, px.KO)
-        gx, gy = gamma_delta(px, limits), gamma_delta(py, limits)
-        if which == "delta":
-            left = compose(gx.backward, oaf)
-            right = compose(kof, gy.backward)
-        else:
-            left = compose(gx.forward, kof)
-            right = compose(oaf, gy.forward)
-    else:
+    """Commutation of the named square over a continuous f: X -> Y, with
+    only the lifts that square needs."""
+    lifts = _Lifts(f, pw_dom, pw_cod, limits)
+    if which not in _SQUARES:
         raise ValueError(f"unknown map name {which!r}")
-
-    if left.table != right.table:
-        for i, (a, b) in enumerate(zip(left.table, right.table)):
-            if a != b:
-                return Verdict(
-                    False,
-                    witness={"square": which, "point": left.domain.names[i],
-                             "left": left.codomain.names[a], "right": left.codomain.names[b]},
-                )
-    return Verdict(True, info={"checker": "check_naturality", "square": which, "points": left.domain.n})
+    return lifts.square(which)
 
 
 # ---------------------------------------------------------------------------

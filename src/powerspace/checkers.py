@@ -15,6 +15,7 @@ can separate the candidates.  The checkers make no claim either way.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from .config import DEFAULT_LIMITS, Limits
 from .core import (
@@ -190,13 +191,18 @@ def wilker_scan(saturated, k, u1, u2) -> bool:
 
 def irreducible_closed_sets(x: FiniteSpace, limits: Limits = DEFAULT_LIMITS) -> list[PtSet]:
     """Non-empty closed sets that meet the intersection of any two opens
-    they meet, the quantifier running over the full open family."""
+    they meet, the quantifier running over the full open family.
+
+    A pair with an open missing a holds vacuously, and the condition is
+    symmetric in the two opens and holds for an open paired with itself,
+    so only unordered pairs of distinct opens meeting a are scanned."""
     opens = x.opens(limits)
     out = []
     for a in enumerate_upper_sets(x.down, limits.max_construction_points):
         if not a:
             continue
-        if all((not (a & u) or not (a & v) or a & (u & v)) for u in opens for v in opens):
+        meeting = [u for u in opens if a & u]
+        if all(a & u & v for u, v in combinations(meeting, 2)):
             out.append(PtSet(x, a))
     return out
 

@@ -302,9 +302,8 @@ class SpaceMap:
     def __post_init__(self):
         if len(self.table) != self.domain.n:
             raise ValueError("table length must match the domain")
-        for v in self.table:
-            if not 0 <= v < self.codomain.n:
-                raise ValueError("table entry outside the codomain")
+        if self.table and not (min(self.table) >= 0 and max(self.table) < self.codomain.n):
+            raise ValueError("table entry outside the codomain")
 
     def __call__(self, i: int) -> int:
         return self.table[i]

@@ -309,27 +309,11 @@ def monad_laws(kind: str, x, limits: Limits = DEFAULT_LIMITS) -> Verdict:
             return Verdict(False, witness={"law": "mult after lifted unit", "point": t1.space.names[i]})
     if not check_continuous(eta).holds or not check_continuous(mult).holds:
         return Verdict(False, witness={"law": "continuity of unit or multiplication"})
-    lower = kind == KIND_LOWER
-    t2space = t2.space
-    triple = (
-        enumerate_lower_sets(t2space, limits.max_construction_points)
-        if lower
-        else enumerate_upper_sets(t2space.up, limits.max_construction_points)
-    )
-    # T(mult) closes or saturates the image inside T(X), whose points index t1
-    hull = t1.space.down if lower else t1.space.up
-    for fam in triple:
-        union = 0
-        img = 0
-        for j in bits(fam):
-            union |= t2.extents[j]
-            img |= hull[mult.table[j]]
-        left = mult.table[t2.point_of(union)]
-        right = mult.table[t2.point_of(img)]
-        checks += 1
-        if left != right:
-            return Verdict(False, witness={"law": "associativity", "family": set_label(t2space.names, fam)})
-    return Verdict(True, info={"checker": "monad_laws", "kind": kind, "checks": checks, "triple_points": len(triple)})
+    bad, families = _first_family_apart(kind, t2, mult, limits)
+    if bad is not None:
+        return Verdict(False, witness={"law": "associativity", "family": set_label(t2.space.names, bad)})
+    checks += families
+    return Verdict(True, info={"checker": "monad_laws", "kind": kind, "checks": checks, "triple_points": families})
 
 
 def monad_preimage_identities(kind: str, x, limits: Limits = DEFAULT_LIMITS) -> Verdict:
@@ -372,28 +356,33 @@ def algebra_laws(kind: str, x, limits: Limits = DEFAULT_LIMITS) -> Verdict:
             return Verdict(False, witness={"law": "structure after unit", "open": lattice.space.names[i]})
     if not check_continuous(struct).holds:
         return Verdict(False, witness={"law": "continuity of the structure map"})
+    bad, families = _first_family_apart(kind, t1, struct, limits)
+    if bad is not None:
+        return Verdict(False, witness={"law": "structure after mult", "family": set_label(t1.space.names, bad)})
+    return Verdict(True, info={"checker": "algebra_laws", "kind": kind, "checks": families})
+
+
+def _first_family_apart(kind: str, t: ConstructedSpace, struct: SpaceMap, limits: Limits):
+    """The square struct o mult = struct o T(struct) over T(t), whose
+    points (lower sets of t for A, upper sets for K) are enumerated, never
+    built.  A family goes one way to struct of the union of its extents,
+    the other to struct of the closure (A) or saturation (K) of its
+    image, the image living in struct's codomain.  Returns the first
+    family where the two differ, or None, and the number of families."""
     lower = kind == KIND_LOWER
-    t1space = t1.space
-    doubled = (
-        enumerate_lower_sets(t1space, limits.max_construction_points)
+    families = (
+        enumerate_lower_sets(t.space, limits.max_construction_points)
         if lower
-        else enumerate_upper_sets(t1space.up, limits.max_construction_points)
+        else enumerate_upper_sets(t.space.up, limits.max_construction_points)
     )
-    # T(struct) lands in O(X), whose points index the lattice
-    hull = lattice.space.down if lower else lattice.space.up
-    checks = 0
-    for fam in doubled:
-        union = 0
-        img = 0
-        for j in bits(fam):
-            union |= t1.extents[j]
-            img |= hull[struct.table[j]]
-        left = struct.table[t1.point_of(union)]
-        right = struct.table[t1.point_of(img)]
-        checks += 1
+    hull = struct.codomain.down if lower else struct.codomain.up
+    image_hulls = [hull[v] for v in struct.table]
+    for fam in families:
+        left = struct.table[t.point_of(union_of(t.extents, fam))]
+        right = struct.table[t.point_of(union_of(image_hulls, fam))]
         if left != right:
-            return Verdict(False, witness={"law": "structure after mult", "family": set_label(t1space.names, fam)})
-    return Verdict(True, info={"checker": "algebra_laws", "kind": kind, "checks": checks})
+            return fam, len(families)
+    return None, len(families)
 
 
 # ---------------------------------------------------------------------------

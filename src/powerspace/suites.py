@@ -29,7 +29,7 @@ from .core import (
 from .errors import EmptySpace
 from . import canonical, checkers, omega, pi02
 from .approx import canonical_approx_relation, validate_approx_relation, wilker_decompose
-from .canonical import PAIR_BUILDERS, Powers, check_distributive_law, check_naturality, verify_pair
+from .canonical import PAIR_BUILDERS, Powers, check_distributive_law, naturality_squares, verify_pair
 from .powerspaces import algebra_laws, monad_laws, monad_preimage_identities
 
 SUITES = ("homeo", "monad", "consonance", "pi02", "wilker", "counterexamples")
@@ -348,8 +348,7 @@ def _naturality_records(max_points: int, include_empty: bool, limits: Limits) ->
             bad = None
             squares = 0
             for f in iter_continuous_maps(dom, cod):
-                for which in ("sigma", "tau", "phi", "psi", "alpha", "beta", "gamma", "delta"):
-                    v = check_naturality(f, which, powers[dom.fingerprint], powers[cod.fingerprint], limits)
+                for which, v in naturality_squares(f, powers[dom.fingerprint], powers[cod.fingerprint], limits):
                     squares += 1
                     if not v.holds:
                         bad = {"map": list(f.table), "square": which, "detail": v.witness}

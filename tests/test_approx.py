@@ -1,3 +1,7 @@
+import random
+from functools import reduce
+from operator import or_
+
 import pytest
 
 from powerspace.approx import (
@@ -10,7 +14,7 @@ from powerspace.approx import (
     wilker_decompose,
     wilker_decomposition_trace,
 )
-from powerspace.core import PtSet, antichain, chain, empty_space, enumerate_spaces, sierpinski
+from powerspace.core import PtSet, antichain, chain, empty_space, enumerate_spaces, set_label, sierpinski
 from powerspace.errors import EmptySpace, NoUniquePoint, PreconditionViolated
 
 S = sierpinski()
@@ -114,6 +118,82 @@ def test_decompose_all_triples_with_oracle():
                     assert not (k2.mask & ~u2)
                     assert not (k & ~(k1.mask | k2.mask))
                     assert oracle(sp, k, u1, u2)
+
+
+def _reference_trace(x, r, k, u1, u2):
+    """The levelwise walk written out literally: each level's pool tests
+    every open against every live value with r.refines."""
+    opens = x.opens()
+    levels, seen = [], {}
+    f, g = frozenset([u1]), frozenset([u2])
+    while (f, g) not in seen:
+        seen[(f, g)] = len(levels)
+        pool = [v for v in opens if any(r.refines(v, u) for u in f) or any(r.refines(v, u) for u in g)]
+        chosen, remaining = [], k
+        for v in pool:
+            if remaining and v & remaining:
+                chosen.append(v)
+                remaining &= ~v
+        if remaining:
+            raise PreconditionViolated("no cover")
+        levels.append((f, g, chosen))
+        f = frozenset(v for v in chosen if any(r.refines(v, u) for u in f))
+        g = frozenset(v for v in chosen if any(r.refines(v, u) for u in g))
+    start = seen[(f, g)]
+    cycle = levels[start:]
+
+    def stable(side):
+        alive = set.intersection(*(set(level[side]) for level in cycle))
+        return [v for v in sorted(alive) if r.refines(v, v) and all(v in level[2] for level in cycle)]
+
+    label = lambda m: set_label(x.names, m)
+    stable_f, stable_g = stable(0), stable(1)
+    return {
+        "levels": [
+            {"f": sorted(map(label, lf)), "g": sorted(map(label, lg)), "chosen": list(map(label, ch))}
+            for lf, lg, ch in levels
+        ],
+        "cycle_start": start,
+        "stable_f": list(map(label, stable_f)),
+        "stable_g": list(map(label, stable_g)),
+        "k1": label(reduce(or_, stable_f, 0)),
+        "k2": label(reduce(or_, stable_g, 0)),
+    }
+
+
+def _library_trace(x, r, k, u1, u2):
+    return wilker_decomposition_trace(x, r, PtSet(x, k), PtSet(x, u1), PtSet(x, u2))
+
+
+def _walk_outcome(walk, x, r, k, u1, u2):
+    try:
+        return walk(x, r, k, u1, u2)
+    except PreconditionViolated:
+        return "no cover"
+
+
+def test_trace_matches_reference_walk():
+    """Every space of at most 3 points (all labelings), every triple of
+    opens, under the canonical relation and under random sets of subset
+    pairs, open or not; the random ones are mostly invalid relations,
+    whose walks may find no cover."""
+    rng = random.Random(5)
+    outcomes = {"covered": 0, "no cover": 0}
+    for sp in enumerate_spaces(3, up_to_iso=False):
+        opens = sp.opens()
+        masks = range(sp.full_mask + 1)
+        subset_pairs = sorted((u, v) for u in masks for v in masks if not (u & ~v))
+        relations = [ApproxRelation(sp, frozenset(p for p in subset_pairs if rng.random() < 0.5)) for _ in range(2)]
+        if sp.n:
+            relations.append(canonical_approx_relation(sp))
+        for r in relations:
+            for k in opens:
+                for u1 in opens:
+                    for u2 in opens:
+                        expected = _walk_outcome(_reference_trace, sp, r, k, u1, u2)
+                        assert _walk_outcome(_library_trace, sp, r, k, u1, u2) == expected
+                        outcomes["no cover" if expected == "no cover" else "covered"] += 1
+    assert outcomes["covered"] > 1000 and outcomes["no cover"] > 1000
 
 
 def test_trace_export():

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
+from powerspace import canonical, suites
 from powerspace.canonical import (
     PAIR_BUILDERS,
     ModalGenerator,
@@ -10,10 +13,12 @@ from powerspace.canonical import (
     check_preimage_identities,
     gamma_delta,
     modal_set,
+    naturality_squares,
     phi_psi,
     sigma_tau,
     verify_pair,
 )
+from powerspace.config import DEFAULT_LIMITS
 from powerspace.core import (
     FiniteSpace,
     PtSet,
@@ -22,6 +27,7 @@ from powerspace.core import (
     bits,
     empty_space,
     enumerate_spaces,
+    identity_map,
     iter_continuous_maps,
     set_label,
     sierpinski,
@@ -246,6 +252,67 @@ def test_naturality_all_maps_two_points():
             for f in iter_continuous_maps(dom, cod):
                 for which in ("sigma", "tau", "phi", "psi", "alpha", "beta", "gamma", "delta"):
                     assert check_naturality(f, which, powers[dom.fingerprint], powers[cod.fingerprint]).holds
+
+
+# square -> (pair builder, direction it checks, whether it runs against the arrows)
+SQUARES = {
+    "sigma": (sigma_tau, "forward", False),
+    "tau": (sigma_tau, "backward", False),
+    "phi": (phi_psi, "forward", False),
+    "psi": (phi_psi, "backward", False),
+    "alpha": (alpha_beta, "forward", True),
+    "beta": (alpha_beta, "backward", True),
+    "gamma": (gamma_delta, "forward", True),
+    "delta": (gamma_delta, "backward", True),
+}
+
+
+@pytest.mark.parametrize("which", list(SQUARES))
+def test_naturality_detects_one_wrong_table_entry(which):
+    builder, direction, contravariant = SQUARES[which]
+    px, py = Powers(D2), Powers(D2)
+    good = builder(py)
+    m = getattr(good, direction)
+    wrong = (m.table[0] + 1) % m.codomain.n
+    bad = SpaceMap(m.domain, m.codomain, (wrong,) + m.table[1:])
+    py.pairs[builder.__name__] = replace(good, **{direction: bad})
+    # over the identity the lifts are identities, so each side of the square
+    # is one of the two pairs: the one over Y is on the left unless the
+    # square runs against the arrows
+    sides = (m.codomain.names[m.table[0]], m.codomain.names[wrong])
+    left, right = sides if contravariant else sides[::-1]
+    expected = {"square": which, "point": m.domain.names[0], "left": left, "right": right}
+    f = identity_map(D2)
+    verdicts = dict(naturality_squares(f, px, py))
+    assert list(verdicts) == list(SQUARES)
+    assert [w for w, v in verdicts.items() if not v.holds] == [which]
+    assert verdicts[which].witness == expected
+    assert check_naturality(f, which, px, py).witness == expected
+
+
+def test_naturality_squares_reject_discontinuous():
+    with pytest.raises(NotContinuous):
+        next(naturality_squares(SpaceMap(S, S, (1, 0))))
+    with pytest.raises(ValueError, match="unknown map name"):
+        check_naturality(identity_map(S), "omega")
+
+
+def test_naturality_lifts_each_map_once(monkeypatch):
+    lifted = []
+
+    def counting_functor_map(kind, f, *args, **kwargs):
+        lifted.append(kind)
+        return real_functor_map(kind, f, *args, **kwargs)
+
+    real_functor_map = canonical.functor_map
+    monkeypatch.setattr(canonical, "functor_map", counting_functor_map)
+    records = suites._naturality_records(2, False, DEFAULT_LIMITS)
+    spaces = [sp for sp in enumerate_spaces(2) if sp.n]
+    maps = sum(len(list(iter_continuous_maps(dom, cod))) for dom in spaces for cod in spaces)
+    assert all(r.passed for r in records)
+    # K, A, O, AK, KA, OO, OK, AO, OA and KO of each map, no more
+    assert len(lifted) == 10 * maps
+    assert sorted(lifted) == sorted("KAOAKOOAOK" * maps)
 
 
 def test_distributive_law_small_and_guard():

@@ -12,7 +12,7 @@ from powerspace.checkers import (
     strong_compactness_implications,
     topology_coincidence,
 )
-from powerspace.core import PtSet, antichain, empty_space, enumerate_spaces, sierpinski
+from powerspace.core import PtSet, antichain, empty_space, enumerate_spaces, enumerate_upper_sets, sierpinski
 from powerspace.errors import NotSaturated
 
 S = sierpinski()
@@ -68,6 +68,17 @@ def test_irreducibles_and_sobriety():
     assert {p.mask for p in irreducible_closed_sets(D2)} == {0b01, 0b10}
     for sp in enumerate_spaces(4):
         assert is_sober(sp).holds
+
+
+def test_irreducible_closed_sets_match_literal_quantifier():
+    for sp in enumerate_spaces(4, up_to_iso=False):
+        opens = sp.opens()
+        literal = [
+            a
+            for a in enumerate_upper_sets(sp.down)
+            if a and all(not (a & u) or not (a & v) or a & (u & v) for u in opens for v in opens)
+        ]
+        assert [p.mask for p in irreducible_closed_sets(sp)] == literal
 
 
 def test_consonance_equivalence_agreement():

@@ -273,6 +273,24 @@ def test_compose_and_identity():
         compose(f, f)
 
 
+@pytest.mark.parametrize("table, message", [
+    ((0,), "table length must match the domain"),
+    ((0, -1), "table entry outside the codomain"),
+    ((0, 2), "table entry outside the codomain"),
+])
+def test_space_map_rejects_each_violation(table, message):
+    with pytest.raises(ValueError, match=message):
+        SpaceMap(sierpinski(), antichain(2), table)
+
+
+def test_space_map_accepts_tables_in_range():
+    assert SpaceMap(sierpinski(), antichain(2), (1, 0)).table == (1, 0)
+    assert SpaceMap(empty_space(), sierpinski(), ()).table == ()
+    assert SpaceMap(empty_space(), empty_space(), ()).table == ()
+    with pytest.raises(ValueError, match="table length"):
+        SpaceMap(sierpinski(), empty_space(), ())
+
+
 def test_iter_continuous_maps_counts():
     s = sierpinski()
     d = antichain(2)
