@@ -233,8 +233,8 @@ PAIR_BUILDERS = {
 def verify_pair(pair: CanonicalMapPair) -> Verdict:
     """Mutually inverse (table equality) and continuous both ways.
 
-    check_continuous decides continuity as monotonicity, with one preimage
-    per image point, so no step loops over pairs of points.  On finite
+    check_continuous decides continuity as monotonicity along the Hasse
+    edges of the domain, so no step loops over pairs of points.  On finite
     spaces that also decides that phi/psi is an order isomorphism
     (monotone both ways), so no pair needs a separate order check.
     """

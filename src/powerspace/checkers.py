@@ -25,6 +25,8 @@ from .core import (
     bits,
     close_family,
     enumerate_upper_sets,
+    intersection_of,
+    mask_of,
     scott_topology_family,
     set_label,
     weak_topology_family,
@@ -87,23 +89,20 @@ def is_co_consonant(x: FiniteSpace, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     """Every Scott-open family of opens is a union of finite intersections
     of sets (triangle A).  The canonical candidate takes the point closures
     of the minimal points of U; their triangle-intersection is the filter
-    above U.  A bounded scan over closed-set pairs backs it up."""
+    above U.  It depends on U alone, so it is computed once per open.  A
+    bounded scan over closed-set pairs backs it up."""
     opens = x.opens(limits)
     closed = [x.full_mask ^ u for u in opens]
     lattice = open_lattice(x, limits)
     lattice_space = lattice.space
     tri = [lattice.diamond(a) for a in closed]
+    candidate = _co_consonance_candidates(x, opens, tri)
     fams, sampled = _families(lattice_space, limits, _seed_for(x, limits) ^ 0x5A5A)
-    all_opens_mask = (1 << len(opens)) - 1
     pairs = 0
     for fam in fams:
         for u_idx in bits(fam):
             pairs += 1
-            u = opens[u_idx]
-            inter = all_opens_mask
-            for p in bits(x.minimal_points(u)):
-                a_idx = closed.index(x.down[p])
-                inter &= tri[a_idx]
+            inter = candidate[u_idx]
             if (inter >> u_idx) & 1 and not (inter & ~fam):
                 continue
             found = False
@@ -122,6 +121,18 @@ def is_co_consonant(x: FiniteSpace, limits: Limits = DEFAULT_LIMITS) -> Verdict:
                     info={"checker": "is_co_consonant", "sampled": sampled},
                 )
     return Verdict(True, info={"checker": "is_co_consonant", "families": len(fams), "pairs": pairs, "sampled": sampled})
+
+
+def _co_consonance_candidates(x: FiniteSpace, opens, tri) -> list[int]:
+    """Per open U, the intersection of tri[a] over the closures a of the
+    minimal points of U, as a mask over the opens (tri[k] belongs to the
+    complement of opens[k])."""
+    closed_index = {x.full_mask ^ u: k for k, u in enumerate(opens)}
+    everything = (1 << len(opens)) - 1
+    return [
+        intersection_of(tri, mask_of(closed_index[x.down[p]] for p in bits(x.minimal_points(u))), everything)
+        for u in opens
+    ]
 
 
 def is_strongly_compact(x: FiniteSpace, k: PtSet, limits: Limits = DEFAULT_LIMITS) -> Verdict:

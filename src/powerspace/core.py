@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import compress, count, permutations, product
@@ -68,19 +69,6 @@ def intersection_of(masks: Sequence[int], sel: int, full: int) -> int:
     return reduce(and_, compress(masks, _selectors(sel)), full)
 
 
-def _digit_picker(table: Sequence[int]) -> itemgetter:
-    """Picker for _pick_bits: bit i of the result is bit table[i] of the mask."""
-    # bin(mask | 1 << width) has bit v of mask at index -1 - v and "0" at
-    # index 0; this picks that "0" and then bit table[i] for i from
-    # len(table) - 1 down to 0, which int(..., 2) reads back.
-    return itemgetter(0, *(-1 - v for v in reversed(table)))
-
-
-def _pick_bits(pick: itemgetter, mask: int, width: int) -> int:
-    """Relabel mask through a _digit_picker whose entries lie below width."""
-    return int("".join(pick(bin(mask | 1 << width))), 2)
-
-
 def set_label(names: Sequence[str], mask: int) -> str:
     return "{" + ",".join(names[i] for i in bits(mask)) + "}"
 
@@ -98,15 +86,20 @@ class FiniteSpace:
 
     Every space is validated on construction, in this order over all rows:
     masks in range and reflexive, then transitive, then antisymmetric.
-    Transitivity is up[j] inside up[i] for every j in up[i], that is, the
-    union of up over the bits of up[i] is up[i] itself: one C-level OR per
-    order pair.  Once the order is reflexive and transitive, i <= j <= i
-    holds exactly when up[i] == up[j], so it is antisymmetric exactly when
-    the rows are pairwise distinct.
+    With strict[i] = up[i] without i, let above be the union of strict[j]
+    over j in strict[i]: one C-level OR per order pair.  Reflexivity puts
+    each such j in up[i], so the order is transitive exactly when above
+    lies inside up[i].  The same union yields the Hasse diagram: j covers
+    i exactly when j is in strict[i] but not in above, and those edges are
+    kept in one flat array for covers() and is_monotone.  Once the order
+    is reflexive and transitive, i <= j <= i holds exactly when up[i] ==
+    up[j], so it is antisymmetric exactly when the rows are pairwise
+    distinct.
     """
 
     names: tuple[str, ...]
     up: tuple[int, ...]
+    _edges: array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, up = len(self.names), self.up
@@ -120,9 +113,18 @@ class FiniteSpace:
                 raise ValueError("up mask out of range")
             if not (m >> i) & 1:
                 raise ValueError("order must be reflexive")
-        for m in up:
-            if union_of(up, m) != m:
+        strict = [m & ~(1 << i) for i, m in enumerate(up)]
+        edges = array("I")
+        for i, (m, s) in enumerate(zip(up, strict)):
+            above = union_of(strict, s)
+            if above & ~m:
                 raise ValueError("order must be transitive")
+            c = s & ~above
+            while c:
+                edges.extend((i, (c & -c).bit_length() - 1))
+                c &= c - 1
+        del strict
+        object.__setattr__(self, "_edges", edges)
         if len(set(up)) != n:
             raise ValueError("order must be antisymmetric")
 
@@ -201,30 +203,12 @@ class FiniteSpace:
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (i, j) with j covering i in the order, by i then j.
 
-        Points sorted by the size of up[i], descending, form a linear
-        extension: i < j makes up[j] a proper subset of up[i].  Each row is relabeled by
-        rank along it, so the lowest bit of a row is its point and every
-        other bit ranks higher.  Of the strict upper set of i, the lowest
-        ranked point j is a cover, since a point strictly between would
-        rank lower; removing up[j] leaves only points not above j, whose
-        lowest is again a cover, and no cover is ever removed.  That is
-        O(n) C-level relabels and O(edges) big-int steps.
+        They are the Hasse edges found while validating transitivity: j
+        covers i when j is strictly above i and above no other point
+        strictly above i.  Listing them is O(edges).
         """
-        n = self.n
-        order = sorted(range(n), key=lambda i: -self.up[i].bit_count())
-        pick = _digit_picker(order)
-        ranked = [_pick_bits(pick, m, n) for m in self.up]
-        out = []
-        for i, rest in enumerate(ranked):
-            rest &= rest - 1
-            found = []
-            while rest:
-                j = order[(rest & -rest).bit_length() - 1]
-                found.append(j)
-                rest &= ~ranked[j]
-            found.sort()
-            out.extend((i, j) for j in found)
-        return out
+        it = iter(self._edges)
+        return list(zip(it, it))
 
     def point_index(self, name: str) -> int:
         return self.names.index(name)
@@ -316,7 +300,10 @@ class SpaceMap:
 
     @cached_property
     def _pick_preimage(self) -> itemgetter:
-        return _digit_picker(self.table)
+        # bin(mask | 1 << codomain.n) has bit v of mask at index -1 - v and
+        # "0" at index 0; this picks that "0" and then bit table[i] for i
+        # from n - 1 down to 0, which int(..., 2) reads back.
+        return itemgetter(0, *(-1 - v for v in reversed(self.table)))
 
     def preimage_mask(self, mask: int) -> int:
         """Points whose image lies in mask: bit i is bit table[i] of mask.
@@ -326,7 +313,7 @@ class SpaceMap:
         digits in one C-level pass, so a call costs no Python step per
         point.
         """
-        return _pick_bits(self._pick_preimage, mask, self.codomain.n)
+        return int("".join(self._pick_preimage(bin(mask | 1 << self.codomain.n))), 2)
 
 
 def identity_map(space: FiniteSpace) -> SpaceMap:
@@ -357,17 +344,10 @@ def check_continuous(f: SpaceMap) -> Verdict:
 
 
 def is_monotone(f: SpaceMap) -> bool:
-    """i <= j implies f(i) <= f(j): up(i) lies inside the preimage of
-    up(f(i)), one preimage per distinct image point."""
-    cod_up = f.codomain.up
-    pre: dict[int, int] = {}
-    for up_i, y in zip(f.domain.up, f.table):
-        p = pre.get(y)
-        if p is None:
-            p = pre[y] = f.preimage_mask(cod_up[y])
-        if up_i & ~p:
-            return False
-    return True
+    """i <= j implies f(i) <= f(j).  The order is the reflexive-transitive
+    closure of its Hasse edges, so checking every edge is exact."""
+    cod_up, t = f.codomain.up, f.table
+    return all(cod_up[t[i]] >> t[j] & 1 for i, j in f.domain.covers())
 
 
 def iter_continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> Iterator[SpaceMap]:

@@ -25,6 +25,7 @@ from powerspace.core import (
     SpaceMap,
     antichain,
     bits,
+    check_continuous,
     empty_space,
     enumerate_spaces,
     identity_map,
@@ -43,6 +44,42 @@ def test_all_pairs_on_small_spaces():
         pw = Powers(sp)
         for builder in PAIR_BUILDERS.values():
             assert verify_pair(builder(pw)).holds
+
+
+def _literal_discontinuity(f):
+    """First codomain point whose up-set has a preimage that is not an
+    upper set, from the pairwise definitions; None when f is continuous."""
+    dom, cod = f.domain, f.codomain
+    for y in range(cod.n):
+        pre = [i for i in range(dom.n) if cod.leq(y, f(i))]
+        if any(dom.leq(i, j) and j not in pre for i in pre for j in range(dom.n)):
+            return PtSet(cod, cod.up[y]).label()
+    return None
+
+
+@pytest.mark.parametrize("name", list(PAIR_BUILDERS))
+def test_corrupted_pair_fails_with_literal_witness(name):
+    pw = Powers(antichain(3))
+    pair = PAIR_BUILDERS[name](pw)
+    fwd, bwd = pair.forward, pair.backward
+    # one wrong entry: forward is no longer injective
+    wrong = (fwd.table[0] + 1) % fwd.codomain.n
+    bad = SpaceMap(fwd.domain, fwd.codomain, (wrong,) + fwd.table[1:])
+    assert check_continuous(bad).holds == (_literal_discontinuity(bad) is None)
+    assert verify_pair(replace(pair, forward=bad)).witness["failure"] == "backward(forward) is not the identity"
+    # two points a < b trade images: still mutually inverse, but a < b now
+    # maps to forward(b) > forward(a)
+    dom = fwd.domain
+    a, b = next((a, b) for a in range(dom.n) for b in range(dom.n) if a != b and dom.leq(a, b))
+    table, back = list(fwd.table), list(bwd.table)
+    table[a], table[b] = table[b], table[a]
+    back[table[a]], back[table[b]] = a, b
+    swapped = replace(pair, forward=SpaceMap(dom, fwd.codomain, tuple(table)),
+                      backward=SpaceMap(bwd.domain, dom, tuple(back)))
+    v = verify_pair(swapped)
+    expected = _literal_discontinuity(swapped.forward)
+    assert expected is not None
+    assert v.witness == {"pair": name, "failure": "forward not continuous", "open": expected}
 
 
 def test_pair_builders_keep_one_pair_per_powers():

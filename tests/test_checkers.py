@@ -1,5 +1,6 @@
 import pytest
 
+from powerspace import checkers
 from powerspace.canonical import Powers
 from powerspace.checkers import (
     consonance_equivalence,
@@ -12,8 +13,20 @@ from powerspace.checkers import (
     strong_compactness_implications,
     topology_coincidence,
 )
-from powerspace.core import PtSet, antichain, empty_space, enumerate_spaces, enumerate_upper_sets, sierpinski
+from powerspace.config import DEFAULT_LIMITS
+from powerspace.core import (
+    PtSet,
+    Verdict,
+    antichain,
+    bits,
+    empty_space,
+    enumerate_spaces,
+    enumerate_upper_sets,
+    set_label,
+    sierpinski,
+)
 from powerspace.errors import NotSaturated
+from powerspace.powerspaces import open_lattice
 
 S = sierpinski()
 D2 = antichain(2, names=("a", "b"))
@@ -32,6 +45,50 @@ def test_co_consonance_on_small_spaces():
     assert is_co_consonant(D2).holds
     for sp in enumerate_spaces(4):
         assert is_co_consonant(sp).holds
+
+
+def _literal_co_consonance(x, limits=DEFAULT_LIMITS):
+    """is_co_consonant with the canonical candidate recomputed for every
+    (family, open) pair; also checks the hoisted candidates against it."""
+    opens = x.opens(limits)
+    closed = [x.full_mask ^ u for u in opens]
+    lattice = open_lattice(x, limits)
+    tri = [lattice.diamond(a) for a in closed]
+    hoisted = checkers._co_consonance_candidates(x, opens, tri)
+    fams, sampled = checkers._families(lattice.space, limits, checkers._seed_for(x, limits) ^ 0x5A5A)
+    pairs = 0
+    for fam in fams:
+        for u_idx in bits(fam):
+            pairs += 1
+            inter = (1 << len(opens)) - 1
+            for p in range(x.n):
+                if opens[u_idx] >> p & 1 and x.down[p] & opens[u_idx] == 1 << p:
+                    inter &= tri[closed.index(x.down[p])]
+            assert hoisted[u_idx] == inter
+            if inter >> u_idx & 1 and not inter & ~fam:
+                continue
+            if not any(
+                (tri[i] & tri[j]) >> u_idx & 1 and not tri[i] & tri[j] & ~fam
+                for i in range(len(closed))
+                for j in range(i, len(closed))
+            ):
+                witness = {"family": set_label(lattice.space.names, fam), "open": lattice.space.names[u_idx]}
+                return Verdict(False, witness=witness, info={"checker": "is_co_consonant", "sampled": sampled})
+    return Verdict(True, info={"checker": "is_co_consonant", "families": len(fams), "pairs": pairs, "sampled": sampled})
+
+
+def test_co_consonance_matches_per_pair_candidates():
+    subjects = list(enumerate_spaces(4, up_to_iso=False))
+    for sp in enumerate_spaces(3, up_to_iso=False):
+        pw = Powers(sp)
+        subjects += [pw.K.space, pw.O.space]
+    assert len(subjects) == 243 + 2 * 24
+    sampled = 0
+    for x in subjects:
+        v = is_co_consonant(x)
+        assert v == _literal_co_consonance(x)
+        sampled += v.info["sampled"]
+    assert sampled  # both the exhaustive and the sampled families are covered
 
 
 def test_upper_space_co_consonant():

@@ -37,6 +37,8 @@ from powerspace.core import (
 from powerspace.errors import CycleDetected, LimitExceeded, NotT0
 from powerspace.powerspaces import convex_powerspace, lower_powerspace, open_lattice, upper_powerspace
 
+CONSTRUCTIONS = (lower_powerspace, upper_powerspace, convex_powerspace, open_lattice)
+
 
 @st.composite
 def small_spaces(draw):
@@ -135,6 +137,38 @@ def literal_monotone(f):
 
 def all_maps(dom, cod):
     return (SpaceMap(dom, cod, table) for table in product(range(cod.n), repeat=dom.n))
+
+
+def _step_tables(rng, dom, cod, count):
+    """Monotone tables: a chain y0 <= y1 <= y2 of cod over nested opens V2 <= V1 of dom."""
+    opens = dom.opens()
+    for _ in range(count):
+        y0 = rng.randrange(cod.n)
+        y1 = rng.choice(list(bits(cod.up[y0])))
+        y2 = rng.choice(list(bits(cod.up[y1])))
+        a, b = rng.choice(opens), rng.choice(opens)
+        yield tuple(y2 if (a & b) >> i & 1 else y1 if (a | b) >> i & 1 else y0 for i in range(dom.n))
+
+
+def test_edge_monotonicity_matches_literal_on_constructions():
+    rng = random.Random(11)
+    outcomes = {True: 0, False: 0}
+    bases = [sp for sp in enumerate_spaces(3, up_to_iso=False) if sp.n == 3]
+    assert len(bases) == 19
+    for base in bases:
+        spaces = [build(base).space for build in CONSTRUCTIONS]
+        for dom, cod in product(spaces, repeat=2):
+            tables = list(_step_tables(rng, dom, cod, 4))
+            for t in list(tables):
+                k = rng.randrange(dom.n)
+                tables.append(t[:k] + (rng.randrange(cod.n),) + t[k + 1:])  # one entry changed
+            tables += [tuple(rng.randrange(cod.n) for _ in range(dom.n)) for _ in range(4)]
+            for t in tables:
+                f = SpaceMap(dom, cod, t)
+                expected = literal_monotone(f)
+                assert is_monotone(f) == check_continuous(f).holds == expected
+                outcomes[expected] += 1
+    assert min(outcomes.values()) > 1000, outcomes
 
 
 def test_continuity_equals_monotone_and_full_open_preimages():
@@ -379,11 +413,46 @@ def _literal_covers(space: FiniteSpace) -> list[tuple[int, int]]:
 def test_covers_match_literal_definition():
     spaces = list(enumerate_spaces(4, up_to_iso=False))
     for sp in enumerate_spaces(3, up_to_iso=False):
-        for builder in (lower_powerspace, upper_powerspace, convex_powerspace, open_lattice):
+        for builder in CONSTRUCTIONS:
             spaces.append(builder(sp).space)
     assert len(spaces) == 243 + 4 * 24
     for sp in spaces:
         assert sp.covers() == _literal_covers(sp)
+
+
+def _relabel_covers(space: FiniteSpace) -> list[tuple[int, int]]:
+    """Covers along a linear extension, sharing no step with the validator.
+
+    Points sorted by the size of up[i], descending, form a linear
+    extension.  Each row is relabeled by rank along it, so the lowest bit
+    of a row is its point and every other bit ranks higher.  Of the strict
+    upper set of i, the lowest ranked point j is a cover, since a point
+    strictly between would rank lower; removing up[j] leaves only points
+    not above j, whose lowest is again a cover, and no cover is removed.
+    """
+    n = space.n
+    order = sorted(range(n), key=lambda i: -space.up[i].bit_count())
+    rank = SpaceMap(antichain(n), space, tuple(order))  # bit r of a preimage is bit order[r]
+    ranked = [rank.preimage_mask(m) for m in space.up]
+    out = []
+    for i, rest in enumerate(ranked):
+        rest &= rest - 1
+        found = []
+        while rest:
+            j = order[(rest & -rest).bit_length() - 1]
+            found.append(j)
+            rest &= ~ranked[j]
+        out.extend((i, j) for j in sorted(found))
+    return out
+
+
+def test_covers_match_relabel_oracle_on_large_constructions():
+    k = upper_powerspace(antichain(4))
+    for build, points, edges in ((convex_powerspace, 3938, 17144), (lower_powerspace, 168, 454)):
+        sp = build(k).space
+        got = sp.covers()
+        assert (sp.n, len(got)) == (points, edges)
+        assert got == _relabel_covers(sp)
 
 
 def test_bits_match_literal_scan():
