@@ -9,16 +9,15 @@ independently of the constructions.
 import sys
 
 from powerspace.core import count_upper_sets, enumerate_spaces
-from powerspace.powerspaces import lower_powerspace, open_lattice, upper_powerspace
+from powerspace.powerspaces import Powers
 
 
 def main() -> int:
     print(f"{'space':<22} {'|A(K)|':>7} {'|K(A)|':>7} {'|O(O)|':>7} {'split':>7}")
     for space in enumerate_spaces(4):
-        ak = lower_powerspace(upper_powerspace(space)).space.n
-        ka = upper_powerspace(lower_powerspace(space)).space.n
-        oo = open_lattice(open_lattice(space)).space.n
-        oracle = count_upper_sets(open_lattice(space).space)
+        pw = Powers(space)
+        ak, ka, oo = pw.AK.space.n, pw.KA.space.n, pw.OO.space.n
+        oracle = count_upper_sets(pw.O.space)
         label = f"n={space.n} {space.fingerprint}"
         print(f"{label:<22} {ak:>7} {ka:>7} {oo:>7} {oracle:>7}")
         if not ak == ka == oo == oracle:

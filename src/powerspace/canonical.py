@@ -15,7 +15,6 @@ the verifications below re-derive that instead of assuming it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, wraps
 
 from .config import DEFAULT_LIMITS, Limits
 from .core import (
@@ -37,106 +36,13 @@ from .powerspaces import (
     KIND_OPENS,
     KIND_UPPER,
     ConstructedSpace,
+    Powers,
+    _kept_on_powers,
+    _powers,
     functor_map,
-    lower_powerspace,
     monad_mult,
     monad_unit,
-    open_lattice,
-    upper_powerspace,
 )
-
-
-class Powers:
-    """Lazily built tower of constructions over one base space, with the
-    canonical pairs built over it (keyed by builder name)."""
-
-    def __init__(self, base: FiniteSpace, limits: Limits = DEFAULT_LIMITS):
-        self.base = base
-        self.limits = limits
-        self.pairs: dict[str, CanonicalMapPair] = {}
-
-    @cached_property
-    def A(self) -> ConstructedSpace:
-        return lower_powerspace(self.base, self.limits)
-
-    @cached_property
-    def K(self) -> ConstructedSpace:
-        return upper_powerspace(self.base, self.limits)
-
-    @cached_property
-    def O(self) -> ConstructedSpace:
-        return open_lattice(self.base, self.limits)
-
-    @cached_property
-    def AK(self) -> ConstructedSpace:
-        return lower_powerspace(self.K, self.limits)
-
-    @cached_property
-    def KA(self) -> ConstructedSpace:
-        return upper_powerspace(self.A, self.limits)
-
-    @cached_property
-    def OO(self) -> ConstructedSpace:
-        return open_lattice(self.O, self.limits)
-
-    @cached_property
-    def AO(self) -> ConstructedSpace:
-        return lower_powerspace(self.O, self.limits)
-
-    @cached_property
-    def OK(self) -> ConstructedSpace:
-        return open_lattice(self.K, self.limits)
-
-    @cached_property
-    def KO(self) -> ConstructedSpace:
-        return upper_powerspace(self.O, self.limits)
-
-    @cached_property
-    def OA(self) -> ConstructedSpace:
-        return open_lattice(self.A, self.limits)
-
-    @cached_property
-    def diamonds(self) -> tuple[int, ...]:
-        """diamond(U) over the points of A(X), indexed like O(X)."""
-        return tuple(map(self.A.diamond, self.O.extents))
-
-    @cached_property
-    def boxes(self) -> tuple[int, ...]:
-        """box(U) over the points of K(X), indexed like O(X)."""
-        return tuple(map(self.K.box, self.O.extents))
-
-    @cached_property
-    def triangles(self) -> tuple[int, ...]:
-        """The opens meeting each closed set, over O(X), indexed like A(X)."""
-        return tuple(map(self.O.diamond, self.A.extents))
-
-    @cached_property
-    def nablas(self) -> tuple[int, ...]:
-        """The opens containing each compact, over O(X), indexed like K(X)."""
-        return tuple(map(self.O.containing, self.K.extents))
-
-
-def _powers(x, limits: Limits) -> Powers:
-    if isinstance(x, Powers):
-        return x
-    return Powers(x, limits)
-
-
-def _kept_on_powers(build):
-    """Turn build(pw) into a pair builder over a base space or a Powers.
-    Over a Powers the pair is built once and kept in pw.pairs, so every
-    later check on the same tower reuses its tables."""
-
-    @wraps(build)
-    def builder(x, limits: Limits = DEFAULT_LIMITS) -> CanonicalMapPair:
-        if not isinstance(x, Powers):
-            return build(Powers(x, limits))
-        pair = x.pairs.get(build.__name__)
-        if pair is None:
-            pair = x.pairs[build.__name__] = build(x)
-        return pair
-
-    return builder
 
 
 @dataclass(frozen=True)
@@ -471,58 +377,51 @@ def check_naturality(
 # distributive-law diagrams
 
 
-def _beck_diagrams(pw: Powers, first: str, second: str, lam_pair_builder, limits: Limits) -> list[str]:
+def _beck_diagrams(pw: Powers, f: str, s: str, lam_of, limits: Limits) -> list[str]:
     """The four compatibility diagrams for a law T1(T2(X)) => T2(T1(X)).
 
-    first is the outer monad of the law's domain (T1), second the inner
-    (T2).  Returns the names of the failing diagrams, empty when all hold.
+    f is the outer monad of the law's domain (T1), s the inner (T2);
+    every construction is read off pw by its word.  Returns the names of
+    the failing diagrams, empty when all hold.
     """
-    from .powerspaces import BUILDERS
-
-    base = pw.base
-    b1, b2 = BUILDERS[first], BUILDERS[second]
-    t1 = b1(base, limits)  # T1(X)
-    t2 = b2(base, limits)  # T2(X)
-    t12 = b1(t2, limits)   # T1 T2 X, domain of lambda
-    t21 = b2(t1, limits)   # T2 T1 X, codomain of lambda
-    lam = lam_pair_builder(pw, limits)
+    base, t1, t2 = pw.base, getattr(pw, f), getattr(pw, s)
+    t12, t21 = getattr(pw, f + s), getattr(pw, s + f)  # lambda runs t12 -> t21
+    lam = lam_of(pw, limits)
     failures = []
 
     # units
-    eta2 = monad_unit(second, base, ps=t2, limits=limits)
-    t1_eta2 = functor_map(first, eta2, dom_ps=t1, cod_ps=t12, limits=limits)
-    eta2_at_t1 = monad_unit(second, t1, ps=t21, limits=limits)
+    eta2 = monad_unit(s, base, ps=t2, limits=limits)
+    t1_eta2 = functor_map(f, eta2, dom_ps=t1, cod_ps=t12, limits=limits)
+    eta2_at_t1 = monad_unit(s, t1, ps=t21, limits=limits)
     if compose(lam, t1_eta2).table != eta2_at_t1.table:
-        failures.append(f"lambda o {first}(eta_{second}) = eta_{second} at {first}")
-    eta1_at_t2 = monad_unit(first, t2, ps=t12, limits=limits)
-    eta1 = monad_unit(first, base, ps=t1, limits=limits)
-    t2_eta1 = functor_map(second, eta1, dom_ps=t2, cod_ps=t21, limits=limits)
+        failures.append(f"lambda o {f}(eta_{s}) = eta_{s} at {f}")
+    eta1_at_t2 = monad_unit(f, t2, ps=t12, limits=limits)
+    eta1 = monad_unit(f, base, ps=t1, limits=limits)
+    t2_eta1 = functor_map(s, eta1, dom_ps=t2, cod_ps=t21, limits=limits)
     if compose(lam, eta1_at_t2).table != t2_eta1.table:
-        failures.append(f"lambda o eta_{first} at {second} = {second}(eta_{first})")
+        failures.append(f"lambda o eta_{f} at {s} = {s}(eta_{f})")
 
     # multiplication of the inner monad
-    t22 = b2(t2, limits)
-    mu2 = monad_mult(second, base, ps=t2, pps=t22, limits=limits)
-    t1_mu2 = functor_map(first, mu2, dom_ps=b1(t22, limits), cod_ps=t12, limits=limits)
-    lam_at_t2 = lam_pair_builder(Powers(t2.space, limits), limits)
-    t2_lam = functor_map(second, lam, dom_ps=b2(t12, limits), cod_ps=b2(t21, limits), limits=limits)
-    mu2_at_t1 = monad_mult(second, t1, ps=t21, pps=b2(t21, limits), limits=limits)
+    mu2 = monad_mult(s, base, ps=t2, pps=getattr(pw, s + s), limits=limits)
+    t1_mu2 = functor_map(f, mu2, dom_ps=getattr(pw, f + s + s), cod_ps=t12, limits=limits)
+    lam_at_t2 = lam_of(pw.over(s), limits)
+    t2_lam = functor_map(s, lam, dom_ps=getattr(pw, s + f + s), cod_ps=getattr(pw, s + s + f), limits=limits)
+    mu2_at_t1 = monad_mult(s, t1, ps=t21, pps=getattr(pw, s + s + f), limits=limits)
     left = compose(lam, t1_mu2)
     right = compose(mu2_at_t1, compose(t2_lam, lam_at_t2))
     if left.table != right.table:
-        failures.append(f"mu_{second} square")
+        failures.append(f"mu_{s} square")
 
     # multiplication of the outer monad
-    t11 = b1(t1, limits)
-    mu1 = monad_mult(first, base, ps=t1, pps=t11, limits=limits)
-    mu1_at_t2 = monad_mult(first, t2, ps=t12, pps=b1(t12, limits), limits=limits)
-    t1_lam = functor_map(first, lam, dom_ps=b1(t12, limits), cod_ps=b1(t21, limits), limits=limits)
-    lam_at_t1 = lam_pair_builder(Powers(t1.space, limits), limits)
-    t2_mu1 = functor_map(second, mu1, dom_ps=b2(t11, limits), cod_ps=t21, limits=limits)
+    mu1 = monad_mult(f, base, ps=t1, pps=getattr(pw, f + f), limits=limits)
+    mu1_at_t2 = monad_mult(f, t2, ps=t12, pps=getattr(pw, f + f + s), limits=limits)
+    t1_lam = functor_map(f, lam, dom_ps=getattr(pw, f + f + s), cod_ps=getattr(pw, f + s + f), limits=limits)
+    lam_at_t1 = lam_of(pw.over(f), limits)
+    t2_mu1 = functor_map(s, mu1, dom_ps=getattr(pw, s + f + f), cod_ps=t21, limits=limits)
     left = compose(lam, mu1_at_t2)
     right = compose(t2_mu1, compose(lam_at_t1, t1_lam))
     if left.table != right.table:
-        failures.append(f"mu_{first} square")
+        failures.append(f"mu_{f} square")
     return failures
 
 

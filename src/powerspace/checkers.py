@@ -32,8 +32,8 @@ from .core import (
     weak_topology_family,
 )
 from .errors import NotSaturated
-from .powerspaces import ConstructedSpace, open_lattice
-from .canonical import Powers, sigma_tau
+from .powerspaces import ConstructedSpace, Powers, _kept_on_powers, _powers
+from .canonical import sigma_tau
 
 
 def _families(lattice_space: FiniteSpace, limits: Limits, seed: int):
@@ -56,15 +56,18 @@ def _seed_for(space: FiniteSpace, limits: Limits) -> int:
     return limits.seed ^ int(space.fingerprint, 16)
 
 
-def is_consonant(x: FiniteSpace, limits: Limits = DEFAULT_LIMITS) -> Verdict:
+@_kept_on_powers
+def is_consonant(pw: Powers) -> Verdict:
     """Every Scott-open family of opens is a union of compact filters.
 
     The witness search tries K = U itself first; an open set of a finite
     space is saturated and compact, and its filter sits inside any upward
     closed family containing U, so the fallback scan is a safeguard.
+    Takes a base space or a Powers, on which the verdict is kept.
     """
+    x, limits = pw.base, pw.limits
     opens = x.opens(limits)
-    lattice_space = open_lattice(x, limits).space
+    lattice_space = pw.O.space
     filters = lattice_space.up
     fams, sampled = _families(lattice_space, limits, _seed_for(x, limits))
     pairs = 0
@@ -85,15 +88,18 @@ def is_consonant(x: FiniteSpace, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     return Verdict(True, info={"checker": "is_consonant", "families": len(fams), "pairs": pairs, "sampled": sampled})
 
 
-def is_co_consonant(x: FiniteSpace, limits: Limits = DEFAULT_LIMITS) -> Verdict:
+@_kept_on_powers
+def is_co_consonant(pw: Powers) -> Verdict:
     """Every Scott-open family of opens is a union of finite intersections
     of sets (triangle A).  The canonical candidate takes the point closures
     of the minimal points of U; their triangle-intersection is the filter
     above U.  It depends on U alone, so it is computed once per open.  A
-    bounded scan over closed-set pairs backs it up."""
+    bounded scan over closed-set pairs backs it up.  Takes a base space or
+    a Powers, on which the verdict is kept."""
+    x, limits = pw.base, pw.limits
     opens = x.opens(limits)
     closed = [x.full_mask ^ u for u in opens]
-    lattice = open_lattice(x, limits)
+    lattice = pw.O
     lattice_space = lattice.space
     tri = [lattice.diamond(a) for a in closed]
     candidate = _co_consonance_candidates(x, opens, tri)
@@ -232,16 +238,16 @@ def is_sober(x: FiniteSpace, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     )
 
 
-def consonance_equivalence(x: FiniteSpace, limits: Limits = DEFAULT_LIMITS) -> Verdict:
+def consonance_equivalence(x: FiniteSpace | Powers, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     """Three renderings of consonance, evaluated independently:
     the filter definition, bijectivity of sigma, and the subbasic preimage
     equality for tau.  Holds when all three agree."""
-    definitional = is_consonant(x, limits).holds
-    pw = Powers(x, limits)
-    pair = sigma_tau(pw, limits)
+    pw = _powers(x, limits)
+    definitional = is_consonant(pw).holds
+    pair = sigma_tau(pw)
     bijective = len(set(pair.forward.table)) == pw.KA.space.n == pw.AK.space.n
     tau_equality = True
-    for u in x.opens(limits):
+    for u in pw.base.opens(limits):
         box_dia = pw.KA.box(pw.A.diamond(u))
         dia_box = pw.AK.diamond(pw.K.box(u))
         if pair.backward.preimage_mask(dia_box) != box_dia:
@@ -258,11 +264,13 @@ def consonance_equivalence(x: FiniteSpace, limits: Limits = DEFAULT_LIMITS) -> V
     return Verdict(False, witness={"disagreement": info}, info=info)
 
 
-def strong_compactness_implications(x: FiniteSpace, limits: Limits = DEFAULT_LIMITS) -> Verdict:
+def strong_compactness_implications(x: FiniteSpace | Powers, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     """Co-consonance forces every saturated set strongly compact, and
     consonance plus all-strongly-compact forces co-consonance."""
-    cocons = is_co_consonant(x, limits).holds
-    cons = is_consonant(x, limits).holds
+    pw = _powers(x, limits)
+    x = pw.base
+    cocons = is_co_consonant(pw).holds
+    cons = is_consonant(pw).holds
     all_strong = all(
         is_strongly_compact(x, PtSet(x, k), limits).holds for k in x.opens(limits)
     )

@@ -18,22 +18,8 @@ import sys
 from .config import DEFAULT_LIMITS
 from .core import enumerate_spaces, space_from_json, space_to_json
 from .errors import LimitExceeded, ParseError, PowerspaceTooLarge, SpaceError
-from .powerspaces import (
-    construction_to_json,
-    convex_powerspace,
-    lower_powerspace,
-    open_lattice,
-    to_dot,
-    upper_powerspace,
-)
+from .powerspaces import BUILDERS, construction_to_json, to_dot
 from .suites import SUITES, run_suite
-
-_EXPR_BUILDERS = {
-    "A": lower_powerspace,
-    "K": upper_powerspace,
-    "L": convex_powerspace,
-    "O": open_lattice,
-}
 
 
 def parse_expression(text: str) -> list[str]:
@@ -42,7 +28,7 @@ def parse_expression(text: str) -> list[str]:
     s = text.replace(" ", "")
     ops: list[str] = []
     while s != "X":
-        if len(s) >= 4 and s[0] in _EXPR_BUILDERS and s[1] == "(" and s.endswith(")"):
+        if len(s) >= 4 and s[0] in BUILDERS and s[1] == "(" and s.endswith(")"):
             ops.append(s[0])
             s = s[2:-1]
         else:
@@ -53,7 +39,7 @@ def parse_expression(text: str) -> list[str]:
 def evaluate_expression(space, text: str, limits=DEFAULT_LIMITS):
     current = space
     for op in reversed(parse_expression(text)):
-        current = _EXPR_BUILDERS[op](current, limits)
+        current = BUILDERS[op](current, limits)
     return current
 
 

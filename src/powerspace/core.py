@@ -210,9 +210,6 @@ class FiniteSpace:
         it = iter(self._edges)
         return list(zip(it, it))
 
-    def point_index(self, name: str) -> int:
-        return self.names.index(name)
-
 
 @dataclass(frozen=True)
 class PtSet:

@@ -23,13 +23,7 @@ from .core import (
     space_product,
 )
 from .errors import NotEmbedding, PresentationMismatch
-from .powerspaces import (
-    convex_powerspace,
-    functor_map,
-    lower_powerspace,
-    monad_unit,
-    upper_powerspace,
-)
+from .powerspaces import Powers, _powers, functor_map, lower_powerspace, monad_unit, upper_powerspace
 
 
 @dataclass(frozen=True)
@@ -112,7 +106,7 @@ def lower_embedding_range(e: SpaceMap, p: Pi02Presentation, limits: Limits = DEF
         which = next(bits(diff))
         return Verdict(False, witness={"closed_set": cod_ps.space.names[which],
                                        "in_condition_set": bool((sel >> which) & 1)}, info=info)
-    if not _order_embedding(lifted):
+    if _first_unembedded(lifted) is not None:
         return Verdict(False, witness={"failure": "lifting is not an embedding"}, info=info)
     return Verdict(True, info=info)
 
@@ -139,29 +133,26 @@ def upper_embedding_range(e: SpaceMap, p: Pi02Presentation, limits: Limits = DEF
         which = next(bits(diff))
         return Verdict(False, witness={"saturated_set": cod_ps.space.names[which],
                                        "in_condition_set": bool((sel >> which) & 1)}, info=info)
-    if not _order_embedding(lifted):
+    if _first_unembedded(lifted) is not None:
         return Verdict(False, witness={"failure": "lifting is not an embedding"}, info=info)
     return Verdict(True, info=info)
 
 
-def _order_embedding(f: SpaceMap) -> bool:
-    # for finite spaces "topological embedding" and "order embedding" agree
-    if not f.is_injective():
-        return False
-    for i in range(f.domain.n):
-        for j in range(f.domain.n):
-            if f.domain.leq(i, j) != f.codomain.leq(f.table[i], f.table[j]):
-                return False
-    return True
+def _first_unembedded(f: SpaceMap) -> int | None:
+    """The first point i whose up-set is not the preimage of the up-set
+    of f(i), or None if there is none.  None says f is an order embedding,
+    which on finite spaces is a topological embedding; injectivity follows
+    by antisymmetry."""
+    dom_up, cod_up = f.domain.up, f.codomain.up
+    return next((i for i, v in enumerate(f.table) if f.preimage_mask(cod_up[v]) != dom_up[i]), None)
 
 
-def lens_pi02(x: FiniteSpace, limits: Limits = DEFAULT_LIMITS) -> Verdict:
+def lens_pi02(x: FiniteSpace | Powers, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     """The lens pairs inside the product of the lower and upper
     constructions are exactly the pairs passing the two mixed-modality
     implications, and the subspace they span is the convex construction."""
-    a_ps = lower_powerspace(x, limits)
-    k_ps = upper_powerspace(x, limits)
-    lens = convex_powerspace(x, limits)
+    pw = _powers(x, limits)
+    x, a_ps, k_ps, lens = pw.base, pw.A, pw.K, pw.L
     prod, pairs = space_product(a_ps.space, k_ps.space)
     basis = x.opens(limits)
     by_condition = []
@@ -194,24 +185,19 @@ def lens_pi02(x: FiniteSpace, limits: Limits = DEFAULT_LIMITS) -> Verdict:
         return Verdict(False, witness={"failure": "condition set differs from the convex construction"}, info=info)
     # subspace topology of the product on the lens pairs vs the construction
     pair_pos = {pq: i for i, pq in enumerate(pairs)}
-    chosen = [pair_pos[(a_ps.point_of(a), k_ps.point_of(k))] for a, k in lens.extents]
-    for li, pi in enumerate(chosen):
-        for lj, pj in enumerate(chosen):
-            if lens.space.leq(li, lj) != prod.leq(pi, pj):
-                return Verdict(
-                    False,
-                    witness={"failure": "subspace order differs", "pair": lens.space.names[li]},
-                    info=info,
-                )
+    chosen = tuple(pair_pos[(a_ps.point_of(a), k_ps.point_of(k))] for a, k in lens.extents)
+    li = _first_unembedded(SpaceMap(lens.space, prod, chosen))
+    if li is not None:
+        return Verdict(False, witness={"failure": "subspace order differs", "pair": lens.space.names[li]}, info=info)
     return Verdict(True, info=info)
 
 
-def eta_image_characterizations(x: FiniteSpace, limits: Limits = DEFAULT_LIMITS) -> Verdict:
+def eta_image_characterizations(x: FiniteSpace | Powers, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     """The unit images inside the two constructions match their
     presentations: irreducibility for the lower one (the base is sober, as
     every finite T0 space is), non-empty box-splitting for the upper."""
-    a_ps = lower_powerspace(x, limits)
-    k_ps = upper_powerspace(x, limits)
+    pw = _powers(x, limits)
+    x, a_ps, k_ps = pw.base, pw.A, pw.K
     eta_a = monad_unit("A", x, ps=a_ps, limits=limits)
     eta_k = monad_unit("K", x, ps=k_ps, limits=limits)
     basis = x.opens(limits)

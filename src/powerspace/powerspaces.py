@@ -11,7 +11,8 @@ Egli-Milner order (closed parts by subset, saturated parts by superset).
 Every construction leaves through _finish, which indexes the extents by
 base point once; ConstructedSpace reads the order and the modal sets off
 that index.  Points are sorted by extent so identical expressions always
-rebuild identical spaces.
+rebuild identical spaces.  Powers keeps the constructions of one subject,
+each built once and named by its word (pw.AK is A(K(X))).
 
 The empty lens <{}, {}> qualifies under the pair conditions and is kept;
 parts of the literature insist on non-empty lenses, this library does not.
@@ -20,7 +21,7 @@ parts of the literature insist on non-empty lenses, this library does not.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 
 from .config import DEFAULT_LIMITS, Limits
 from .core import (
@@ -109,9 +110,6 @@ class ConstructedSpace:
         except KeyError:
             raise ValueError(f"{extent!r} is not a point of {self.label}") from None
 
-    def extent_of(self, i: int):
-        return self.extents[i]
-
     def __repr__(self):
         return f"ConstructedSpace({self.label}, points={self.space.n})"
 
@@ -183,6 +181,90 @@ BUILDERS = {
     KIND_CONVEX: convex_powerspace,
     KIND_OPENS: open_lattice,
 }
+
+
+class Powers:
+    """The construction cache of one subject X.
+
+    Any word over A, K, L, O names an iterated construction, read from
+    the right: pw.AK is A(K(X)), pw.OO is O(O(X)).  Each is built once,
+    through BUILDERS from the construction its tail names, and kept.
+    over(word) is the tower over the construction word names, sharing
+    these builds: pw.over("K").A is pw.AK.  pairs keeps what checks
+    computed on this tower (canonical pairs, checker verdicts), keyed by
+    the function that computed it.
+    """
+
+    def __init__(self, base: FiniteSpace, limits: Limits = DEFAULT_LIMITS):
+        self.base = base
+        self.limits = limits
+        self.pairs: dict = {}
+        self._built: dict = {"": base}  # by full word, shared with the towers over() makes
+        self._under = ""  # the full word of the construction this tower sits over
+        self._towers: dict[str, Powers] = {}
+
+    def __getattr__(self, word: str) -> ConstructedSpace:
+        if not word or word.strip("AKLO"):
+            raise AttributeError(word)
+        cs = self.__dict__[word] = self._build(word + self._under)
+        return cs
+
+    def _build(self, word: str):
+        cs = self._built.get(word)
+        if cs is None:
+            cs = self._built[word] = BUILDERS[word[0]](self._build(word[1:]), self.limits)
+        return cs
+
+    def over(self, word: str) -> "Powers":
+        """The tower whose subject is the space of getattr(self, word)."""
+        tower = self._towers.get(word)
+        if tower is None:
+            tower = self._towers[word] = Powers(getattr(self, word).space, self.limits)
+            tower._built, tower._under = self._built, word + self._under
+        return tower
+
+    @cached_property
+    def diamonds(self) -> tuple[int, ...]:
+        """diamond(U) over the points of A(X), indexed like O(X)."""
+        return tuple(map(self.A.diamond, self.O.extents))
+
+    @cached_property
+    def boxes(self) -> tuple[int, ...]:
+        """box(U) over the points of K(X), indexed like O(X)."""
+        return tuple(map(self.K.box, self.O.extents))
+
+    @cached_property
+    def triangles(self) -> tuple[int, ...]:
+        """The opens meeting each closed set, over O(X), indexed like A(X)."""
+        return tuple(map(self.O.diamond, self.A.extents))
+
+    @cached_property
+    def nablas(self) -> tuple[int, ...]:
+        """The opens containing each compact, over O(X), indexed like K(X)."""
+        return tuple(map(self.O.containing, self.K.extents))
+
+
+def _powers(x, limits: Limits) -> Powers:
+    if isinstance(x, Powers):
+        return x
+    return Powers(x, limits)
+
+
+def _kept_on_powers(compute):
+    """Turn compute(pw) into a function of a base space or a Powers.
+    Over a Powers the result is computed once and kept in pw.pairs, so
+    every later check on the same tower reuses it."""
+
+    @wraps(compute)
+    def kept(x, limits: Limits = DEFAULT_LIMITS):
+        if not isinstance(x, Powers):
+            return compute(Powers(x, limits))
+        got = x.pairs.get(compute.__name__)
+        if got is None:
+            got = x.pairs[compute.__name__] = compute(x)
+        return got
+
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +374,8 @@ def monad_laws(kind: str, x, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     are enumerated (lower or upper sets of T(T(x))), never its topology,
     which keeps the triple level inside the cap.
     """
-    base, _, _ = _base_of(x)
-    build = BUILDERS[kind]
-    t1 = build(base, limits)
-    t2 = build(t1, limits)
+    pw = _powers(x, limits)
+    base, t1, t2 = pw.base, getattr(pw, kind), getattr(pw, kind * 2)
     eta = monad_unit(kind, base, ps=t1, limits=limits)
     mult = monad_mult(kind, base, ps=t1, pps=t2, limits=limits)
     eta_t = monad_unit(kind, t1, ps=t2, limits=limits)
@@ -322,11 +402,9 @@ def monad_preimage_identities(kind: str, x, limits: Limits = DEFAULT_LIMITS) -> 
     For A: unit pulls diamond(U) back to U and mult pulls it back to
     diamond(diamond(U)); dually for K with box.
     """
-    base, _, _ = _base_of(x)
-    build = BUILDERS[kind]
+    pw = _powers(x, limits)
     modal = ConstructedSpace.diamond if kind == KIND_LOWER else ConstructedSpace.box
-    t1 = build(base, limits)
-    t2 = build(t1, limits)
+    base, t1, t2 = pw.base, getattr(pw, kind), getattr(pw, kind * 2)
     eta = monad_unit(kind, base, ps=t1, limits=limits)
     mult = monad_mult(kind, base, ps=t1, pps=t2, limits=limits)
     for u in base.opens(limits):
@@ -340,16 +418,12 @@ def monad_preimage_identities(kind: str, x, limits: Limits = DEFAULT_LIMITS) -> 
 
 def algebra_laws(kind: str, x, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     """Eilenberg-Moore laws for union on A(O(X)) or intersection on K(O(X))."""
-    base, _, _ = _base_of(x)
-    lattice = open_lattice(base, limits)
-    build = BUILDERS[kind]
-    t1 = build(lattice, limits)
-    if kind == KIND_LOWER:
-        struct = structure_map_union(base, lattice=lattice, ao=t1, limits=limits)
-    elif kind == KIND_UPPER:
-        struct = structure_map_intersection(base, lattice=lattice, ko=t1, limits=limits)
-    else:
+    if kind not in (KIND_LOWER, KIND_UPPER):
         raise ValueError(f"no algebra for kind {kind!r}")
+    pw = _powers(x, limits)
+    lattice, t1 = pw.O, getattr(pw, kind + KIND_OPENS)
+    structure_map = structure_map_union if kind == KIND_LOWER else structure_map_intersection
+    struct = structure_map(pw.base, lattice, t1, limits)
     eta = monad_unit(kind, lattice, ps=t1, limits=limits)
     for i in range(lattice.space.n):
         if struct.table[eta.table[i]] != i:

@@ -22,15 +22,13 @@ from .core import (
     _jsonable,
     count_upper_sets,
     enumerate_spaces,
-    enumerate_upper_sets,
     iter_continuous_maps,
     subspace,
 )
-from .errors import EmptySpace
 from . import canonical, checkers, omega, pi02
 from .approx import canonical_approx_relation, validate_approx_relation, wilker_decompose
-from .canonical import PAIR_BUILDERS, Powers, check_distributive_law, naturality_squares, verify_pair
-from .powerspaces import algebra_laws, monad_laws, monad_preimage_identities
+from .canonical import PAIR_BUILDERS, check_distributive_law, naturality_squares, verify_pair
+from .powerspaces import Powers, algebra_laws, monad_laws, monad_preimage_identities
 
 SUITES = ("homeo", "monad", "consonance", "pi02", "wilker", "counterexamples")
 
@@ -111,6 +109,11 @@ def _rec(name: str, subject: str, verdict: Verdict, t0: float) -> CheckRecord:
     )
 
 
+def _timed(name: str, subject: str, check, *args) -> CheckRecord:
+    t0 = time.monotonic()
+    return _rec(name, subject, check(*args), t0)
+
+
 def _label(space: FiniteSpace) -> str:
     return f"n{space.n}-{space.fingerprint}"
 
@@ -152,66 +155,50 @@ def homeo_space_job(args) -> list[CheckRecord]:
 def monad_space_job(args) -> list[CheckRecord]:
     space, limits = args
     subject = _label(space)
+    pw = Powers(space, limits)
     out = []
     for kind in ("A", "K"):
-        t0 = time.monotonic()
-        out.append(_rec(f"monad_laws[{kind}]", subject, monad_laws(kind, space, limits), t0))
-        t0 = time.monotonic()
-        out.append(_rec(f"monad_preimages[{kind}]", subject, monad_preimage_identities(kind, space, limits), t0))
-        t0 = time.monotonic()
-        out.append(_rec(f"algebra_laws[{kind}]", subject, algebra_laws(kind, space, limits), t0))
+        out.append(_timed(f"monad_laws[{kind}]", subject, monad_laws, kind, pw, limits))
+        out.append(_timed(f"monad_preimages[{kind}]", subject, monad_preimage_identities, kind, pw, limits))
+        out.append(_timed(f"algebra_laws[{kind}]", subject, algebra_laws, kind, pw, limits))
     if space.n <= 2:
-        t0 = time.monotonic()
-        out.append(_rec("distributive_law", subject, check_distributive_law(space, limits), t0))
+        out.append(_timed("distributive_law", subject, check_distributive_law, pw, limits))
     return out
 
 
 def consonance_space_job(args) -> list[CheckRecord]:
     space, limits = args
     subject = _label(space)
-    out = []
     pw = Powers(space, limits)
-    t0 = time.monotonic()
-    out.append(_rec("consonance_equivalence", subject, checkers.consonance_equivalence(space, limits), t0))
-    t0 = time.monotonic()
-    out.append(_rec("is_consonant[X]", subject, checkers.is_consonant(space, limits), t0))
-    t0 = time.monotonic()
-    out.append(_rec("is_co_consonant[X]", subject, checkers.is_co_consonant(space, limits), t0))
-    t0 = time.monotonic()
-    out.append(_rec("is_wilker[X]", subject, checkers.is_wilker(space, limits), t0))
-    t0 = time.monotonic()
-    out.append(_rec("is_sober[X]", subject, checkers.is_sober(space, limits), t0))
-    t0 = time.monotonic()
-    out.append(_rec("lower_weak_coincidence", subject, checkers.topology_coincidence(pw.A, "weak", limits), t0))
-    t0 = time.monotonic()
-    out.append(_rec("upper_scott_coincidence", subject, checkers.topology_coincidence(pw.K, "scott", limits), t0))
-    t0 = time.monotonic()
-    out.append(_rec("is_sober[A(X)]", subject, checkers.is_sober(pw.A.space, limits), t0))
-    t0 = time.monotonic()
-    out.append(_rec("is_sober[O(X)]", subject, checkers.is_sober(pw.O.space, limits), t0))
-    t0 = time.monotonic()
-    out.append(_rec("is_consonant[O(X)]", subject, checkers.is_consonant(pw.O.space, limits), t0))
-    t0 = time.monotonic()
-    out.append(_rec("is_co_consonant[O(X)]", subject, checkers.is_co_consonant(pw.O.space, limits), t0))
-    t0 = time.monotonic()
-    out.append(_rec("strong_compactness_implications", subject, checkers.strong_compactness_implications(space, limits), t0))
+    out = []
+    # the checkers keep their verdicts on the tower they run on, so
+    # consonance_equivalence and strong_compactness_implications reuse them
+    out.append(_timed("consonance_equivalence", subject, checkers.consonance_equivalence, pw, limits))
+    out.append(_timed("is_consonant[X]", subject, checkers.is_consonant, pw, limits))
+    out.append(_timed("is_co_consonant[X]", subject, checkers.is_co_consonant, pw, limits))
+    out.append(_timed("is_wilker[X]", subject, checkers.is_wilker, space, limits))
+    out.append(_timed("is_sober[X]", subject, checkers.is_sober, space, limits))
+    out.append(_timed("lower_weak_coincidence", subject, checkers.topology_coincidence, pw.A, "weak", limits))
+    out.append(_timed("upper_scott_coincidence", subject, checkers.topology_coincidence, pw.K, "scott", limits))
+    out.append(_timed("is_sober[A(X)]", subject, checkers.is_sober, pw.A.space, limits))
+    out.append(_timed("is_sober[O(X)]", subject, checkers.is_sober, pw.O.space, limits))
+    out.append(_timed("is_consonant[O(X)]", subject, checkers.is_consonant, pw.over("O"), limits))
+    out.append(_timed("is_co_consonant[O(X)]", subject, checkers.is_co_consonant, pw.over("O"), limits))
+    out.append(_timed("strong_compactness_implications", subject, checkers.strong_compactness_implications, pw, limits))
     if space.n <= 2:
-        t0 = time.monotonic()
-        out.append(_rec("double_weak_coincidence", subject, checkers.topology_coincidence(pw.KA, "weak", limits), t0))
-    t0 = time.monotonic()
-    out.append(_rec("is_consonant[K(X)]", subject, checkers.is_consonant(pw.K.space, limits), t0))
-    t0 = time.monotonic()
-    out.append(_rec("is_co_consonant[K(X)]", subject, checkers.is_co_consonant(pw.K.space, limits), t0))
+        out.append(_timed("double_weak_coincidence", subject, checkers.topology_coincidence, pw.KA, "weak", limits))
+    out.append(_timed("is_consonant[K(X)]", subject, checkers.is_consonant, pw.over("K"), limits))
+    out.append(_timed("is_co_consonant[K(X)]", subject, checkers.is_co_consonant, pw.over("K"), limits))
     if space.n <= 3:
         # the triple-level composites behind sigma over K(X) stay capped here
-        t0 = time.monotonic()
-        out.append(_rec("consonance_equivalence[K(X)]", subject, checkers.consonance_equivalence(pw.K.space, limits), t0))
+        out.append(_timed("consonance_equivalence[K(X)]", subject, checkers.consonance_equivalence, pw.over("K"), limits))
     return out
 
 
 def pi02_space_job(args) -> list[CheckRecord]:
     space, limits = args
     subject = _label(space)
+    pw = Powers(space, limits)
     out = []
     for mask in range(1 << space.n):
         sub, embedding = subspace(space, mask)
@@ -226,14 +213,10 @@ def pi02_space_job(args) -> list[CheckRecord]:
                 t0,
             )
         )
-        t0 = time.monotonic()
-        out.append(_rec(f"lower_range[{mask}]", subject, pi02.lower_embedding_range(embedding, pres, limits), t0))
-        t0 = time.monotonic()
-        out.append(_rec(f"upper_range[{mask}]", subject, pi02.upper_embedding_range(embedding, pres, limits), t0))
-    t0 = time.monotonic()
-    out.append(_rec("lens_identification", subject, pi02.lens_pi02(space, limits), t0))
-    t0 = time.monotonic()
-    out.append(_rec("unit_image_characterizations", subject, pi02.eta_image_characterizations(space, limits), t0))
+        out.append(_timed(f"lower_range[{mask}]", subject, pi02.lower_embedding_range, embedding, pres, limits))
+        out.append(_timed(f"upper_range[{mask}]", subject, pi02.upper_embedding_range, embedding, pres, limits))
+    out.append(_timed("lens_identification", subject, pi02.lens_pi02, pw, limits))
+    out.append(_timed("unit_image_characterizations", subject, pi02.eta_image_characterizations, pw, limits))
     return out
 
 

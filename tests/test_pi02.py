@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +15,7 @@ from powerspace.core import (
 from powerspace.errors import NotEmbedding, PresentationMismatch
 from powerspace.pi02 import (
     Pi02Presentation,
+    _first_unembedded,
     eta_image_characterizations,
     lens_pi02,
     lower_embedding_range,
@@ -130,3 +133,26 @@ def test_presentation_serialization():
     data = pres.to_json()
     again = Pi02Presentation.from_json(S, data)
     assert again == pres
+
+
+def _first_order_mismatch(f: SpaceMap):
+    # the double loop: the first i with some j where i <= j and
+    # f(i) <= f(j) disagree; with none, f is injective (two points with
+    # one image would disagree one way round) and an order embedding
+    for i in range(f.domain.n):
+        for j in range(f.domain.n):
+            if f.domain.leq(i, j) != f.codomain.leq(f.table[i], f.table[j]):
+                return i
+    return None
+
+
+def test_row_test_matches_the_double_loop_on_every_small_map():
+    spaces = enumerate_spaces(3, up_to_iso=False)
+    checked = 0
+    for dom in spaces:
+        for cod in spaces:
+            for table in product(range(cod.n), repeat=dom.n):
+                f = SpaceMap(dom, cod, table)
+                assert _first_unembedded(f) == _first_order_mismatch(f), (dom, cod, table)
+                checked += 1
+    assert checked > 10_000

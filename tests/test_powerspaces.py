@@ -16,6 +16,7 @@ from powerspace.core import (
 from powerspace.errors import NotContinuous, PowerspaceTooLarge
 from powerspace.config import Limits
 from powerspace.powerspaces import (
+    Powers,
     algebra_laws,
     construction_to_json,
     convex_powerspace,
@@ -276,3 +277,23 @@ def test_serialization_and_dot():
     assert dot.count("->") == 3  # a 4-chain has three covers
     lens_json = construction_to_json(convex_powerspace(S))
     assert lens_json["points"][0]["extent"] == {"closed": [], "saturated": []}
+
+
+def test_powers_builds_each_word_once_from_its_tail():
+    pw = Powers(S)
+    assert pw.AK is pw.AK and pw.AK.label == "A(K(X))"
+    assert pw.AK.base_construction is pw.K
+    assert pw.AKK.base_construction is pw.KK
+    assert pw.LO.space == convex_powerspace(open_lattice(S)).space
+    for bad in ("", "AX", "a", "pairs_"):
+        with pytest.raises(AttributeError):
+            getattr(pw, bad)
+
+
+def test_powers_over_shares_the_builds():
+    pw = Powers(S)
+    tower = pw.over("K")
+    assert tower is pw.over("K") and tower.base == pw.K.space
+    assert tower.A is pw.AK and tower.KA is pw.KAK
+    assert tower.over("A").O is pw.OAK
+    assert tower.pairs is not pw.pairs

@@ -1,8 +1,51 @@
+import hashlib
 import json
+import sys
+from collections import Counter
 
 import pytest
 
-from powerspace.suites import SUITES, run_suite
+from powerspace import checkers, powerspaces
+from powerspace.config import DEFAULT_LIMITS
+from powerspace.core import enumerate_spaces
+from powerspace.suites import SUITES, consonance_space_job, monad_space_job, run_suite
+
+# sha256 of each suite's report body without timings and of its stdout
+# lines, at default scope; they pin every verdict and witness.
+GOLDEN = {
+    "homeo": ("2b4892b2a09554357feeefe5d6d78456351b88a587d0b917e63036cb0612ea44",
+              "168a985c902f2cc987d24744127deb87451cd7156bc5bd23b65e5ed40024890e"),
+    "monad": ("6863ffdd44c74387334b21100a09906deca8099dfb3ec3daabb1ab6a789c9a9e",
+              "5d7b9aef19c79babd185f9abeca587396bf48132e589bc6370ff4d16ce8497e5"),
+    "consonance": ("880c869de79348d0838c9ed6f9c0d36b2a5f7d6b223701626eb973ba53aaed7d",
+                   "db52bb105e38d64f842719c8d00f76171f6a66d73fc1b1110e54514461250b55"),
+    "pi02": ("7d544d9342caa3ed2f71e5c589dfdf804ab372b22a73779380bf14f45ae79463",
+             "be76107408817eee1b92183ea476b03a867477b70bd6c38c4aab76e86db7abc0"),
+    "wilker": ("89d302e8f89000ce38561a22a361e3ab4103e4ad2e9ab85826e973ad3366e78f",
+               "0eae422596cd4662efe3ae2f21358f717cf435387f742a975b8cbfc19a965fe8"),
+    "counterexamples": ("6e8d4f5738df4326b3ad2f89a2a9fbad170ad0804161f72584f6c6998c90aef9",
+                        "0dc48775267470be9e305cffa2446c81178ba69880ca60b1308d93078491080f"),
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """(label, base fingerprint) of every construction made while the
+    test runs, through the one function every builder leaves by."""
+    made = []
+    finish = powerspaces._finish
+
+    def finish_and_record(*args, **kwargs):
+        cs = finish(*args, **kwargs)
+        made.append((cs.label, cs.base.fingerprint))
+        return cs
+
+    monkeypatch.setattr(powerspaces, "_finish", finish_and_record)
+    return made
 
 
 def test_suite_names():
@@ -46,3 +89,42 @@ def test_include_empty_flag():
     with_empty = run_suite("monad", max_points=1, include_empty=True)
     without = run_suite("monad", max_points=1, include_empty=False)
     assert len(with_empty.subjects) == len(without.subjects) + 1
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_golden_report_bodies(suite):
+    report = run_suite(suite)
+    body = json.dumps(report.to_json(include_timings=False), sort_keys=True)
+    assert (_sha256(body), _sha256("\n".join(report.lines()))) == GOLDEN[suite]
+
+
+@pytest.mark.parametrize("job", [monad_space_job, consonance_space_job])
+def test_jobs_build_each_construction_once(job, builds):
+    for space in enumerate_spaces(3):
+        builds.clear()
+        job((space, DEFAULT_LIMITS))
+        twice = [key for key, count in Counter(builds).items() if count > 1]
+        assert not twice, (space, twice)
+
+
+@pytest.mark.parametrize("suite, most", [("monad", 80), ("consonance", 192)])
+def test_default_scope_build_counts(suite, most, builds):
+    run_suite(suite)
+    assert len(builds) <= most
+
+
+def test_consonance_job_runs_each_checker_once_per_tower(monkeypatch):
+    # both checkers enumerate their families once per run; the job runs
+    # them on three towers, over X, O(X) and K(X)
+    runs = Counter()
+    families = checkers._families
+
+    def counting(*args):
+        runs[sys._getframe(1).f_code.co_name] += 1
+        return families(*args)
+
+    monkeypatch.setattr(checkers, "_families", counting)
+    for space in enumerate_spaces(3):
+        runs.clear()
+        consonance_space_job((space, DEFAULT_LIMITS))
+        assert runs == {"is_consonant": 3, "is_co_consonant": 3}, space
