@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
 """Run every verification suite at its default scope and print a summary.
 
+The empty space is always among the subjects (include_empty=True), so the
+counts here differ from `powerspace verify`, which leaves it out unless
+given --include-empty.
+
 Usage: python3 scripts/run_suites.py [--jobs N] [--seed S]
 """
 
@@ -15,7 +19,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--include-empty", action="store_true", default=True)
     args = parser.parse_args()
 
     from dataclasses import replace
@@ -25,7 +28,7 @@ def main() -> int:
     total_failed = 0
     for suite in SUITES:
         t0 = time.monotonic()
-        report = run_suite(suite, include_empty=args.include_empty, jobs=args.jobs, limits=limits)
+        report = run_suite(suite, include_empty=True, jobs=args.jobs, limits=limits)
         dt = time.monotonic() - t0
         total_failed += report.failed
         print(f"{suite:<16} subjects={len(report.subjects):<4} checks={len(report.records):<5} "

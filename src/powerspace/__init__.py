@@ -32,21 +32,20 @@ from .core import (
 )
 from .powerspaces import (
     ConstructedSpace,
+    Powers,
     convex_powerspace,
     functor_map,
     lower_powerspace,
     monad_mult,
     monad_unit,
     open_lattice,
-    structure_map_intersection,
-    structure_map_union,
+    structure_map,
     to_dot,
     upper_powerspace,
 )
 from .canonical import (
     CanonicalMapPair,
     ModalGenerator,
-    Powers,
     alpha_beta,
     check_distributive_law,
     check_naturality,

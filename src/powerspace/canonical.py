@@ -29,7 +29,7 @@ from .core import (
     set_label,
     union_of,
 )
-from .errors import NotContinuous, PowerspaceTooLarge, ShapeMismatch
+from .errors import PowerspaceTooLarge, ShapeMismatch
 from .powerspaces import (
     KIND_CONVEX,
     KIND_LOWER,
@@ -222,10 +222,10 @@ def check_preimage_identities(x, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     """Verify the preimage identity of each canonical map on every
     generator it quantifies over."""
     pw = _powers(x, limits)
-    st = sigma_tau(pw, limits)
-    pp = phi_psi(pw, limits)
-    ab = alpha_beta(pw, limits)
-    gd = gamma_delta(pw, limits)
+    st = sigma_tau(pw)
+    pp = phi_psi(pw)
+    ab = alpha_beta(pw)
+    gd = gamma_delta(pw)
     dia, boxes = pw.diamonds, pw.boxes
     n_opens = len(pw.O.extents)
     checked = 0
@@ -302,29 +302,24 @@ class _Lifts:
     lifts[word] is T1(T2(...(f))) for a word such as "AK", built at most
     once, from the lift of the word's tail.  An odd number of O's turns
     the arrow around, so that lift runs from py's construction to px's.
-    Nothing refers back to the object, so the lifts go with it.
+    A discontinuous f fails in functor_map, at its first lift.  Nothing
+    refers back to the object, so the lifts go with it.
     """
 
-    def __init__(self, f: SpaceMap, pw_dom: Powers | None, pw_cod: Powers | None, limits: Limits):
-        if not check_continuous(f).holds:
-            raise NotContinuous("naturality needs a continuous map")
-        self.px = pw_dom or Powers(f.domain, limits)
-        self.py = pw_cod or Powers(f.codomain, limits)
-        self.limits = limits
+    def __init__(self, f: SpaceMap, px: Powers, py: Powers):
+        self.px, self.py = px, py
         self._made: dict[str, SpaceMap] = {"": f}
 
     def __getitem__(self, word: str) -> SpaceMap:
         g = self._made.get(word)
         if g is None:
             src, dst = (self.py, self.px) if word.count(KIND_OPENS) % 2 else (self.px, self.py)
-            g = self._made[word] = functor_map(
-                word[0], self[word[1:]], dom_ps=getattr(src, word), cod_ps=getattr(dst, word), limits=self.limits
-            )
+            g = self._made[word] = functor_map(self[word[1:]], getattr(src, word), getattr(dst, word))
         return g
 
     def square(self, which: str) -> Verdict:
         builder, dom, cod, direction = _SQUARES[which]
-        tx, ty = builder(self.px, self.limits), builder(self.py, self.limits)
+        tx, ty = builder(self.px), builder(self.py)
         if cod.count(KIND_OPENS) % 2:
             tx, ty = ty, tx  # contravariant: the pair over X sits on the left
         before, after = self[dom], self[cod]
@@ -343,31 +338,22 @@ class _Lifts:
         return Verdict(True, info={"checker": "check_naturality", "square": which, "points": left.domain.n})
 
 
-def naturality_squares(
-    f: SpaceMap,
-    pw_dom: Powers | None = None,
-    pw_cod: Powers | None = None,
-    limits: Limits = DEFAULT_LIMITS,
-):
+def naturality_squares(f: SpaceMap, px: Powers, py: Powers):
     """Yield (square, verdict) for the eight squares over a continuous
-    f: X -> Y, in the order sigma, tau, phi, psi, alpha, beta, gamma,
-    delta.  The ten lifts of f the squares need are shared between them
-    and built on first use; they go when the generator does."""
-    lifts = _Lifts(f, pw_dom, pw_cod, limits)
+    f: X -> Y, px and py the towers over X and Y, in the order sigma,
+    tau, phi, psi, alpha, beta, gamma, delta.  The ten lifts of f the
+    squares need are shared between them and built on first use; they go
+    when the generator does."""
+    lifts = _Lifts(f, px, py)
     for which in _SQUARES:
         yield which, lifts.square(which)
 
 
-def check_naturality(
-    f: SpaceMap,
-    which: str,
-    pw_dom: Powers | None = None,
-    pw_cod: Powers | None = None,
-    limits: Limits = DEFAULT_LIMITS,
-) -> Verdict:
-    """Commutation of the named square over a continuous f: X -> Y, with
-    only the lifts that square needs."""
-    lifts = _Lifts(f, pw_dom, pw_cod, limits)
+def check_naturality(f: SpaceMap, which: str, px: Powers, py: Powers) -> Verdict:
+    """Commutation of the named square over a continuous f: X -> Y, px
+    and py the towers over X and Y, with only the lifts that square
+    needs."""
+    lifts = _Lifts(f, px, py)
     if which not in _SQUARES:
         raise ValueError(f"unknown map name {which!r}")
     return lifts.square(which)
@@ -377,47 +363,47 @@ def check_naturality(
 # distributive-law diagrams
 
 
-def _beck_diagrams(pw: Powers, f: str, s: str, lam_of, limits: Limits) -> list[str]:
+def _beck_diagrams(pw: Powers, f: str, s: str, lam_of) -> list[str]:
     """The four compatibility diagrams for a law T1(T2(X)) => T2(T1(X)).
 
     f is the outer monad of the law's domain (T1), s the inner (T2);
     every construction is read off pw by its word.  Returns the names of
     the failing diagrams, empty when all hold.
     """
-    base, t1, t2 = pw.base, getattr(pw, f), getattr(pw, s)
+    t1, t2 = getattr(pw, f), getattr(pw, s)
     t12, t21 = getattr(pw, f + s), getattr(pw, s + f)  # lambda runs t12 -> t21
-    lam = lam_of(pw, limits)
+    lam = lam_of(pw)
     failures = []
 
     # units
-    eta2 = monad_unit(s, base, ps=t2, limits=limits)
-    t1_eta2 = functor_map(f, eta2, dom_ps=t1, cod_ps=t12, limits=limits)
-    eta2_at_t1 = monad_unit(s, t1, ps=t21, limits=limits)
+    eta2 = monad_unit(t2)
+    t1_eta2 = functor_map(eta2, t1, t12)
+    eta2_at_t1 = monad_unit(t21)
     if compose(lam, t1_eta2).table != eta2_at_t1.table:
         failures.append(f"lambda o {f}(eta_{s}) = eta_{s} at {f}")
-    eta1_at_t2 = monad_unit(f, t2, ps=t12, limits=limits)
-    eta1 = monad_unit(f, base, ps=t1, limits=limits)
-    t2_eta1 = functor_map(s, eta1, dom_ps=t2, cod_ps=t21, limits=limits)
+    eta1_at_t2 = monad_unit(t12)
+    eta1 = monad_unit(t1)
+    t2_eta1 = functor_map(eta1, t2, t21)
     if compose(lam, eta1_at_t2).table != t2_eta1.table:
         failures.append(f"lambda o eta_{f} at {s} = {s}(eta_{f})")
 
     # multiplication of the inner monad
-    mu2 = monad_mult(s, base, ps=t2, pps=getattr(pw, s + s), limits=limits)
-    t1_mu2 = functor_map(f, mu2, dom_ps=getattr(pw, f + s + s), cod_ps=t12, limits=limits)
-    lam_at_t2 = lam_of(pw.over(s), limits)
-    t2_lam = functor_map(s, lam, dom_ps=getattr(pw, s + f + s), cod_ps=getattr(pw, s + s + f), limits=limits)
-    mu2_at_t1 = monad_mult(s, t1, ps=t21, pps=getattr(pw, s + s + f), limits=limits)
+    mu2 = monad_mult(getattr(pw, s + s))
+    t1_mu2 = functor_map(mu2, getattr(pw, f + s + s), t12)
+    lam_at_t2 = lam_of(pw.over(s))
+    t2_lam = functor_map(lam, getattr(pw, s + f + s), getattr(pw, s + s + f))
+    mu2_at_t1 = monad_mult(getattr(pw, s + s + f))
     left = compose(lam, t1_mu2)
     right = compose(mu2_at_t1, compose(t2_lam, lam_at_t2))
     if left.table != right.table:
         failures.append(f"mu_{s} square")
 
     # multiplication of the outer monad
-    mu1 = monad_mult(f, base, ps=t1, pps=getattr(pw, f + f), limits=limits)
-    mu1_at_t2 = monad_mult(f, t2, ps=t12, pps=getattr(pw, f + f + s), limits=limits)
-    t1_lam = functor_map(f, lam, dom_ps=getattr(pw, f + f + s), cod_ps=getattr(pw, f + s + f), limits=limits)
-    lam_at_t1 = lam_of(pw.over(f), limits)
-    t2_mu1 = functor_map(s, mu1, dom_ps=getattr(pw, s + f + f), cod_ps=t21, limits=limits)
+    mu1 = monad_mult(getattr(pw, f + f))
+    mu1_at_t2 = monad_mult(getattr(pw, f + f + s))
+    t1_lam = functor_map(lam, getattr(pw, f + f + s), getattr(pw, f + s + f))
+    lam_at_t1 = lam_of(pw.over(f))
+    t2_mu1 = functor_map(mu1, getattr(pw, s + f + f), t21)
     left = compose(lam, mu1_at_t2)
     right = compose(t2_mu1, compose(lam_at_t1, t1_lam))
     if left.table != right.table:
@@ -434,12 +420,11 @@ def check_distributive_law(x, limits: Limits = DEFAULT_LIMITS, allow_large: bool
     the verdict states which orientation satisfies the diagrams instead of
     presuming one.
     """
-    base = x.base if isinstance(x, Powers) else x
-    if base.n > 2 and not allow_large:
-        raise PowerspaceTooLarge("distributive-law check is restricted to bases with at most 2 points")
     pw = _powers(x, limits)
-    sigma_fail = _beck_diagrams(pw, KIND_LOWER, KIND_UPPER, lambda p, l: sigma_tau(p, l).forward, limits)
-    tau_fail = _beck_diagrams(pw, KIND_UPPER, KIND_LOWER, lambda p, l: sigma_tau(p, l).backward, limits)
+    if pw.base.n > 2 and not allow_large:
+        raise PowerspaceTooLarge("distributive-law check is restricted to bases with at most 2 points")
+    sigma_fail = _beck_diagrams(pw, KIND_LOWER, KIND_UPPER, lambda p: sigma_tau(p).forward)
+    tau_fail = _beck_diagrams(pw, KIND_UPPER, KIND_LOWER, lambda p: sigma_tau(p).backward)
     info = {
         "checker": "check_distributive_law",
         "sigma_orientation_holds": not sigma_fail,

@@ -247,7 +247,7 @@ def consonance_equivalence(x: FiniteSpace | Powers, limits: Limits = DEFAULT_LIM
     pair = sigma_tau(pw)
     bijective = len(set(pair.forward.table)) == pw.KA.space.n == pw.AK.space.n
     tau_equality = True
-    for u in pw.base.opens(limits):
+    for u in pw.base.opens(pw.limits):
         box_dia = pw.KA.box(pw.A.diamond(u))
         dia_box = pw.AK.diamond(pw.K.box(u))
         if pair.backward.preimage_mask(dia_box) != box_dia:
@@ -272,7 +272,7 @@ def strong_compactness_implications(x: FiniteSpace | Powers, limits: Limits = DE
     cocons = is_co_consonant(pw).holds
     cons = is_consonant(pw).holds
     all_strong = all(
-        is_strongly_compact(x, PtSet(x, k), limits).holds for k in x.opens(limits)
+        is_strongly_compact(x, PtSet(x, k), pw.limits).holds for k in x.opens(pw.limits)
     )
     if cocons and not all_strong:
         return Verdict(False, witness={"direction": "co-consonant but some saturated set is not strongly compact"})

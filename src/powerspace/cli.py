@@ -18,7 +18,7 @@ import sys
 from .config import DEFAULT_LIMITS
 from .core import enumerate_spaces, space_from_json, space_to_json
 from .errors import LimitExceeded, ParseError, PowerspaceTooLarge, SpaceError
-from .powerspaces import BUILDERS, construction_to_json, to_dot
+from .powerspaces import BUILDERS, Powers, construction_to_json, to_dot
 from .suites import SUITES, run_suite
 
 
@@ -37,10 +37,10 @@ def parse_expression(text: str) -> list[str]:
 
 
 def evaluate_expression(space, text: str, limits=DEFAULT_LIMITS):
-    current = space
-    for op in reversed(parse_expression(text)):
-        current = BUILDERS[op](current, limits)
-    return current
+    """The construction the expression names over space, read off one
+    Powers by its word; "X" is the space itself."""
+    word = "".join(parse_expression(text))
+    return getattr(Powers(space, limits), word) if word else space
 
 
 def _cmd_verify(args) -> int:

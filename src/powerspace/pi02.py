@@ -23,7 +23,7 @@ from .core import (
     space_product,
 )
 from .errors import NotEmbedding, PresentationMismatch
-from .powerspaces import Powers, _powers, functor_map, lower_powerspace, monad_unit, upper_powerspace
+from .powerspaces import KIND_LOWER, KIND_UPPER, ConstructedSpace, Powers, _powers, functor_map, monad_unit
 
 
 @dataclass(frozen=True)
@@ -83,55 +83,58 @@ def validate_embedding(e: SpaceMap, limits: Limits = DEFAULT_LIMITS) -> None:
             raise NotEmbedding(f"image of {set_label(e.domain.names, w)} is not relatively open")
 
 
-def lower_embedding_range(e: SpaceMap, p: Pi02Presentation, limits: Limits = DEFAULT_LIMITS) -> Verdict:
+def lower_embedding_range(
+    e: SpaceMap, p: Pi02Presentation, dom_ps: ConstructedSpace, cod_ps: ConstructedSpace,
+    limits: Limits = DEFAULT_LIMITS,
+) -> Verdict:
     """The lifting of an embedding onto a presented subspace has, inside
     the lower construction over the ambient space, exactly the points
-    satisfying the relativized diamond implications."""
-    validate_embedding(e, limits)
-    if pi02_eval(p).mask != e.image_mask():
-        raise PresentationMismatch("presentation does not carve out the image of the embedding")
-    y = e.codomain
-    dom_ps = lower_powerspace(e.domain, limits)
-    cod_ps = lower_powerspace(y, limits)
-    lifted = functor_map("A", e, dom_ps=dom_ps, cod_ps=cod_ps, limits=limits)
-    rng = mask_of(lifted.table)
-    basis = y.opens(limits)
+    satisfying the relativized diamond implications.  dom_ps and cod_ps
+    are A of e's domain and of the ambient space."""
+    lifted = _lift_embedding(e, p, KIND_LOWER, dom_ps, cod_ps, limits)
+    basis = e.codomain.opens(limits)
     sel = 0
     for i, a in enumerate(cod_ps.extents):
         if all((not (a & (b & u)) or a & (b & v)) for b in basis for u, v in p.pairs):
             sel |= 1 << i
-    info = {"checker": "lower_embedding_range", "ambient_points": y.n, "range": len(lifted.table)}
-    if sel != rng:
-        diff = sel ^ rng
-        which = next(bits(diff))
-        return Verdict(False, witness={"closed_set": cod_ps.space.names[which],
-                                       "in_condition_set": bool((sel >> which) & 1)}, info=info)
-    if _first_unembedded(lifted) is not None:
-        return Verdict(False, witness={"failure": "lifting is not an embedding"}, info=info)
-    return Verdict(True, info=info)
+    return _range_verdict("lower_embedding_range", "closed_set", e, lifted, sel)
 
 
-def upper_embedding_range(e: SpaceMap, p: Pi02Presentation, limits: Limits = DEFAULT_LIMITS) -> Verdict:
-    """Dual of lower_embedding_range with boxes over unions; the basis is
-    the full open family, which is closed under finite unions."""
-    validate_embedding(e, limits)
-    if pi02_eval(p).mask != e.image_mask():
-        raise PresentationMismatch("presentation does not carve out the image of the embedding")
-    y = e.codomain
-    dom_ps = upper_powerspace(e.domain, limits)
-    cod_ps = upper_powerspace(y, limits)
-    lifted = functor_map("K", e, dom_ps=dom_ps, cod_ps=cod_ps, limits=limits)
-    rng = mask_of(lifted.table)
-    basis = y.opens(limits)
+def upper_embedding_range(
+    e: SpaceMap, p: Pi02Presentation, dom_ps: ConstructedSpace, cod_ps: ConstructedSpace,
+    limits: Limits = DEFAULT_LIMITS,
+) -> Verdict:
+    """Dual of lower_embedding_range with boxes over unions, over K of
+    e's domain and of the ambient space; the basis is the full open
+    family, which is closed under finite unions."""
+    lifted = _lift_embedding(e, p, KIND_UPPER, dom_ps, cod_ps, limits)
+    basis = e.codomain.opens(limits)
     sel = 0
     for i, k in enumerate(cod_ps.extents):
         if all((k & ~(b | u) or not (k & ~(b | v))) for b in basis for u, v in p.pairs):
             sel |= 1 << i
-    info = {"checker": "upper_embedding_range", "ambient_points": y.n, "range": len(lifted.table)}
+    return _range_verdict("upper_embedding_range", "saturated_set", e, lifted, sel)
+
+
+def _lift_embedding(e: SpaceMap, p: Pi02Presentation, kind: str, dom_ps, cod_ps, limits: Limits) -> SpaceMap:
+    """e lifted through the constructions of the given kind, once e is
+    an embedding whose image p carves out."""
+    if dom_ps.kind != kind:
+        raise ValueError(f"the {kind} range theorem lifts through {kind}, not {dom_ps.label}")
+    validate_embedding(e, limits)
+    if pi02_eval(p).mask != e.image_mask():
+        raise PresentationMismatch("presentation does not carve out the image of the embedding")
+    return functor_map(e, dom_ps, cod_ps)
+
+
+def _range_verdict(checker: str, witness_key: str, e: SpaceMap, lifted: SpaceMap, sel: int) -> Verdict:
+    """Holds when the condition set sel is the range of the lifting and
+    the lifting is an embedding."""
+    rng = mask_of(lifted.table)
+    info = {"checker": checker, "ambient_points": e.codomain.n, "range": len(lifted.table)}
     if sel != rng:
-        diff = sel ^ rng
-        which = next(bits(diff))
-        return Verdict(False, witness={"saturated_set": cod_ps.space.names[which],
+        which = next(bits(sel ^ rng))
+        return Verdict(False, witness={witness_key: lifted.codomain.names[which],
                                        "in_condition_set": bool((sel >> which) & 1)}, info=info)
     if _first_unembedded(lifted) is not None:
         return Verdict(False, witness={"failure": "lifting is not an embedding"}, info=info)
@@ -154,7 +157,7 @@ def lens_pi02(x: FiniteSpace | Powers, limits: Limits = DEFAULT_LIMITS) -> Verdi
     pw = _powers(x, limits)
     x, a_ps, k_ps, lens = pw.base, pw.A, pw.K, pw.L
     prod, pairs = space_product(a_ps.space, k_ps.space)
-    basis = x.opens(limits)
+    basis = x.opens(pw.limits)
     by_condition = []
     for ai, ki in pairs:
         a, k = a_ps.extents[ai], k_ps.extents[ki]
@@ -198,9 +201,9 @@ def eta_image_characterizations(x: FiniteSpace | Powers, limits: Limits = DEFAUL
     every finite T0 space is), non-empty box-splitting for the upper."""
     pw = _powers(x, limits)
     x, a_ps, k_ps = pw.base, pw.A, pw.K
-    eta_a = monad_unit("A", x, ps=a_ps, limits=limits)
-    eta_k = monad_unit("K", x, ps=k_ps, limits=limits)
-    basis = x.opens(limits)
+    eta_a = monad_unit(a_ps)
+    eta_k = monad_unit(k_ps)
+    basis = x.opens(pw.limits)
 
     a_space = a_ps.space
     a_pairs = [(a_space.full_mask, a_ps.diamond(x.full_mask))]

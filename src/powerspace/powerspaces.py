@@ -14,6 +14,12 @@ that index.  Points are sorted by extent so identical expressions always
 rebuild identical spaces.  Powers keeps the constructions of one subject,
 each built once and named by its word (pw.AK is A(K(X))).
 
+The maps between constructions take the constructions they run between
+and read the kind off them: monad_unit(pw.A) is X -> A(X),
+monad_mult(pw.AA) is A(A(X)) -> A(X), structure_map(pw.KO) is
+K(O(X)) -> O(X), and functor_map(f, px.A, py.A) lifts f: X -> Y to
+A(X) -> A(Y), for px, py the towers over X and Y.
+
 The empty lens <{}, {}> qualifies under the pair conditions and is kept;
 parts of the literature insist on non-empty lenses, this library does not.
 """
@@ -268,103 +274,71 @@ def _kept_on_powers(compute):
 
 
 # ---------------------------------------------------------------------------
-# the functorial actions
+# the maps between constructions: each reads its kind and its ends off the
+# constructions it is handed, checks them, and builds nothing
 
 
-def functor_map(
-    kind: str,
-    f: SpaceMap,
-    dom_ps: ConstructedSpace | None = None,
-    cod_ps: ConstructedSpace | None = None,
-    limits: Limits = DEFAULT_LIMITS,
-) -> SpaceMap:
-    """Lift a continuous f: X -> Y to the chosen construction.
+def functor_map(f: SpaceMap, dom_ps: ConstructedSpace, cod_ps: ConstructedSpace) -> SpaceMap:
+    """Lift a continuous f: X -> Y through the construction kind that
+    dom_ps and cod_ps share.
 
     A(f) takes a closed set to the closure of its image, K(f) to the
     saturation of its image.  O is contravariant: O(f) sends an open of Y
-    to its preimage, so the returned map runs O(Y) -> O(X).
+    to its preimage, so dom_ps is O(Y) and cod_ps is O(X).
     """
+    kind = dom_ps.kind
+    if kind != cod_ps.kind or kind == KIND_CONVEX:
+        raise ValueError(f"no functorial action from {dom_ps.label} to {cod_ps.label}")
+    src, dst = (f.codomain, f.domain) if kind == KIND_OPENS else (f.domain, f.codomain)
+    if dom_ps.base != src or cod_ps.base != dst:
+        raise ValueError(f"{dom_ps.label} -> {cod_ps.label} is not over the ends of the map in the {kind} direction")
     verdict = check_continuous(f)
     if not verdict.holds:
         raise NotContinuous(f"cannot lift a discontinuous map (witness {verdict.witness.label()})")
-    if kind in (KIND_LOWER, KIND_UPPER):
-        build = BUILDERS[kind]
-        dom_ps = dom_ps or build(f.domain, limits)
-        cod_ps = cod_ps or build(f.codomain, limits)
+    if kind == KIND_OPENS:
+        table = [cod_ps.point_of(f.preimage_mask(v)) for v in dom_ps.extents]
+    else:
         hull = f.codomain.down if kind == KIND_LOWER else f.codomain.up
         image_hulls = [hull[v] for v in f.table]
         table = [cod_ps.point_of(union_of(image_hulls, ext)) for ext in dom_ps.extents]
-        return SpaceMap(dom_ps.space, cod_ps.space, tuple(table))
-    if kind == KIND_OPENS:
-        dom_ps = dom_ps or open_lattice(f.codomain, limits)
-        cod_ps = cod_ps or open_lattice(f.domain, limits)
-        table = [cod_ps.point_of(f.preimage_mask(v)) for v in dom_ps.extents]
-        return SpaceMap(dom_ps.space, cod_ps.space, tuple(table))
-    raise ValueError(f"no functorial action for kind {kind!r}")
+    return SpaceMap(dom_ps.space, cod_ps.space, tuple(table))
 
 
-def monad_unit(kind: str, x, ps: ConstructedSpace | None = None, limits: Limits = DEFAULT_LIMITS) -> SpaceMap:
-    """X -> T(X); a point goes to its closure (A) or saturation (K)."""
-    base, _, _ = _base_of(x)
-    if kind == KIND_LOWER:
-        ps = ps or lower_powerspace(base, limits)
-        table = tuple(ps.point_of(base.down[p]) for p in range(base.n))
-    elif kind == KIND_UPPER:
-        ps = ps or upper_powerspace(base, limits)
-        table = tuple(ps.point_of(base.up[p]) for p in range(base.n))
-    else:
-        raise ValueError(f"no monad unit for kind {kind!r}")
-    return SpaceMap(base, ps.space, table)
+def monad_unit(ps: ConstructedSpace) -> SpaceMap:
+    """X -> T(X) for ps = T(X); a point goes to its closure (A) or
+    saturation (K)."""
+    if ps.kind not in (KIND_LOWER, KIND_UPPER):
+        raise ValueError(f"no monad unit into {ps.label}")
+    hull = ps.base.down if ps.kind == KIND_LOWER else ps.base.up
+    return SpaceMap(ps.base, ps.space, tuple(map(ps.point_of, hull)))
 
 
-def monad_mult(
-    kind: str,
-    x,
-    ps: ConstructedSpace | None = None,
-    pps: ConstructedSpace | None = None,
-    limits: Limits = DEFAULT_LIMITS,
-) -> SpaceMap:
-    """T(T(X)) -> T(X) by union of extents."""
-    base, _, _ = _base_of(x)
-    if kind not in (KIND_LOWER, KIND_UPPER):
-        raise ValueError(f"no monad multiplication for kind {kind!r}")
-    build = BUILDERS[kind]
-    ps = ps or build(base, limits)
-    pps = pps or build(ps, limits)
+def monad_mult(pps: ConstructedSpace) -> SpaceMap:
+    """T(T(X)) -> T(X) by union of extents, for pps = T(T(X)) built over
+    the construction T(X)."""
+    ps = pps.base_construction
+    if pps.kind not in (KIND_LOWER, KIND_UPPER) or ps is None or ps.kind != pps.kind:
+        raise ValueError(f"no monad multiplication on {pps.label}")
     table = tuple(ps.point_of(union_of(ps.extents, fam)) for fam in pps.extents)
     return SpaceMap(pps.space, ps.space, table)
 
 
-def structure_map_union(
-    x,
-    lattice: ConstructedSpace | None = None,
-    ao: ConstructedSpace | None = None,
-    limits: Limits = DEFAULT_LIMITS,
-) -> SpaceMap:
-    """A(O(X)) -> O(X), a closed family of opens goes to its union."""
-    base, _, _ = _base_of(x)
-    lattice = lattice or open_lattice(base, limits)
-    ao = ao or lower_powerspace(lattice, limits)
-    table = tuple(lattice.point_of(union_of(lattice.extents, fam)) for fam in ao.extents)
-    return SpaceMap(ao.space, lattice.space, table)
-
-
-def structure_map_intersection(
-    x,
-    lattice: ConstructedSpace | None = None,
-    ko: ConstructedSpace | None = None,
-    limits: Limits = DEFAULT_LIMITS,
-) -> SpaceMap:
-    """K(O(X)) -> O(X), a saturated family of opens goes to its intersection."""
-    base, _, _ = _base_of(x)
-    lattice = lattice or open_lattice(base, limits)
-    ko = ko or upper_powerspace(lattice, limits)
-    table = tuple(lattice.point_of(intersection_of(lattice.extents, fam, base.full_mask)) for fam in ko.extents)
-    return SpaceMap(ko.space, lattice.space, table)
+def structure_map(t: ConstructedSpace) -> SpaceMap:
+    """T(O(X)) -> O(X) for t = T(O(X)) built over the construction O(X):
+    a closed family of opens goes to its union (A), a saturated family to
+    its intersection (K)."""
+    lattice = t.base_construction
+    if t.kind not in (KIND_LOWER, KIND_UPPER) or lattice is None or lattice.kind != KIND_OPENS:
+        raise ValueError(f"no structure map on {t.label}")
+    if t.kind == KIND_LOWER:
+        table = (union_of(lattice.extents, fam) for fam in t.extents)
+    else:
+        table = (intersection_of(lattice.extents, fam, lattice.base.full_mask) for fam in t.extents)
+    return SpaceMap(t.space, lattice.space, tuple(map(lattice.point_of, table)))
 
 
 # ---------------------------------------------------------------------------
-# law checks used by the suites
+# law checks used by the suites; their caps are those of the tower
 
 
 def monad_laws(kind: str, x, limits: Limits = DEFAULT_LIMITS) -> Verdict:
@@ -375,11 +349,10 @@ def monad_laws(kind: str, x, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     which keeps the triple level inside the cap.
     """
     pw = _powers(x, limits)
-    base, t1, t2 = pw.base, getattr(pw, kind), getattr(pw, kind * 2)
-    eta = monad_unit(kind, base, ps=t1, limits=limits)
-    mult = monad_mult(kind, base, ps=t1, pps=t2, limits=limits)
-    eta_t = monad_unit(kind, t1, ps=t2, limits=limits)
-    t_eta = functor_map(kind, eta, dom_ps=t1, cod_ps=t2, limits=limits)
+    t1, t2 = getattr(pw, kind), getattr(pw, kind * 2)
+    eta, mult = monad_unit(t1), monad_mult(t2)
+    eta_t = monad_unit(t2)
+    t_eta = functor_map(eta, t1, t2)
     checks = 0
     for i in range(t1.space.n):
         checks += 2
@@ -389,7 +362,7 @@ def monad_laws(kind: str, x, limits: Limits = DEFAULT_LIMITS) -> Verdict:
             return Verdict(False, witness={"law": "mult after lifted unit", "point": t1.space.names[i]})
     if not check_continuous(eta).holds or not check_continuous(mult).holds:
         return Verdict(False, witness={"law": "continuity of unit or multiplication"})
-    bad, families = _first_family_apart(kind, t2, mult, limits)
+    bad, families = _first_family_apart(t2, mult, pw.limits)
     if bad is not None:
         return Verdict(False, witness={"law": "associativity", "family": set_label(t2.space.names, bad)})
     checks += families
@@ -405,45 +378,41 @@ def monad_preimage_identities(kind: str, x, limits: Limits = DEFAULT_LIMITS) -> 
     pw = _powers(x, limits)
     modal = ConstructedSpace.diamond if kind == KIND_LOWER else ConstructedSpace.box
     base, t1, t2 = pw.base, getattr(pw, kind), getattr(pw, kind * 2)
-    eta = monad_unit(kind, base, ps=t1, limits=limits)
-    mult = monad_mult(kind, base, ps=t1, pps=t2, limits=limits)
-    for u in base.opens(limits):
+    eta, mult = monad_unit(t1), monad_mult(t2)
+    for u in base.opens(pw.limits):
         m1 = modal(t1, u)
         if eta.preimage_mask(m1) != u:
             return Verdict(False, witness={"identity": "unit", "open": set_label(base.names, u)})
         if mult.preimage_mask(m1) != modal(t2, m1):
             return Verdict(False, witness={"identity": "mult", "open": set_label(base.names, u)})
-    return Verdict(True, info={"checker": "monad_preimage_identities", "kind": kind, "opens": len(base.opens(limits))})
+    return Verdict(True, info={"checker": "monad_preimage_identities", "kind": kind, "opens": len(base.opens(pw.limits))})
 
 
 def algebra_laws(kind: str, x, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     """Eilenberg-Moore laws for union on A(O(X)) or intersection on K(O(X))."""
-    if kind not in (KIND_LOWER, KIND_UPPER):
-        raise ValueError(f"no algebra for kind {kind!r}")
     pw = _powers(x, limits)
     lattice, t1 = pw.O, getattr(pw, kind + KIND_OPENS)
-    structure_map = structure_map_union if kind == KIND_LOWER else structure_map_intersection
-    struct = structure_map(pw.base, lattice, t1, limits)
-    eta = monad_unit(kind, lattice, ps=t1, limits=limits)
+    struct, eta = structure_map(t1), monad_unit(t1)
     for i in range(lattice.space.n):
         if struct.table[eta.table[i]] != i:
             return Verdict(False, witness={"law": "structure after unit", "open": lattice.space.names[i]})
     if not check_continuous(struct).holds:
         return Verdict(False, witness={"law": "continuity of the structure map"})
-    bad, families = _first_family_apart(kind, t1, struct, limits)
+    bad, families = _first_family_apart(t1, struct, pw.limits)
     if bad is not None:
         return Verdict(False, witness={"law": "structure after mult", "family": set_label(t1.space.names, bad)})
     return Verdict(True, info={"checker": "algebra_laws", "kind": kind, "checks": families})
 
 
-def _first_family_apart(kind: str, t: ConstructedSpace, struct: SpaceMap, limits: Limits):
-    """The square struct o mult = struct o T(struct) over T(t), whose
-    points (lower sets of t for A, upper sets for K) are enumerated, never
-    built.  A family goes one way to struct of the union of its extents,
-    the other to struct of the closure (A) or saturation (K) of its
-    image, the image living in struct's codomain.  Returns the first
-    family where the two differ, or None, and the number of families."""
-    lower = kind == KIND_LOWER
+def _first_family_apart(t: ConstructedSpace, struct: SpaceMap, limits: Limits):
+    """The square struct o mult = struct o T(struct) over T(t), T the kind
+    of t, whose points (lower sets of t for A, upper sets for K) are
+    enumerated, never built.  A family goes one way to struct of the union
+    of its extents, the other to struct of the closure (A) or saturation
+    (K) of its image, the image living in struct's codomain.  Returns the
+    first family where the two differ, or None, and the number of
+    families."""
+    lower = t.kind == KIND_LOWER
     families = (
         enumerate_lower_sets(t.space, limits.max_construction_points)
         if lower

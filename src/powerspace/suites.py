@@ -213,8 +213,12 @@ def pi02_space_job(args) -> list[CheckRecord]:
                 t0,
             )
         )
-        out.append(_timed(f"lower_range[{mask}]", subject, pi02.lower_embedding_range, embedding, pres, limits))
-        out.append(_timed(f"upper_range[{mask}]", subject, pi02.upper_embedding_range, embedding, pres, limits))
+        # the subset's constructions are built inside the check that first uses them
+        sub_pw = Powers(sub, limits)
+        out.append(_timed(f"lower_range[{mask}]", subject,
+                          lambda: pi02.lower_embedding_range(embedding, pres, sub_pw.A, pw.A, limits)))
+        out.append(_timed(f"upper_range[{mask}]", subject,
+                          lambda: pi02.upper_embedding_range(embedding, pres, sub_pw.K, pw.K, limits)))
     out.append(_timed("lens_identification", subject, pi02.lens_pi02, pw, limits))
     out.append(_timed("unit_image_characterizations", subject, pi02.eta_image_characterizations, pw, limits))
     return out
@@ -331,7 +335,7 @@ def _naturality_records(max_points: int, include_empty: bool, limits: Limits) ->
             bad = None
             squares = 0
             for f in iter_continuous_maps(dom, cod):
-                for which, v in naturality_squares(f, powers[dom.fingerprint], powers[cod.fingerprint], limits):
+                for which, v in naturality_squares(f, powers[dom.fingerprint], powers[cod.fingerprint]):
                     squares += 1
                     if not v.holds:
                         bad = {"map": list(f.table), "square": which, "detail": v.witness}

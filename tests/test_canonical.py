@@ -166,7 +166,7 @@ def test_alpha_after_unit_is_box():
 
     pw = Powers(S)
     ab = alpha_beta(pw)
-    eta = monad_unit("A", pw.O, ps=pw.AO)
+    eta = monad_unit(pw.AO)
     u = pw.O.point_of(0b10)
     assert pw.OK.extents[ab.forward.table[eta.table[u]]] == pw.K.box(0b10)
 
@@ -181,7 +181,7 @@ def test_gamma_example_and_unit():
     assert image == pw.A.diamond(0b10)
     for j in range(pw.KO.space.n):
         assert gd.backward.table[gd.forward.table[j]] == j
-    eta = monad_unit("K", pw.O, ps=pw.KO)
+    eta = monad_unit(pw.KO)
     u = pw.O.point_of(0b10)
     assert pw.OA.extents[gd.forward.table[eta.table[u]]] == pw.A.diamond(0b10)
 
@@ -272,13 +272,13 @@ def test_naturality_identity_and_example():
 
         assert check_naturality(identity_map(S), which, pw, pw).holds
     f = SpaceMap(D2, S, (0, 1))
-    assert check_naturality(f, "sigma").holds
+    assert check_naturality(f, "sigma", Powers(D2), pw).holds
 
 
 def test_naturality_rejects_discontinuous():
     swap = SpaceMap(S, S, (1, 0))
     with pytest.raises(NotContinuous):
-        check_naturality(swap, "sigma")
+        check_naturality(swap, "sigma", Powers(S), Powers(S))
 
 
 def test_naturality_all_maps_two_points():
@@ -329,17 +329,17 @@ def test_naturality_detects_one_wrong_table_entry(which):
 
 def test_naturality_squares_reject_discontinuous():
     with pytest.raises(NotContinuous):
-        next(naturality_squares(SpaceMap(S, S, (1, 0))))
+        next(naturality_squares(SpaceMap(S, S, (1, 0)), Powers(S), Powers(S)))
     with pytest.raises(ValueError, match="unknown map name"):
-        check_naturality(identity_map(S), "omega")
+        check_naturality(identity_map(S), "omega", Powers(S), Powers(S))
 
 
 def test_naturality_lifts_each_map_once(monkeypatch):
     lifted = []
 
-    def counting_functor_map(kind, f, *args, **kwargs):
-        lifted.append(kind)
-        return real_functor_map(kind, f, *args, **kwargs)
+    def counting_functor_map(f, dom_ps, cod_ps):
+        lifted.append(dom_ps.kind)
+        return real_functor_map(f, dom_ps, cod_ps)
 
     real_functor_map = canonical.functor_map
     monkeypatch.setattr(canonical, "functor_map", counting_functor_map)

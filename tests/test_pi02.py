@@ -13,6 +13,7 @@ from powerspace.core import (
     subspace,
 )
 from powerspace.errors import NotEmbedding, PresentationMismatch
+from powerspace.powerspaces import Powers
 from powerspace.pi02 import (
     Pi02Presentation,
     _first_unembedded,
@@ -89,30 +90,45 @@ def test_presentation_mismatch():
     sub, emb = subspace(S, 0b10)
     wrong = presentation_for_subset(S, 0b01)
     with pytest.raises(PresentationMismatch):
-        lower_embedding_range(emb, wrong)
+        lower_embedding_range(emb, wrong, Powers(sub).A, Powers(S).A)
 
 
 def test_embedding_ranges_example():
     sub, emb = subspace(S, 0b10)
     pres = Pi02Presentation(S, ((0b11, 0b10),))
-    assert lower_embedding_range(emb, pres).holds
-    assert upper_embedding_range(emb, pres).holds
+    psub, ps = Powers(sub), Powers(S)
+    assert lower_embedding_range(emb, pres, psub.A, ps.A).holds
+    assert upper_embedding_range(emb, pres, psub.K, ps.K).holds
+
+
+def test_embedding_ranges_check_their_constructions():
+    sub, emb = subspace(S, 0b10)
+    pres = Pi02Presentation(S, ((0b11, 0b10),))
+    psub, ps = Powers(sub), Powers(S)
+    with pytest.raises(ValueError):
+        lower_embedding_range(emb, pres, psub.K, ps.K)
+    with pytest.raises(ValueError):
+        upper_embedding_range(emb, pres, psub.A, ps.A)
+    with pytest.raises(ValueError):  # the ambient construction over the subspace
+        lower_embedding_range(emb, pres, psub.A, psub.A)
 
 
 def test_embedding_ranges_identity():
     sub, emb = subspace(D2, 0b11)
     pres = Pi02Presentation(D2, ())
-    v = lower_embedding_range(emb, pres)
+    v = lower_embedding_range(emb, pres, Powers(sub).A, Powers(D2).A)
     assert v.holds and v.info["range"] == 4
 
 
 def test_embedding_ranges_exhaustive():
     for ambient in enumerate_spaces(3):
+        pw = Powers(ambient)
         for mask in range(1 << ambient.n):
             sub, emb = subspace(ambient, mask)
             pres = presentation_for_subset(ambient, mask)
-            assert lower_embedding_range(emb, pres).holds
-            assert upper_embedding_range(emb, pres).holds
+            psub = Powers(sub)
+            assert lower_embedding_range(emb, pres, psub.A, pw.A).holds
+            assert upper_embedding_range(emb, pres, psub.K, pw.K).holds
 
 
 def test_lens_identification():

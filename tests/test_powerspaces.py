@@ -27,8 +27,7 @@ from powerspace.powerspaces import (
     monad_preimage_identities,
     monad_unit,
     open_lattice,
-    structure_map_intersection,
-    structure_map_union,
+    structure_map,
     to_dot,
     upper_powerspace,
 )
@@ -146,20 +145,20 @@ def test_size_cap():
 
 def test_functor_map_examples():
     f = SpaceMap(D2, S, (0, 1))  # a -> bot, b -> top
-    af = functor_map("A", f)
     a_d, a_s = lower_powerspace(D2), lower_powerspace(S)
+    af = functor_map(f, a_d, a_s)
     assert a_s.extents[af.table[a_d.point_of(0b11)]] == 0b11  # closure of the image
-    of = functor_map("O", f)
     o_s, o_d = open_lattice(S), open_lattice(D2)
+    of = functor_map(f, o_s, o_d)
     assert o_d.extents[of.table[o_s.point_of(0b10)]] == 0b10  # preimage of {top} is {b}
-    ident = functor_map("A", SpaceMap(S, S, (0, 1)))
+    ident = functor_map(SpaceMap(S, S, (0, 1)), a_s, a_s)
     assert ident.table == tuple(range(3))
 
 
 def test_functor_map_needs_continuity():
     swap = SpaceMap(S, S, (1, 0))
     with pytest.raises(NotContinuous):
-        functor_map("A", swap)
+        functor_map(swap, lower_powerspace(S), lower_powerspace(S))
 
 
 def test_functor_preimage_identities():
@@ -170,8 +169,8 @@ def test_functor_preimage_identities():
             a_dom, a_cod = lower_powerspace(dom), lower_powerspace(cod)
             k_dom, k_cod = upper_powerspace(dom), upper_powerspace(cod)
             for f in iter_continuous_maps(dom, cod):
-                af = functor_map("A", f, dom_ps=a_dom, cod_ps=a_cod)
-                kf = functor_map("K", f, dom_ps=k_dom, cod_ps=k_cod)
+                af = functor_map(f, a_dom, a_cod)
+                kf = functor_map(f, k_dom, k_cod)
                 for u in cod.opens():
                     pre = f.preimage_mask(u)
                     assert af.preimage_mask(a_cod.diamond(u)) == a_dom.diamond(pre)
@@ -179,18 +178,18 @@ def test_functor_preimage_identities():
 
 
 def test_monad_unit_examples():
-    eta_a = monad_unit("A", S)
     a_s = lower_powerspace(S)
+    eta_a = monad_unit(a_s)
     assert a_s.extents[eta_a.table[1]] == 0b11  # closure of top is everything
-    eta_k = monad_unit("K", S)
     k_s = upper_powerspace(S)
+    eta_k = monad_unit(k_s)
     assert k_s.extents[eta_k.table[0]] == 0b11  # saturation of bot is everything
 
 
 def test_monad_mult_example():
     a_d = lower_powerspace(D2)
     a_a_d = lower_powerspace(a_d)
-    mu = monad_mult("A", D2, ps=a_d, pps=a_a_d)
+    mu = monad_mult(a_a_d)
     gen = (1 << a_d.point_of(0b01)) | (1 << a_d.point_of(0b11))
     fam = a_d.space.closure_mask(gen)
     assert a_d.extents[mu.table[a_a_d.point_of(fam)]] == 0b11
@@ -205,15 +204,15 @@ def test_monad_laws_all_small_spaces(kind):
 
 def test_structure_maps_examples():
     o_s = open_lattice(S)
-    union = structure_map_union(S, lattice=o_s)
-    inter = structure_map_intersection(S, lattice=o_s)
     ao = lower_powerspace(o_s)
     ko = upper_powerspace(o_s)
+    union = structure_map(ao)
+    inter = structure_map(ko)
     down_top = o_s.space.closure_mask(1 << o_s.point_of(0b10))
     up_top = o_s.space.saturation_mask(1 << o_s.point_of(0b10))
     assert o_s.extents[union.table[ao.point_of(down_top)]] == 0b10
     assert o_s.extents[inter.table[ko.point_of(up_top)]] == 0b10
-    eta = monad_unit("A", o_s, ps=ao)
+    eta = monad_unit(ao)
     for i in range(o_s.space.n):
         assert union.table[eta.table[i]] == i
 
@@ -234,9 +233,9 @@ def test_lifted_open_map_lattice_structure():
             ao_dom, ao_cod = lower_powerspace(o_dom), lower_powerspace(o_cod)
             ko_dom, ko_cod = upper_powerspace(o_dom), upper_powerspace(o_cod)
             for f in iter_continuous_maps(dom, cod):
-                of = functor_map("O", f, dom_ps=o_cod, cod_ps=o_dom)
-                aof = functor_map("A", of, dom_ps=ao_cod, cod_ps=ao_dom)
-                kof = functor_map("K", of, dom_ps=ko_cod, cod_ps=ko_dom)
+                of = functor_map(f, o_cod, o_dom)
+                aof = functor_map(of, ao_cod, ao_dom)
+                kof = functor_map(of, ko_cod, ko_dom)
                 exts = ao_cod.extents
                 for i, e1 in enumerate(exts):
                     for j, e2 in enumerate(exts):
@@ -297,3 +296,123 @@ def test_powers_over_shares_the_builds():
     assert tower.A is pw.AK and tower.KA is pw.KAK
     assert tower.over("A").O is pw.OAK
     assert tower.pairs is not pw.pairs
+
+
+# Literal definitions, sharing no code with the library's maps: a closure is
+# the intersection of the closed sets containing the set, a saturation the
+# intersection of the opens containing it, an image or preimage a loop over
+# the points, a union or intersection of extents a loop over the family.
+
+
+def _literal_hull(space, m, closed):
+    out = space.full_mask
+    for u in space.opens():
+        c = space.full_mask & ~u if closed else u
+        if m & c == m:
+            out &= c
+    return out
+
+
+def _literal_image(f, m):
+    out = 0
+    for i in range(f.domain.n):
+        if m >> i & 1:
+            out |= 1 << f.table[i]
+    return out
+
+
+def _literal_preimage(f, m):
+    return sum(1 << i for i in range(f.domain.n) if m >> f.table[i] & 1)
+
+
+def _literal_union(extents, fam):
+    out = 0
+    for j, e in enumerate(extents):
+        if fam >> j & 1:
+            out |= e
+    return out
+
+
+def _literal_intersection(extents, fam, full):
+    out = full
+    for j, e in enumerate(extents):
+        if fam >> j & 1:
+            out &= e
+    return out
+
+
+def _images(m: SpaceMap, dom, cod):
+    """The extent each point's extent goes to under m, as a list."""
+    assert m.domain == dom.space and m.codomain == cod.space
+    return [cod.extents[v] for v in m.table]
+
+
+def test_maps_match_their_literal_definitions_on_labelled_spaces():
+    towers = [Powers(sp) for sp in enumerate_spaces(3, up_to_iso=False)]
+    lifted = 0
+    for px in towers:
+        x = px.base
+        eta_a, eta_k = monad_unit(px.A), monad_unit(px.K)
+        assert eta_a.domain == x and eta_k.domain == x
+        assert [px.A.extents[v] for v in eta_a.table] == [_literal_hull(x, 1 << p, True) for p in range(x.n)]
+        assert [px.K.extents[v] for v in eta_k.table] == [_literal_hull(x, 1 << p, False) for p in range(x.n)]
+        for t in (px.A, px.K):
+            tt = px.AA if t is px.A else px.KK
+            assert _images(monad_mult(tt), tt, t) == [_literal_union(t.extents, fam) for fam in tt.extents]
+        lattice, full = px.O.extents, x.full_mask
+        assert _images(structure_map(px.AO), px.AO, px.O) == [_literal_union(lattice, fam) for fam in px.AO.extents]
+        assert _images(structure_map(px.KO), px.KO, px.O) == [
+            _literal_intersection(lattice, fam, full) for fam in px.KO.extents
+        ]
+        for py in towers:
+            y = py.base
+            for f in iter_continuous_maps(x, y):
+                lifted += 1
+                assert _images(functor_map(f, px.A, py.A), px.A, py.A) == [
+                    _literal_hull(y, _literal_image(f, a), True) for a in px.A.extents
+                ]
+                assert _images(functor_map(f, px.K, py.K), px.K, py.K) == [
+                    _literal_hull(y, _literal_image(f, k), False) for k in px.K.extents
+                ]
+                assert _images(functor_map(f, py.O, px.O), py.O, px.O) == [
+                    _literal_preimage(f, v) for v in py.O.extents
+                ]
+    assert lifted == 4842
+
+
+def test_maps_reject_constructions_they_do_not_run_between():
+    f = SpaceMap(D2, S, (0, 1))  # every map out of a discrete space is continuous
+    pd, ps = Powers(D2), Powers(S)
+    # the well-formed lifts
+    assert functor_map(f, pd.A, ps.A).codomain == ps.A.space
+    assert functor_map(f, ps.O, pd.O).codomain == pd.O.space
+    bad = {
+        "kind mismatch": lambda: functor_map(f, pd.A, ps.K),
+        "no action on L": lambda: functor_map(f, pd.L, ps.L),
+        "domain over the wrong base": lambda: functor_map(f, ps.A, ps.A),
+        "codomain over the wrong base": lambda: functor_map(f, pd.K, pd.K),
+        "O with its direction reversed": lambda: functor_map(f, pd.O, ps.O),
+        "unit into O": lambda: monad_unit(ps.O),
+        "unit into L": lambda: monad_unit(ps.L),
+        "mult on A(K(X))": lambda: monad_mult(ps.AK),
+        "mult on a single construction": lambda: monad_mult(ps.A),
+        "mult over a bare space": lambda: monad_mult(lower_powerspace(ps.A.space)),
+        "structure map on A(A(X))": lambda: structure_map(ps.AA),
+        "structure map on O(O(X))": lambda: structure_map(ps.OO),
+        "structure map on A(X)": lambda: structure_map(ps.A),
+    }
+    for name, call in bad.items():
+        with pytest.raises(ValueError):
+            call()
+            pytest.fail(name)
+
+
+def test_law_checks_read_their_caps_off_the_tower():
+    # A(A(X)) and A(O(X)) of the 2-point antichain have 6 points, inside
+    # the cap; the families over each, 8 of them, are not
+    small = Limits(max_construction_points=7)
+    for law in (monad_laws, algebra_laws):
+        with pytest.raises(PowerspaceTooLarge):
+            law("A", Powers(antichain(2), small))
+        with pytest.raises(PowerspaceTooLarge):
+            law("A", antichain(2), small)

@@ -107,7 +107,7 @@ def test_jobs_build_each_construction_once(job, builds):
         assert not twice, (space, twice)
 
 
-@pytest.mark.parametrize("suite, most", [("monad", 80), ("consonance", 192)])
+@pytest.mark.parametrize("suite, most", [("monad", 80), ("consonance", 192), ("pi02", 124)])
 def test_default_scope_build_counts(suite, most, builds):
     run_suite(suite)
     assert len(builds) <= most
