@@ -23,13 +23,11 @@ from .core import (
     PtSet,
     Verdict,
     bits,
-    close_family,
     enumerate_upper_sets,
     intersection_of,
     mask_of,
-    scott_topology_family,
+    neighborhoods,
     set_label,
-    weak_topology_family,
 )
 from .errors import NotSaturated
 from .powerspaces import ConstructedSpace, Powers, _kept_on_powers, _powers
@@ -208,20 +206,15 @@ def wilker_scan(saturated, k, u1, u2) -> bool:
 
 def irreducible_closed_sets(x: FiniteSpace, limits: Limits = DEFAULT_LIMITS) -> list[PtSet]:
     """Non-empty closed sets that meet the intersection of any two opens
-    they meet, the quantifier running over the full open family.
-
-    A pair with an open missing a holds vacuously, and the condition is
-    symmetric in the two opens and holds for an open paired with itself,
-    so only unordered pairs of distinct opens meeting a are scanned."""
-    opens = x.opens(limits)
-    out = []
-    for a in enumerate_upper_sets(x.down, limits.max_construction_points):
-        if not a:
-            continue
-        meeting = [u for u in opens if a & u]
-        if all(a & u & v for u, v in combinations(meeting, 2)):
-            out.append(PtSet(x, a))
-    return out
+    they meet.  An open meeting a at p contains the open up(p), so a is
+    kept when a & up(p) & up(q) is non-empty for all p, q in a (p = q
+    holds by p itself)."""
+    up = x.up
+    return [
+        PtSet(x, a)
+        for a in enumerate_upper_sets(x.down, limits.max_construction_points)
+        if a and all(a & up[p] & up[q] for p, q in combinations(bits(a), 2))
+    ]
 
 
 def is_sober(x: FiniteSpace, limits: Limits = DEFAULT_LIMITS) -> Verdict:
@@ -287,23 +280,29 @@ def strong_compactness_implications(x: FiniteSpace | Powers, limits: Limits = DE
 
 def topology_coincidence(space: ConstructedSpace, against: str, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     """Compare the topology generated by a construction's subbasis with a
-    reference family recomputed from the specialization order alone."""
+    reference recomputed from the specialization order alone, generated
+    by the complements of the point closures (weak) or by the up-sets
+    (Scott).  A family closed under finite unions and intersections is
+    the unions of its least neighborhoods, so comparing those decides."""
     cs_space = space.space
-    generated = close_family(space.subbasis(limits), cs_space.full_mask, limits.max_construction_points)
     if against == "weak":
-        reference = weak_topology_family(cs_space, limits)
+        seeds = [cs_space.full_mask & ~d for d in cs_space.down]
     elif against == "scott":
-        reference = scott_topology_family(cs_space, limits)
+        seeds = cs_space.up
     else:
         raise ValueError(f"unknown reference topology {against!r}")
+    generated = neighborhoods(space.subbasis(limits), cs_space.n)
+    reference = neighborhoods(seeds, cs_space.n)
+    info = {"checker": "topology_coincidence", "against": against}
     if generated == reference:
-        return Verdict(True, info={"checker": "topology_coincidence", "against": against, "opens": len(generated)})
-    diff = sorted(generated.symmetric_difference(reference))
+        return Verdict(True, info=info)
+    p = next(p for p in range(cs_space.n) if generated[p] != reference[p])
     return Verdict(
         False,
         witness={
-            "set": set_label(cs_space.names, diff[0]),
-            "open_in": "generated" if diff[0] in generated else against,
+            "point": cs_space.names[p],
+            "generated": set_label(cs_space.names, generated[p]),
+            against: set_label(cs_space.names, reference[p]),
         },
-        info={"checker": "topology_coincidence", "against": against},
+        info=info,
     )

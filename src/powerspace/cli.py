@@ -44,7 +44,7 @@ def evaluate_expression(space, text: str, limits=DEFAULT_LIMITS):
 
 
 def _cmd_verify(args) -> int:
-    limits = DEFAULT_LIMITS.with_cap(args.cap) if args.cap else DEFAULT_LIMITS
+    limits = DEFAULT_LIMITS if args.cap is None else DEFAULT_LIMITS.with_cap(args.cap)
     if args.seed is not None:
         from dataclasses import replace
 
@@ -68,7 +68,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    limits = DEFAULT_LIMITS.with_cap(args.cap) if args.cap else DEFAULT_LIMITS
+    limits = DEFAULT_LIMITS if args.cap is None else DEFAULT_LIMITS.with_cap(args.cap)
     with open(args.space) as fh:
         try:
             space = space_from_json(json.load(fh))
@@ -112,16 +112,26 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """An argparse type for integers of at least low: a smaller count
+    would check nothing, a smaller cap or job count would be ignored."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="powerspace", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", choices=("all",) + SUITES, default="all")
-    p_verify.add_argument("--max-points", type=int, default=None)
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument("--max-points", type=_int_at_least(0), default=None)
+    p_verify.add_argument("--jobs", type=_int_at_least(1), default=1)
     p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--cap", type=int, default=None)
+    p_verify.add_argument("--cap", type=_int_at_least(1), default=None)
     p_verify.add_argument("--include-empty", action="store_true")
     p_verify.add_argument("--json", help="also write the report as JSON")
     p_verify.set_defaults(fn=_cmd_verify)
@@ -131,11 +141,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--expr", required=True, help='e.g. "K(A(X))"')
     p_build.add_argument("--format", choices=("json", "dot"), default="json")
     p_build.add_argument("--out", default=None)
-    p_build.add_argument("--cap", type=int, default=None)
+    p_build.add_argument("--cap", type=_int_at_least(1), default=None)
     p_build.set_defaults(fn=_cmd_build)
 
     p_enum = sub.add_parser("enumerate", help="write all T0 spaces up to a size as JSON lines")
-    p_enum.add_argument("-n", type=int, required=True)
+    p_enum.add_argument("-n", type=_int_at_least(0), required=True)
     p_enum.add_argument("--out", default=None)
     p_enum.add_argument("--include-empty", action="store_true")
     p_enum.set_defaults(fn=_cmd_enumerate)

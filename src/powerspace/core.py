@@ -69,6 +69,14 @@ def intersection_of(masks: Sequence[int], sel: int, full: int) -> int:
     return reduce(and_, compress(masks, _selectors(sel)), full)
 
 
+def neighborhoods(seeds: Sequence[int], n: int) -> list[int]:
+    """For each of n points, the intersection of the seeds containing it,
+    or all n points when none does: its least neighborhood in the family
+    the seeds generate under finite unions and intersections."""
+    full = (1 << n) - 1
+    return [reduce(and_, (s for s in seeds if s >> p & 1), full) for p in range(n)]
+
+
 def set_label(names: Sequence[str], mask: int) -> str:
     return "{" + ",".join(names[i] for i in bits(mask)) + "}"
 
@@ -381,13 +389,7 @@ def space_from_opens(names: Sequence[str], opens: Iterable[Iterable[int] | int])
         if m & ~full:
             raise ValueError("open contains unknown points")
         masks.append(m)
-    up = []
-    for p in range(n):
-        m = full
-        for o in masks:
-            if (o >> p) & 1:
-                m &= o
-        up.append(m)
+    up = neighborhoods(masks, n)
     seen: dict[int, int] = {}
     for p, m in enumerate(up):
         if m in seen:
@@ -524,38 +526,6 @@ def _count_split(p: int, up, down, memo: dict) -> int:
         got = _count_split(p & ~down[x], up, down, memo) + _count_split(p & ~up[x], up, down, memo)
         memo[p] = got
     return got
-
-
-def close_family(seeds: Iterable[int], full: int, cap: int | None = None) -> frozenset[int]:
-    """Close a family of sets under pairwise union and intersection,
-    with the empty and full sets adjoined."""
-    fam = {0, full}
-    fam.update(seeds)
-    frontier = list(fam)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in list(fam):
-                for c in (a | b, a & b):
-                    if c not in fam:
-                        fam.add(c)
-                        fresh.append(c)
-                        if cap is not None and len(fam) > cap:
-                            raise PowerspaceTooLarge(f"family closure above {cap} sets")
-        frontier = fresh
-    return frozenset(fam)
-
-
-def weak_topology_family(space: FiniteSpace, limits: Limits = DEFAULT_LIMITS) -> frozenset[int]:
-    """Topology generated by complements of point closures."""
-    full = space.full_mask
-    seeds = [full & ~space.down[p] for p in range(space.n)]
-    return close_family(seeds, full, limits.max_construction_points)
-
-
-def scott_topology_family(space: FiniteSpace, limits: Limits = DEFAULT_LIMITS) -> frozenset[int]:
-    """On a finite poset the Scott opens are exactly the upper sets."""
-    return frozenset(space.opens(limits))
 
 
 # ---------------------------------------------------------------------------

@@ -69,30 +69,29 @@ def presentation_for_subset(ambient: FiniteSpace, mask: int) -> Pi02Presentation
     return Pi02Presentation(ambient, tuple(pairs))
 
 
-def validate_embedding(e: SpaceMap, limits: Limits = DEFAULT_LIMITS) -> None:
-    """Injectivity, continuity and openness onto the image, each literal."""
+def validate_embedding(e: SpaceMap) -> None:
+    """Injectivity, continuity and openness onto the image.  An open
+    around i contains up(i), so the image of every open is relatively
+    open exactly when the image of each up(i) is."""
     if not e.is_injective():
         raise NotEmbedding("not injective")
     if not check_continuous(e).holds:
         raise NotEmbedding("not continuous")
-    image = e.image_mask()
-    cod_opens = e.codomain.opens(limits)
-    for w in e.domain.opens(limits):
-        fw = mask_of(e.table[i] for i in bits(w))
-        if not any(fw == (w2 & image) for w2 in cod_opens):
-            raise NotEmbedding(f"image of {set_label(e.domain.names, w)} is not relatively open")
+    i = _first_unembedded(e)
+    if i is not None:
+        raise NotEmbedding(f"image of up({e.domain.names[i]}) is not relatively open")
 
 
 def lower_embedding_range(
     e: SpaceMap, p: Pi02Presentation, dom_ps: ConstructedSpace, cod_ps: ConstructedSpace,
-    limits: Limits = DEFAULT_LIMITS,
 ) -> Verdict:
     """The lifting of an embedding onto a presented subspace has, inside
     the lower construction over the ambient space, exactly the points
     satisfying the relativized diamond implications.  dom_ps and cod_ps
-    are A of e's domain and of the ambient space."""
-    lifted = _lift_embedding(e, p, KIND_LOWER, dom_ps, cod_ps, limits)
-    basis = e.codomain.opens(limits)
+    are A of e's domain and of the ambient space.  b runs over the
+    up-sets: an implication holding for each holds for their unions."""
+    lifted = _lift_embedding(e, p, KIND_LOWER, dom_ps, cod_ps)
+    basis = e.codomain.up
     sel = 0
     for i, a in enumerate(cod_ps.extents):
         if all((not (a & (b & u)) or a & (b & v)) for b in basis for u, v in p.pairs):
@@ -105,9 +104,10 @@ def upper_embedding_range(
     limits: Limits = DEFAULT_LIMITS,
 ) -> Verdict:
     """Dual of lower_embedding_range with boxes over unions, over K of
-    e's domain and of the ambient space; the basis is the full open
-    family, which is closed under finite unions."""
-    lifted = _lift_embedding(e, p, KIND_UPPER, dom_ps, cod_ps, limits)
+    e's domain and of the ambient space.  Here b runs over the full open
+    family: a box implication that holds for two opens need not hold for
+    their union, so the up-sets alone do not decide it."""
+    lifted = _lift_embedding(e, p, KIND_UPPER, dom_ps, cod_ps)
     basis = e.codomain.opens(limits)
     sel = 0
     for i, k in enumerate(cod_ps.extents):
@@ -116,12 +116,12 @@ def upper_embedding_range(
     return _range_verdict("upper_embedding_range", "saturated_set", e, lifted, sel)
 
 
-def _lift_embedding(e: SpaceMap, p: Pi02Presentation, kind: str, dom_ps, cod_ps, limits: Limits) -> SpaceMap:
+def _lift_embedding(e: SpaceMap, p: Pi02Presentation, kind: str, dom_ps, cod_ps) -> SpaceMap:
     """e lifted through the constructions of the given kind, once e is
     an embedding whose image p carves out."""
     if dom_ps.kind != kind:
         raise ValueError(f"the {kind} range theorem lifts through {kind}, not {dom_ps.label}")
-    validate_embedding(e, limits)
+    validate_embedding(e)
     if pi02_eval(p).mask != e.image_mask():
         raise PresentationMismatch("presentation does not carve out the image of the embedding")
     return functor_map(e, dom_ps, cod_ps)

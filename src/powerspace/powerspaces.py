@@ -98,7 +98,8 @@ class ConstructedSpace:
     def subbasis(self, limits: Limits = DEFAULT_LIMITS) -> list[int]:
         """The generating opens listed in the module docstring, U running
         over the opens of the base.  Built on demand for the topology
-        audits, which close it and compare the result with the order."""
+        audits, which compare the least neighborhoods it generates with
+        those of the order."""
         opens = self.base.opens(limits)
         if self.kind == KIND_OPENS:
             return [mask_of(j for j, v in enumerate(self.extents) if not (u & ~v)) for u in opens]

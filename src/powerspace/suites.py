@@ -216,7 +216,7 @@ def pi02_space_job(args) -> list[CheckRecord]:
         # the subset's constructions are built inside the check that first uses them
         sub_pw = Powers(sub, limits)
         out.append(_timed(f"lower_range[{mask}]", subject,
-                          lambda: pi02.lower_embedding_range(embedding, pres, sub_pw.A, pw.A, limits)))
+                          lambda: pi02.lower_embedding_range(embedding, pres, sub_pw.A, pw.A)))
         out.append(_timed(f"upper_range[{mask}]", subject,
                           lambda: pi02.upper_embedding_range(embedding, pres, sub_pw.K, pw.K, limits)))
     out.append(_timed("lens_identification", subject, pi02.lens_pi02, pw, limits))

@@ -26,7 +26,7 @@ from powerspace.core import (
     sierpinski,
 )
 from powerspace.errors import NotSaturated
-from powerspace.powerspaces import open_lattice
+from powerspace.powerspaces import ConstructedSpace, open_lattice
 
 S = sierpinski()
 D2 = antichain(2, names=("a", "b"))
@@ -128,7 +128,11 @@ def test_irreducibles_and_sobriety():
 
 
 def test_irreducible_closed_sets_match_literal_quantifier():
-    for sp in enumerate_spaces(4, up_to_iso=False):
+    subjects = list(enumerate_spaces(4, up_to_iso=False))
+    for sp in enumerate_spaces(3, up_to_iso=False):
+        pw = Powers(sp)
+        subjects += [pw.A.space, pw.O.space]
+    for sp in subjects:
         opens = sp.opens()
         literal = [
             a
@@ -158,6 +162,20 @@ def test_topology_coincidences():
     assert topology_coincidence(Powers(D2).KA, "weak").holds
     with pytest.raises(ValueError):
         topology_coincidence(Powers(S).A, "metric")
+
+
+def test_topology_coincidence_names_the_point_a_lost_generator_changes(monkeypatch):
+    # dropping the generator for the open {top} leaves {bot,top} with a
+    # larger least neighborhood than the order gives it
+    subbasis = ConstructedSpace.subbasis
+    monkeypatch.setattr(ConstructedSpace, "subbasis", lambda cs, limits=DEFAULT_LIMITS: subbasis(cs, limits)[::2])
+    pw = Powers(S)
+    v = topology_coincidence(pw.A, "weak")
+    assert not v.holds
+    assert v.witness == {"point": "{bot,top}", "generated": "{{bot},{bot,top}}", "weak": "{{bot,top}}"}
+    v = topology_coincidence(pw.K, "scott")
+    assert not v.holds
+    assert v.witness == {"point": "{top}", "generated": "{{},{top},{bot,top}}", "scott": "{{},{top}}"}
 
 
 def test_powerspace_sobriety():

@@ -128,3 +128,19 @@ def test_enumerate_counts(tmp_path, capsys):
 
 def test_enumerate_limit_exit_code(capsys):
     assert main(["enumerate", "-n", "7"]) == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "--suite", "homeo", "--max-points", "-1"], "--max-points"),
+    (["enumerate", "-n", "-1"], "-n"),
+    (["verify", "--suite", "counterexamples", "--cap", "0"], "--cap"),
+    (["build", "{space}", "--expr", "A(X)", "--cap", "0"], "--cap"),
+    (["verify", "--suite", "counterexamples", "--jobs", "0"], "--jobs"),
+    (["verify", "--suite", "counterexamples", "--jobs", "-3"], "--jobs"),
+])
+def test_numeric_flags_rejected_below_their_floor(argv, flag, d2_file, capsys):
+    # each would otherwise run: a pass over no spaces, the default cap, serial jobs
+    argv = [str(d2_file) if a == "{space}" else a for a in argv]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert f"argument {flag}" in captured.err and not captured.out

@@ -24,6 +24,7 @@ from powerspace.core import (
     is_monotone,
     iter_continuous_maps,
     mask_of,
+    neighborhoods,
     saturation,
     sierpinski,
     space_from_json,
@@ -34,6 +35,7 @@ from powerspace.core import (
     space_product,
     union_of,
 )
+from oracles import close_family
 from powerspace.errors import CycleDetected, LimitExceeded, NotT0
 from powerspace.powerspaces import convex_powerspace, lower_powerspace, open_lattice, upper_powerspace
 
@@ -481,3 +483,18 @@ def test_union_and_intersection_match_literal_loops():
             assert intersection_of(masks, sel, full) == meet
             # bits of sel beyond the masks pick nothing
             assert union_of(masks, sel | 1 << size + 3) == union
+
+
+def test_neighborhoods_decide_generated_family_equality():
+    # two seed families close to the same family under finite unions and
+    # intersections exactly when their least neighborhoods agree
+    rng = random.Random(20170)
+    outcomes = {True: 0, False: 0}
+    for sp in enumerate_spaces(4, up_to_iso=False):
+        opens = sp.opens()
+        for _ in range(20):
+            s1, s2 = (rng.sample(opens, rng.randint(0, len(opens))) for _ in range(2))
+            by_closure = close_family(s1, sp.full_mask) == close_family(s2, sp.full_mask)
+            assert (neighborhoods(s1, sp.n) == neighborhoods(s2, sp.n)) == by_closure, (sp, s1, s2)
+            outcomes[by_closure] += 1
+    assert outcomes[True] and outcomes[False]

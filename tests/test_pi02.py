@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +7,9 @@ from powerspace.core import (
     PtSet,
     SpaceMap,
     antichain,
+    bits,
     enumerate_spaces,
+    mask_of,
     sierpinski,
     space_from_poset,
     subspace,
@@ -82,8 +84,36 @@ def test_validate_embedding_rejects():
         validate_embedding(collapse)
     # injective and continuous but not an embedding: discrete pair into the chain
     flatten = SpaceMap(D2, S, (0, 1))
-    with pytest.raises(NotEmbedding):
+    with pytest.raises(NotEmbedding, match=r"image of up\(a\) is not relatively open"):
         validate_embedding(flatten)
+
+
+def _is_embedding_literally(f: SpaceMap) -> bool:
+    # continuity and relative openness of every open's image, each by
+    # scanning the open families
+    dom_opens, cod_opens, image = set(f.domain.opens()), f.codomain.opens(), mask_of(f.table)
+    if any(mask_of(i for i, v in enumerate(f.table) if w >> v & 1) not in dom_opens for w in cod_opens):
+        return False
+    return all(any(mask_of(f.table[i] for i in bits(w)) == w2 & image for w2 in cod_opens) for w in dom_opens)
+
+
+def test_validate_embedding_matches_the_literal_scan():
+    spaces = enumerate_spaces(3, up_to_iso=False)
+    checked = embeddings = 0
+    for dom in spaces:
+        for cod in spaces:
+            for table in permutations(range(cod.n), dom.n):
+                f = SpaceMap(dom, cod, table)
+                literal = _is_embedding_literally(f)
+                try:
+                    validate_embedding(f)
+                except NotEmbedding:
+                    assert not literal, (dom, cod, table)
+                else:
+                    assert literal, (dom, cod, table)
+                checked += 1
+                embeddings += literal
+    assert (checked, embeddings) == (2614, 322)
 
 
 def test_presentation_mismatch():
@@ -122,6 +152,19 @@ def test_embedding_ranges_identity():
 
 def test_embedding_ranges_exhaustive():
     for ambient in enumerate_spaces(3):
+        pw = Powers(ambient)
+        for mask in range(1 << ambient.n):
+            sub, emb = subspace(ambient, mask)
+            pres = presentation_for_subset(ambient, mask)
+            psub = Powers(sub)
+            assert lower_embedding_range(emb, pres, psub.A, pw.A).holds
+            assert upper_embedding_range(emb, pres, psub.K, pw.K).holds
+
+
+def test_embedding_ranges_on_labelled_spaces():
+    # every position of a subspace inside its ambient order, for the
+    # lower range quantified over the ambient up-sets
+    for ambient in enumerate_spaces(3, up_to_iso=False):
         pw = Powers(ambient)
         for mask in range(1 << ambient.n):
             sub, emb = subspace(ambient, mask)

@@ -129,7 +129,8 @@ def test_set_formers_match_pairwise_definitions():
 def test_generated_topology_is_upper_family():
     # the generated family, closed under union and intersection, is the
     # family of upper sets of the derived order
-    from powerspace.core import close_family, enumerate_upper_sets
+    from oracles import close_family
+    from powerspace.core import enumerate_upper_sets
 
     for sp in enumerate_spaces(3):
         for builder in (lower_powerspace, upper_powerspace, convex_powerspace, open_lattice):

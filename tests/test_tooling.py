@@ -1,11 +1,12 @@
 """The benchmark harness and the scripts import names from powerspace that
 no other test touches.  Parse them, without running them, and resolve
 every such name, so a change to the public API cannot break them
-silently."""
+silently.  The README's quickstart is run as written."""
 
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -85,3 +86,10 @@ def test_the_check_sees_a_missing_name(tmp_path):
         ("powerspace.powerspaces", "structure_map_union"),
         ("powerspace.powerspaces", "_no_such_finish"),
     ]
+
+
+def test_readme_quickstart_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {"__name__": "quickstart"})
+    assert "digraph" in capsys.readouterr().out
