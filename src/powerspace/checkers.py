@@ -1,11 +1,19 @@
 """Decision procedures for the topological properties the theorems turn on.
 
-Quantifiers over "every Scott-open family of opens" are exhaustive while
-the open-set lattice stays small (finite Scott opens are exactly the
-upper families); past the configured limit the checkers fall back to
-seeded random sampling and say so in the verdict.  Witness searches try
-the canonical finite-space witness first and only then scan, which keeps
-the procedures decision procedures rather than theorem restatements.
+Consonance (Dolecki, Greco and Lechicki, 1995) and co-consonance ask, for
+every Scott-open family F of opens (on a finite space, every upper family)
+and every open U in F, for a witness inside F: a compact filter, or a
+finite intersection of triangles, containing U.  A witness for F serves
+every larger family, and U's principal filter is Scott-open and lies in
+every such F, so the checkers decide each open once, on that filter, and
+never sample.  The same monotonicity in K reduces Wilker's property to
+K = U1 | U2.
+
+Witness searches try the canonical finite-space witness first and only
+then scan, which keeps the procedures decision procedures rather than
+theorem restatements.  is_consonant's canonical K = U passes on every
+family it is handed; consonance_equivalence is the cross-check that can
+disagree with it.
 
 Whether the lower or upper construction preserves consonance cannot be
 probed here: every finite space is consonant, so no finite experiment
@@ -14,7 +22,6 @@ can separate the candidates.  The checkers make no claim either way.
 
 from __future__ import annotations
 
-import random
 from itertools import combinations
 
 from .config import DEFAULT_LIMITS, Limits
@@ -34,66 +41,42 @@ from .powerspaces import ConstructedSpace, Powers, _kept_on_powers, _powers
 from .canonical import sigma_tau
 
 
-def _families(lattice_space: FiniteSpace, limits: Limits, seed: int):
-    """Scott-open families as masks over the lattice points, plus a flag
-    telling whether the enumeration was exhaustive."""
-    if lattice_space.n <= limits.family_enumeration_limit:
-        return enumerate_upper_sets(lattice_space.up, limits.max_construction_points), False
-    rng = random.Random(seed)
-    fams = {0, lattice_space.full_mask}
-    for _ in range(limits.sample_count):
-        gen = 0
-        for i in range(lattice_space.n):
-            if rng.random() < 0.25:
-                gen |= 1 << i
-        fams.add(lattice_space.saturation_mask(gen))
-    return sorted(fams), True
-
-
-def _seed_for(space: FiniteSpace, limits: Limits) -> int:
-    return limits.seed ^ int(space.fingerprint, 16)
-
-
 @_kept_on_powers
 def is_consonant(pw: Powers) -> Verdict:
-    """Every Scott-open family of opens is a union of compact filters.
+    """Every Scott-open family of opens is a union of compact filters,
+    decided at each open U on its principal filter.
 
     The witness search tries K = U itself first; an open set of a finite
     space is saturated and compact, and its filter sits inside any upward
     closed family containing U, so the fallback scan is a safeguard.
     Takes a base space or a Powers, on which the verdict is kept.
     """
-    x, limits = pw.base, pw.limits
-    opens = x.opens(limits)
+    opens = pw.base.opens(pw.limits)
     lattice_space = pw.O.space
     filters = lattice_space.up
-    fams, sampled = _families(lattice_space, limits, _seed_for(x, limits))
-    pairs = 0
-    for fam in fams:
-        for u_idx in bits(fam):
-            pairs += 1
-            if not (filters[u_idx] & ~fam):
-                continue  # K = U works
-            if not any(
-                not (filters[k_idx] & ~fam) and not (opens[k_idx] & ~opens[u_idx])
-                for k_idx in range(len(opens))
-            ):
-                return Verdict(
-                    False,
-                    witness={"family": set_label(lattice_space.names, fam), "open": lattice_space.names[u_idx]},
-                    info={"checker": "is_consonant", "sampled": sampled},
-                )
-    return Verdict(True, info={"checker": "is_consonant", "families": len(fams), "pairs": pairs, "sampled": sampled})
+    for u_idx, fam in enumerate(filters):
+        if not (filters[u_idx] & ~fam):
+            continue  # K = U works
+        if not any(
+            not (filters[k_idx] & ~fam) and not (opens[k_idx] & ~opens[u_idx])
+            for k_idx in range(len(opens))
+        ):
+            return Verdict(
+                False,
+                witness={"family": set_label(lattice_space.names, fam), "open": lattice_space.names[u_idx]},
+                info={"checker": "is_consonant"},
+            )
+    return Verdict(True, info={"checker": "is_consonant", "opens": len(opens)})
 
 
 @_kept_on_powers
 def is_co_consonant(pw: Powers) -> Verdict:
     """Every Scott-open family of opens is a union of finite intersections
-    of sets (triangle A).  The canonical candidate takes the point closures
-    of the minimal points of U; their triangle-intersection is the filter
-    above U.  It depends on U alone, so it is computed once per open.  A
-    bounded scan over closed-set pairs backs it up.  Takes a base space or
-    a Powers, on which the verdict is kept."""
+    of sets (triangle A), decided at each open U on its principal filter.
+    The canonical candidate takes the point closures of the minimal points
+    of U; their triangle-intersection is the filter above U.  A bounded
+    scan over closed-set pairs backs it up.  Takes a base space or a
+    Powers, on which the verdict is kept."""
     x, limits = pw.base, pw.limits
     opens = x.opens(limits)
     closed = [x.full_mask ^ u for u in opens]
@@ -101,30 +84,21 @@ def is_co_consonant(pw: Powers) -> Verdict:
     lattice_space = lattice.space
     tri = [lattice.diamond(a) for a in closed]
     candidate = _co_consonance_candidates(x, opens, tri)
-    fams, sampled = _families(lattice_space, limits, _seed_for(x, limits) ^ 0x5A5A)
-    pairs = 0
-    for fam in fams:
-        for u_idx in bits(fam):
-            pairs += 1
-            inter = candidate[u_idx]
-            if (inter >> u_idx) & 1 and not (inter & ~fam):
-                continue
-            found = False
-            for i in range(len(closed)):
-                for j in range(i, len(closed)):
-                    inter = tri[i] & tri[j]
-                    if (inter >> u_idx) & 1 and not (inter & ~fam):
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
-                return Verdict(
-                    False,
-                    witness={"family": set_label(lattice_space.names, fam), "open": lattice_space.names[u_idx]},
-                    info={"checker": "is_co_consonant", "sampled": sampled},
-                )
-    return Verdict(True, info={"checker": "is_co_consonant", "families": len(fams), "pairs": pairs, "sampled": sampled})
+    for u_idx, fam in enumerate(lattice_space.up):
+        inter = candidate[u_idx]
+        if (inter >> u_idx) & 1 and not (inter & ~fam):
+            continue
+        if not any(
+            (tri[i] & tri[j]) >> u_idx & 1 and not (tri[i] & tri[j] & ~fam)
+            for i in range(len(closed))
+            for j in range(i, len(closed))
+        ):
+            return Verdict(
+                False,
+                witness={"family": set_label(lattice_space.names, fam), "open": lattice_space.names[u_idx]},
+                info={"checker": "is_co_consonant"},
+            )
+    return Verdict(True, info={"checker": "is_co_consonant", "opens": len(opens)})
 
 
 def _co_consonance_candidates(x: FiniteSpace, opens, tri) -> list[int]:
@@ -165,31 +139,28 @@ def is_strongly_compact(x: FiniteSpace, k: PtSet, limits: Limits = DEFAULT_LIMIT
 
 def is_wilker(x: FiniteSpace, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     """Compacts under a two-open cover split into compacts under each
-    open.  Tries (K & U1, K & U2) first, then scans saturated pairs."""
+    open.  A split of K also splits every saturated set inside K, so only
+    the largest saturated set under the cover, K = U1 | U2, is checked.
+    Tries (K & U1, K & U2) first, then scans saturated pairs."""
     opens = x.opens(limits)
     saturated = opens  # in a finite space the saturated sets are the opens
-    triples = 0
     for u1 in opens:
         for u2 in opens:
-            cover = u1 | u2
-            for k in saturated:
-                if k & ~cover:
-                    continue
-                triples += 1
-                k1, k2 = k & u1, k & u2
-                if not (k1 & ~u1) and not (k2 & ~u2) and not (k & ~(k1 | k2)):
-                    continue
-                if not wilker_scan(saturated, k, u1, u2):
-                    return Verdict(
-                        False,
-                        witness={
-                            "K": set_label(x.names, k),
-                            "U1": set_label(x.names, u1),
-                            "U2": set_label(x.names, u2),
-                        },
-                        info={"checker": "is_wilker"},
-                    )
-    return Verdict(True, info={"checker": "is_wilker", "triples": triples})
+            k = u1 | u2
+            k1, k2 = k & u1, k & u2
+            if not (k1 & ~u1) and not (k2 & ~u2) and not (k & ~(k1 | k2)):
+                continue
+            if not wilker_scan(saturated, k, u1, u2):
+                return Verdict(
+                    False,
+                    witness={
+                        "K": set_label(x.names, k),
+                        "U1": set_label(x.names, u1),
+                        "U2": set_label(x.names, u2),
+                    },
+                    info={"checker": "is_wilker"},
+                )
+    return Verdict(True, info={"checker": "is_wilker", "pairs": len(opens) ** 2})
 
 
 def wilker_scan(saturated, k, u1, u2) -> bool:

@@ -5,8 +5,9 @@
     powerspace enumerate -n 3 --out spaces.jsonl
 
 Exit codes: 0 all checks pass, 1 a theorem check failed, 2 a resource
-cap was hit, 3 bad input.  Report bodies are byte-deterministic for
-fixed inputs; timing sections are exempt from that contract.
+cap was hit, 3 bad input or a verify scope with no check in it.  Report
+bodies are byte-deterministic for fixed inputs; timing sections are
+exempt from that contract.
 """
 
 from __future__ import annotations
@@ -58,6 +59,9 @@ def _cmd_verify(args) -> int:
         jobs=args.jobs,
         limits=limits,
     )
+    if not report.records:
+        print("input error: no check in scope", file=sys.stderr)
+        return 3
     for line in report.lines():
         print(line)
     if args.json:

@@ -11,18 +11,12 @@ class Limits:
 
     max_construction_points   hard cap on the point count of any single
                               constructed space or materialized open family
-    max_enumeration_points    largest n accepted by enumerate_spaces
-    family_enumeration_limit  exhaustive Scott-family enumeration is used only
-                              while the open-set lattice has at most this many
-                              points, larger lattices are sampled
-    sample_count              number of sampled Scott-open families per check
-    seed                      seed for all sampled checks
+    seed                      seed for the counterexample suite's sampled
+                              checks on its infinite spaces; no check on a
+                              finite space samples
     """
 
     max_construction_points: int = 1 << 20
-    max_enumeration_points: int = 6
-    family_enumeration_limit: int = 16
-    sample_count: int = 64
     seed: int = 0
 
     def with_cap(self, cap: int) -> "Limits":

@@ -581,16 +581,17 @@ def _canonical_posets_exact(k: int) -> list[tuple[int, ...]]:
 
 
 _SPACE_CACHE: dict[tuple[int, bool], tuple[FiniteSpace, ...]] = {}
+MAX_ENUMERATION_POINTS = 6  # largest n accepted by enumerate_spaces
 
 
-def enumerate_spaces(n: int, up_to_iso: bool = True, limits: Limits = DEFAULT_LIMITS) -> tuple[FiniteSpace, ...]:
+def enumerate_spaces(n: int, up_to_iso: bool = True) -> tuple[FiniteSpace, ...]:
     """All finite T0 spaces on at most n points, the empty space included.
 
     With up_to_iso the list carries one representative per poset
     isomorphism class; otherwise every labeling appears.
     """
-    if n > limits.max_enumeration_points:
-        raise LimitExceeded(f"enumeration capped at {limits.max_enumeration_points} points")
+    if n > MAX_ENUMERATION_POINTS:
+        raise LimitExceeded(f"enumeration capped at {MAX_ENUMERATION_POINTS} points")
     key = (n, up_to_iso)
     got = _SPACE_CACHE.get(key)
     if got is not None:

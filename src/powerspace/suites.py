@@ -118,8 +118,8 @@ def _label(space: FiniteSpace) -> str:
     return f"n{space.n}-{space.fingerprint}"
 
 
-def _spaces(max_points: int, include_empty: bool, limits: Limits):
-    spaces = enumerate_spaces(max_points, up_to_iso=True, limits=limits)
+def _spaces(max_points: int, include_empty: bool):
+    spaces = enumerate_spaces(max_points, up_to_iso=True)
     return [s for s in spaces if include_empty or s.n > 0]
 
 
@@ -315,7 +315,7 @@ def run_suite(
     if suite not in JOBS:
         raise ValueError(f"unknown suite {suite!r}")
     scope = max_points if max_points is not None else DEFAULT_SCOPE[suite]
-    spaces = _spaces(scope, include_empty, limits)
+    spaces = _spaces(scope, include_empty)
     report = SuiteReport(suite=suite, subjects=[_label(s) for s in spaces])
     report.records = _run_spaces(suite, spaces, limits, jobs)
     if suite == "homeo":
@@ -325,7 +325,7 @@ def run_suite(
 
 
 def _naturality_records(max_points: int, include_empty: bool, limits: Limits) -> list[CheckRecord]:
-    spaces = _spaces(max_points, include_empty, limits)
+    spaces = _spaces(max_points, include_empty)
     powers = {s.fingerprint: Powers(s, limits) for s in spaces}
     out = []
     for dom in spaces:

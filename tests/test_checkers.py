@@ -16,17 +16,17 @@ from powerspace.checkers import (
 from powerspace.config import DEFAULT_LIMITS
 from powerspace.core import (
     PtSet,
-    Verdict,
     antichain,
-    bits,
+    chain,
     empty_space,
     enumerate_spaces,
     enumerate_upper_sets,
-    set_label,
     sierpinski,
 )
 from powerspace.errors import NotSaturated
 from powerspace.powerspaces import ConstructedSpace, open_lattice
+
+from oracles import least_triangle_intersections, literal_co_consonance, literal_consonance, literal_wilker
 
 S = sierpinski()
 D2 = antichain(2, names=("a", "b"))
@@ -37,7 +37,7 @@ def test_consonance_on_small_spaces():
     assert is_consonant(empty_space()).holds
     for sp in enumerate_spaces(4):
         v = is_consonant(sp)
-        assert v.holds and not v.info["sampled"]
+        assert v.holds and v.info["opens"] == len(sp.opens())
 
 
 def test_co_consonance_on_small_spaces():
@@ -47,48 +47,59 @@ def test_co_consonance_on_small_spaces():
         assert is_co_consonant(sp).holds
 
 
-def _literal_co_consonance(x, limits=DEFAULT_LIMITS):
-    """is_co_consonant with the canonical candidate recomputed for every
-    (family, open) pair; also checks the hoisted candidates against it."""
-    opens = x.opens(limits)
-    closed = [x.full_mask ^ u for u in opens]
-    lattice = open_lattice(x, limits)
-    tri = [lattice.diamond(a) for a in closed]
-    hoisted = checkers._co_consonance_candidates(x, opens, tri)
-    fams, sampled = checkers._families(lattice.space, limits, checkers._seed_for(x, limits) ^ 0x5A5A)
-    pairs = 0
-    for fam in fams:
-        for u_idx in bits(fam):
-            pairs += 1
-            inter = (1 << len(opens)) - 1
-            for p in range(x.n):
-                if opens[u_idx] >> p & 1 and x.down[p] & opens[u_idx] == 1 << p:
-                    inter &= tri[closed.index(x.down[p])]
-            assert hoisted[u_idx] == inter
-            if inter >> u_idx & 1 and not inter & ~fam:
-                continue
-            if not any(
-                (tri[i] & tri[j]) >> u_idx & 1 and not tri[i] & tri[j] & ~fam
-                for i in range(len(closed))
-                for j in range(i, len(closed))
-            ):
-                witness = {"family": set_label(lattice.space.names, fam), "open": lattice.space.names[u_idx]}
-                return Verdict(False, witness=witness, info={"checker": "is_co_consonant", "sampled": sampled})
-    return Verdict(True, info={"checker": "is_co_consonant", "families": len(fams), "pairs": pairs, "sampled": sampled})
-
-
-def test_co_consonance_matches_per_pair_candidates():
+def _labelled_subjects(*constructions):
+    """Every labelled space of at most 4 points, then the named
+    constructions of every labelled space of at most 3 points."""
     subjects = list(enumerate_spaces(4, up_to_iso=False))
     for sp in enumerate_spaces(3, up_to_iso=False):
         pw = Powers(sp)
-        subjects += [pw.K.space, pw.O.space]
-    assert len(subjects) == 243 + 2 * 24
-    sampled = 0
-    for x in subjects:
+        subjects += [getattr(pw, c).space for c in constructions]
+    assert len(subjects) == 243 + len(constructions) * 24
+    return subjects
+
+
+def test_consonance_matches_literal_quantifier():
+    for x in _labelled_subjects("K", "O"):
+        v = is_consonant(x)
+        assert v.holds == (literal_consonance(x) is None)
+        assert v.info["opens"] == len(x.opens())
+
+
+def test_co_consonance_matches_per_pair_candidates():
+    # the hoisted candidates are the least triangle intersections, and the
+    # principal filters decide what every upper family of O(x) decides
+    for x in _labelled_subjects("K", "O"):
+        opens = x.opens()
+        lattice = open_lattice(x)
+        tri = [lattice.diamond(x.full_mask ^ u) for u in opens]
+        assert checkers._co_consonance_candidates(x, opens, tri) == least_triangle_intersections(x)
         v = is_co_consonant(x)
-        assert v == _literal_co_consonance(x)
-        sampled += v.info["sampled"]
-    assert sampled  # both the exhaustive and the sampled families are covered
+        assert v.holds == (literal_co_consonance(x) is None)
+        assert v.info["opens"] == len(opens)
+
+
+def test_co_consonance_fails_without_its_candidates(monkeypatch):
+    # only the candidate, an empty intersection for the open {}, contains {}
+    monkeypatch.setattr(checkers, "_co_consonance_candidates", lambda x, opens, tri: [0] * len(opens))
+    for x in (S, antichain(3), chain(3)):
+        v = is_co_consonant(x)
+        assert not v.holds and v.witness["open"] == "{}"
+        assert literal_co_consonance(x, candidates=[0] * len(x.opens())) is not None
+
+
+def test_co_consonance_matches_literal_quantifier_on_a_coarser_candidate(monkeypatch):
+    # every open as each candidate fails on 46 of the labelled spaces; the
+    # principal filters still decide what every upper family decides
+    def everything(x):
+        return [(1 << len(x.opens())) - 1] * len(x.opens())
+
+    monkeypatch.setattr(checkers, "_co_consonance_candidates", lambda x, opens, tri: everything(x))
+    failing = 0
+    for x in enumerate_spaces(4, up_to_iso=False):
+        v = is_co_consonant(x)
+        assert v.holds == (literal_co_consonance(x, candidates=everything(x)) is None)
+        failing += not v.holds
+    assert failing == 46
 
 
 def test_upper_space_co_consonant():
@@ -97,10 +108,13 @@ def test_upper_space_co_consonant():
         assert is_co_consonant(pw.K.space).holds
 
 
-def test_sampling_kicks_in_on_large_lattices():
-    pw = Powers(antichain(4))
-    v = is_consonant(pw.O.space)
-    assert v.holds and v.info["sampled"]
+def test_checkers_exhaustive_on_large_lattices():
+    # O(X) has 16 points and 168 opens; the literal quantifier would range
+    # over the 1.4 billion upper families of its open-set lattice
+    x = Powers(antichain(4)).O.space
+    for checker in (is_consonant, is_co_consonant):
+        v = checker(x)
+        assert v.holds and v.info["opens"] == 168
 
 
 def test_strongly_compact():
@@ -118,6 +132,13 @@ def test_wilker():
     assert is_wilker(empty_space()).holds
     for sp in enumerate_spaces(4):
         assert is_wilker(sp).holds
+
+
+def test_wilker_matches_literal_triple_quantifier():
+    for sp in enumerate_spaces(4, up_to_iso=False):
+        v = is_wilker(sp)
+        assert v.holds == (literal_wilker(sp) is None)
+        assert v.info["pairs"] == len(sp.opens()) ** 2
 
 
 def test_irreducibles_and_sobriety():

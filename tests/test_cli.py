@@ -50,6 +50,25 @@ def test_verify_all_trivial(capsys):
     assert "failed=0" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "homeo", "--max-points", "0"],
+    ["verify", "--suite", "wilker", "--max-points", "0", "--include-empty"],
+])
+def test_verify_with_no_check_in_scope_is_rejected(argv, capsys):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert "no check in scope" in captured.err and not captured.out
+
+
+@pytest.mark.parametrize("argv, checks", [
+    (["verify", "--suite", "homeo", "--max-points", "0", "--include-empty"], 7),
+    (["verify", "--suite", "all", "--max-points", "0"], 4),
+])
+def test_verify_on_the_empty_scope_runs_what_it_can(argv, checks, capsys):
+    assert main(argv) == 0
+    assert f"checks={checks} failed=0" in capsys.readouterr().out
+
+
 def test_verify_deterministic_output(capsys, tmp_path):
     argv = ["verify", "--suite", "monad", "--max-points", "2", "--seed", "5"]
     assert main(argv) == 0

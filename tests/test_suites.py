@@ -7,7 +7,7 @@ import pytest
 
 from powerspace import checkers, powerspaces
 from powerspace.config import DEFAULT_LIMITS
-from powerspace.core import enumerate_spaces
+from powerspace.core import Verdict, enumerate_spaces
 from powerspace.suites import SUITES, consonance_space_job, monad_space_job, run_suite
 
 # sha256 of each suite's report body without timings and of its stdout
@@ -114,17 +114,17 @@ def test_default_scope_build_counts(suite, most, builds):
 
 
 def test_consonance_job_runs_each_checker_once_per_tower(monkeypatch):
-    # both checkers enumerate their families once per run; the job runs
-    # them on three towers, over X, O(X) and K(X)
+    # each checker builds one Verdict per run; the job runs them on three
+    # towers, over X, O(X) and K(X)
     runs = Counter()
-    families = checkers._families
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         runs[sys._getframe(1).f_code.co_name] += 1
-        return families(*args)
+        return Verdict(*args, **kwargs)
 
-    monkeypatch.setattr(checkers, "_families", counting)
+    monkeypatch.setattr(checkers, "Verdict", counting)
     for space in enumerate_spaces(3):
         runs.clear()
         consonance_space_job((space, DEFAULT_LIMITS))
-        assert runs == {"is_consonant": 3, "is_co_consonant": 3}, space
+        assert {name: runs[name] for name in ("is_consonant", "is_co_consonant")} == {
+            "is_consonant": 3, "is_co_consonant": 3}, space
