@@ -5,15 +5,17 @@ every Scott-open family F of opens (on a finite space, every upper family)
 and every open U in F, for a witness inside F: a compact filter, or a
 finite intersection of triangles, containing U.  A witness for F serves
 every larger family, and U's principal filter is Scott-open and lies in
-every such F, so the checkers decide each open once, on that filter, and
-never sample.  The same monotonicity in K reduces Wilker's property to
-K = U1 | U2.
+every such F, so the checkers decide each open once, on that filter.  Each
+open has one candidate witness, read off the members index of O(X); the
+check is that it contains U and lies inside U's principal filter, read off
+the order of O(X), so a wrong order or a wrong index fails it.
 
-Witness searches try the canonical finite-space witness first and only
-then scan, which keeps the procedures decision procedures rather than
-theorem restatements.  is_consonant's canonical K = U passes on every
-family it is handed; consonance_equivalence is the cross-check that can
-disagree with it.
+Wilker's property (as used by de Brecht and Kawai) is decided on the
+points and boxes of K(X): the split (U1, U2) of U1 | U2 also splits every
+compact under the cover, so each pair of opens is decided once.  Every
+saturated set of a finite space is strongly compact, its own finite
+witness, so the strong-compactness implication is read off the consonance
+and co-consonance verdicts.
 
 Whether the lower or upper construction preserves consonance cannot be
 probed here: every finite space is consonant, so no finite experiment
@@ -22,7 +24,7 @@ can separate the candidates.  The checkers make no claim either way.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 from .config import DEFAULT_LIMITS, Limits
 from .core import (
@@ -36,7 +38,6 @@ from .core import (
     neighborhoods,
     set_label,
 )
-from .errors import NotSaturated
 from .powerspaces import ConstructedSpace, Powers, _kept_on_powers, _powers
 from .canonical import sigma_tau
 
@@ -44,61 +45,43 @@ from .canonical import sigma_tau
 @_kept_on_powers
 def is_consonant(pw: Powers) -> Verdict:
     """Every Scott-open family of opens is a union of compact filters,
-    decided at each open U on its principal filter.
-
-    The witness search tries K = U itself first; an open set of a finite
-    space is saturated and compact, and its filter sits inside any upward
-    closed family containing U, so the fallback scan is a safeguard.
-    Takes a base space or a Powers, on which the verdict is kept.
-    """
-    opens = pw.base.opens(pw.limits)
-    lattice_space = pw.O.space
-    filters = lattice_space.up
-    for u_idx, fam in enumerate(filters):
-        if not (filters[u_idx] & ~fam):
-            continue  # K = U works
-        if not any(
-            not (filters[k_idx] & ~fam) and not (opens[k_idx] & ~opens[u_idx])
-            for k_idx in range(len(opens))
-        ):
-            return Verdict(
-                False,
-                witness={"family": set_label(lattice_space.names, fam), "open": lattice_space.names[u_idx]},
-                info={"checker": "is_consonant"},
-            )
-    return Verdict(True, info={"checker": "is_consonant", "opens": len(opens)})
+    decided at each open U on its principal filter.  The candidate is the
+    filter of the compact up(min U), the opens containing the minimal
+    points of U.  Takes a base space or a Powers, on which the verdict is
+    kept."""
+    lattice = pw.O
+    candidates = [lattice.containing(pw.base.minimal_points(u)) for u in lattice.extents]
+    bad = _first_failing_open(lattice, candidates)
+    if bad:
+        return Verdict(False, witness=bad, info={"checker": "is_consonant"})
+    return Verdict(True, info={"checker": "is_consonant", "opens": len(candidates)})
 
 
 @_kept_on_powers
 def is_co_consonant(pw: Powers) -> Verdict:
     """Every Scott-open family of opens is a union of finite intersections
     of sets (triangle A), decided at each open U on its principal filter.
-    The canonical candidate takes the point closures of the minimal points
-    of U; their triangle-intersection is the filter above U.  A bounded
-    scan over closed-set pairs backs it up.  Takes a base space or a
-    Powers, on which the verdict is kept."""
-    x, limits = pw.base, pw.limits
-    opens = x.opens(limits)
-    closed = [x.full_mask ^ u for u in opens]
-    lattice = pw.O
-    lattice_space = lattice.space
-    tri = [lattice.diamond(a) for a in closed]
-    candidate = _co_consonance_candidates(x, opens, tri)
-    for u_idx, fam in enumerate(lattice_space.up):
-        inter = candidate[u_idx]
-        if (inter >> u_idx) & 1 and not (inter & ~fam):
-            continue
-        if not any(
-            (tri[i] & tri[j]) >> u_idx & 1 and not (tri[i] & tri[j] & ~fam)
-            for i in range(len(closed))
-            for j in range(i, len(closed))
-        ):
-            return Verdict(
-                False,
-                witness={"family": set_label(lattice_space.names, fam), "open": lattice_space.names[u_idx]},
-                info={"checker": "is_co_consonant"},
-            )
+    The candidate intersects the triangles of the point closures of the
+    minimal points of U.  Takes a base space or a Powers, on which the
+    verdict is kept."""
+    x, lattice = pw.base, pw.O
+    opens = lattice.extents
+    tri = [lattice.diamond(x.full_mask ^ u) for u in opens]
+    bad = _first_failing_open(lattice, _co_consonance_candidates(x, opens, tri))
+    if bad:
+        return Verdict(False, witness=bad, info={"checker": "is_co_consonant"})
     return Verdict(True, info={"checker": "is_co_consonant", "opens": len(opens)})
+
+
+def _first_failing_open(lattice: ConstructedSpace, candidates: list[int]) -> dict | None:
+    """The witness at the first open U whose candidate, a mask over O(X),
+    misses U or leaves U's principal filter in O(X); None when every
+    candidate fits."""
+    space = lattice.space
+    for u_idx, (cand, fam) in enumerate(zip(candidates, space.up)):
+        if not cand >> u_idx & 1 or cand & ~fam:
+            return {"family": set_label(space.names, fam), "open": space.names[u_idx]}
+    return None
 
 
 def _co_consonance_candidates(x: FiniteSpace, opens, tri) -> list[int]:
@@ -113,66 +96,38 @@ def _co_consonance_candidates(x: FiniteSpace, opens, tri) -> list[int]:
     ]
 
 
-def is_strongly_compact(x: FiniteSpace, k: PtSet, limits: Limits = DEFAULT_LIMITS) -> Verdict:
-    """K is strongly compact when every open around it contains the
-    saturation of a finite set that still contains K.  Finite spaces allow
-    F = K itself; the inclusions are still evaluated literally."""
-    if k.space != x:
-        raise ValueError("point set belongs to a different space")
-    if x.saturation_mask(k.mask) != k.mask:
-        raise NotSaturated(f"{k.label()} is not saturated")
-    checked = 0
-    for u in x.opens(limits):
-        if k.mask & ~u:
-            continue
-        f = k.mask
-        up_f = x.saturation_mask(f)
-        checked += 1
-        if k.mask & ~up_f or up_f & ~u:
+def is_wilker(x: FiniteSpace | Powers, limits: Limits = DEFAULT_LIMITS) -> Verdict:
+    """Compacts under a two-open cover split into compacts under each
+    open, decided on K(X) for every pair (U1, U2): K1 = U1 and K2 = U2 are
+    points in box(U1) and box(U2), and every compact under the cover, each
+    point of box(U1 | U2), lies inside K1 | K2, above the point
+    K = U1 | U2 in K(X)'s order.  Takes a base space or a Powers."""
+    pw = _powers(x, limits)
+    upper, lattice, boxes = pw.K, pw.O, pw.boxes
+    opens = lattice.extents
+
+    def splits(i: int, j: int) -> bool:
+        u1, u2 = opens[i], opens[j]
+        try:
+            k, k1, k2 = map(upper.point_of, (u1 | u2, u1, u2))
+            cover = boxes[lattice.point_of(u1 | u2)]
+        except ValueError:
+            return False
+        return boxes[i] >> k1 & 1 and boxes[j] >> k2 & 1 and not cover & ~upper.space.up[k]
+
+    for i, j in product(range(len(opens)), repeat=2):
+        if not splits(i, j):
+            names = pw.base.names
             return Verdict(
                 False,
-                witness={"open": set_label(x.names, u)},
-                info={"checker": "is_strongly_compact"},
+                witness={
+                    "K": set_label(names, opens[i] | opens[j]),
+                    "U1": set_label(names, opens[i]),
+                    "U2": set_label(names, opens[j]),
+                },
+                info={"checker": "is_wilker"},
             )
-    return Verdict(True, info={"checker": "is_strongly_compact", "opens": checked})
-
-
-def is_wilker(x: FiniteSpace, limits: Limits = DEFAULT_LIMITS) -> Verdict:
-    """Compacts under a two-open cover split into compacts under each
-    open.  A split of K also splits every saturated set inside K, so only
-    the largest saturated set under the cover, K = U1 | U2, is checked.
-    Tries (K & U1, K & U2) first, then scans saturated pairs."""
-    opens = x.opens(limits)
-    saturated = opens  # in a finite space the saturated sets are the opens
-    for u1 in opens:
-        for u2 in opens:
-            k = u1 | u2
-            k1, k2 = k & u1, k & u2
-            if not (k1 & ~u1) and not (k2 & ~u2) and not (k & ~(k1 | k2)):
-                continue
-            if not wilker_scan(saturated, k, u1, u2):
-                return Verdict(
-                    False,
-                    witness={
-                        "K": set_label(x.names, k),
-                        "U1": set_label(x.names, u1),
-                        "U2": set_label(x.names, u2),
-                    },
-                    info={"checker": "is_wilker"},
-                )
     return Verdict(True, info={"checker": "is_wilker", "pairs": len(opens) ** 2})
-
-
-def wilker_scan(saturated, k, u1, u2) -> bool:
-    """Brute-force existence of saturated k1 inside u1 and k2 inside u2
-    covering k."""
-    for k1 in saturated:
-        if k1 & ~u1:
-            continue
-        for k2 in saturated:
-            if not (k2 & ~u2) and not (k & ~(k1 | k2)):
-                return True
-    return False
 
 
 def irreducible_closed_sets(x: FiniteSpace, limits: Limits = DEFAULT_LIMITS) -> list[PtSet]:
@@ -229,23 +184,18 @@ def consonance_equivalence(x: FiniteSpace | Powers, limits: Limits = DEFAULT_LIM
 
 
 def strong_compactness_implications(x: FiniteSpace | Powers, limits: Limits = DEFAULT_LIMITS) -> Verdict:
-    """Co-consonance forces every saturated set strongly compact, and
-    consonance plus all-strongly-compact forces co-consonance."""
+    """Consonance plus every saturated set strongly compact forces
+    co-consonance.  Every saturated set of a finite space is strongly
+    compact (its own finite witness), so this is consonant implies
+    co-consonant, read off the two verdicts kept on the tower."""
     pw = _powers(x, limits)
-    x = pw.base
     cocons = is_co_consonant(pw).holds
     cons = is_consonant(pw).holds
-    all_strong = all(
-        is_strongly_compact(x, PtSet(x, k), pw.limits).holds for k in x.opens(pw.limits)
-    )
-    if cocons and not all_strong:
-        return Verdict(False, witness={"direction": "co-consonant but some saturated set is not strongly compact"})
-    if cons and all_strong and not cocons:
-        return Verdict(False, witness={"direction": "consonant with all sets strongly compact but not co-consonant"})
+    if cons and not cocons:
+        return Verdict(False, witness={"direction": "consonant but not co-consonant"})
     return Verdict(
         True,
-        info={"checker": "strong_compactness_implications", "co_consonant": cocons,
-              "consonant": cons, "all_strongly_compact": all_strong},
+        info={"checker": "strong_compactness_implications", "co_consonant": cocons, "consonant": cons},
     )
 
 

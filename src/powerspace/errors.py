@@ -33,10 +33,6 @@ class NotContinuous(SpaceError):
     """A map expected to be continuous is not."""
 
 
-class NotSaturated(SpaceError):
-    """A set expected to be saturated (an upper set) is not."""
-
-
 class ShapeMismatch(SpaceError):
     """A modal generator does not apply to the given constructed space."""
 

@@ -37,6 +37,7 @@ from .core import (
     Verdict,
     bits,
     check_continuous,
+    count_upper_sets,
     enumerate_lower_sets,
     enumerate_upper_sets,
     intersection_of,
@@ -412,13 +413,13 @@ def _first_family_apart(t: ConstructedSpace, struct: SpaceMap, limits: Limits):
     of its extents, the other to struct of the closure (A) or saturation
     (K) of its image, the image living in struct's codomain.  Returns the
     first family where the two differ, or None, and the number of
-    families."""
+    families.  They are counted first, so a family count over the cap
+    raises before any is enumerated."""
+    count = count_upper_sets(t.space)  # lower sets, by complement, for A
+    if count > limits.max_construction_points:
+        raise PowerspaceTooLarge(f"{t.kind}({t.label}) would have {count} points")
     lower = t.kind == KIND_LOWER
-    families = (
-        enumerate_lower_sets(t.space, limits.max_construction_points)
-        if lower
-        else enumerate_upper_sets(t.space.up, limits.max_construction_points)
-    )
+    families = enumerate_lower_sets(t.space) if lower else enumerate_upper_sets(t.space.up)
     hull = struct.codomain.down if lower else struct.codomain.up
     image_hulls = [hull[v] for v in struct.table]
     for fam in families:

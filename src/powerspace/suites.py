@@ -13,6 +13,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import product
 
 from .config import DEFAULT_LIMITS, Limits
 from .core import (
@@ -172,26 +173,27 @@ def consonance_space_job(args) -> list[CheckRecord]:
     pw = Powers(space, limits)
     out = []
     # the checkers keep their verdicts on the tower they run on, so
-    # consonance_equivalence and strong_compactness_implications reuse them
-    out.append(_timed("consonance_equivalence", subject, checkers.consonance_equivalence, pw, limits))
-    out.append(_timed("is_consonant[X]", subject, checkers.is_consonant, pw, limits))
-    out.append(_timed("is_co_consonant[X]", subject, checkers.is_co_consonant, pw, limits))
-    out.append(_timed("is_wilker[X]", subject, checkers.is_wilker, space, limits))
+    # consonance_equivalence and strong_compactness_implications reuse them;
+    # checks handed a Powers read its limits
+    out.append(_timed("consonance_equivalence", subject, checkers.consonance_equivalence, pw))
+    out.append(_timed("is_consonant[X]", subject, checkers.is_consonant, pw))
+    out.append(_timed("is_co_consonant[X]", subject, checkers.is_co_consonant, pw))
+    out.append(_timed("is_wilker[X]", subject, checkers.is_wilker, pw))
     out.append(_timed("is_sober[X]", subject, checkers.is_sober, space, limits))
     out.append(_timed("lower_weak_coincidence", subject, checkers.topology_coincidence, pw.A, "weak", limits))
     out.append(_timed("upper_scott_coincidence", subject, checkers.topology_coincidence, pw.K, "scott", limits))
     out.append(_timed("is_sober[A(X)]", subject, checkers.is_sober, pw.A.space, limits))
     out.append(_timed("is_sober[O(X)]", subject, checkers.is_sober, pw.O.space, limits))
-    out.append(_timed("is_consonant[O(X)]", subject, checkers.is_consonant, pw.over("O"), limits))
-    out.append(_timed("is_co_consonant[O(X)]", subject, checkers.is_co_consonant, pw.over("O"), limits))
-    out.append(_timed("strong_compactness_implications", subject, checkers.strong_compactness_implications, pw, limits))
+    out.append(_timed("is_consonant[O(X)]", subject, checkers.is_consonant, pw.over("O")))
+    out.append(_timed("is_co_consonant[O(X)]", subject, checkers.is_co_consonant, pw.over("O")))
+    out.append(_timed("strong_compactness_implications", subject, checkers.strong_compactness_implications, pw))
     if space.n <= 2:
         out.append(_timed("double_weak_coincidence", subject, checkers.topology_coincidence, pw.KA, "weak", limits))
-    out.append(_timed("is_consonant[K(X)]", subject, checkers.is_consonant, pw.over("K"), limits))
-    out.append(_timed("is_co_consonant[K(X)]", subject, checkers.is_co_consonant, pw.over("K"), limits))
+    out.append(_timed("is_consonant[K(X)]", subject, checkers.is_consonant, pw.over("K")))
+    out.append(_timed("is_co_consonant[K(X)]", subject, checkers.is_co_consonant, pw.over("K")))
     if space.n <= 3:
         # the triple-level composites behind sigma over K(X) stay capped here
-        out.append(_timed("consonance_equivalence[K(X)]", subject, checkers.consonance_equivalence, pw.over("K"), limits))
+        out.append(_timed("consonance_equivalence[K(X)]", subject, checkers.consonance_equivalence, pw.over("K")))
     return out
 
 
@@ -237,28 +239,16 @@ def wilker_space_job(args) -> list[CheckRecord]:
     t0 = time.monotonic()
     triples = 0
     failure = None
-    for u1 in opens:
-        for u2 in opens:
-            cover = u1 | u2
-            for k in opens:
-                if k & ~cover:
-                    continue
-                triples += 1
-                k1, k2 = wilker_decompose(
-                    space, relation, PtSet(space, k), PtSet(space, u1), PtSet(space, u2), limits
-                )
-                good = (
-                    not (k1.mask & ~u1)
-                    and not (k2.mask & ~u2)
-                    and not (k & ~(k1.mask | k2.mask))
-                    and checkers.wilker_scan(opens, k, u1, u2)
-                )
-                if not good:
-                    failure = {"K": PtSet(space, k), "U1": PtSet(space, u1), "U2": PtSet(space, u2)}
-                    break
-            if failure:
-                break
-        if failure:
+    # wilker_decompose raises on a split that misses its cover; the
+    # saturation of K1 and K2, which it also promises, is checked here
+    for u1, u2, k in product(opens, repeat=3):
+        if k & ~(u1 | u2):
+            continue
+        triples += 1
+        sets = [PtSet(space, m) for m in (k, u1, u2)]
+        k1, k2 = wilker_decompose(space, relation, *sets, limits)
+        if space.saturation_mask(k1.mask) != k1.mask or space.saturation_mask(k2.mask) != k2.mask:
+            failure = dict(zip(("K", "U1", "U2"), sets))
             break
     verdict = Verdict(failure is None, witness=failure, info={"triples": triples})
     out.append(_rec("decompose_all_triples", subject, verdict, t0))

@@ -8,14 +8,13 @@ from powerspace.checkers import (
     is_co_consonant,
     is_consonant,
     is_sober,
-    is_strongly_compact,
     is_wilker,
     strong_compactness_implications,
     topology_coincidence,
 )
 from powerspace.config import DEFAULT_LIMITS
 from powerspace.core import (
-    PtSet,
+    FiniteSpace,
     antichain,
     chain,
     empty_space,
@@ -23,7 +22,6 @@ from powerspace.core import (
     enumerate_upper_sets,
     sierpinski,
 )
-from powerspace.errors import NotSaturated
 from powerspace.powerspaces import ConstructedSpace, open_lattice
 
 from oracles import least_triangle_intersections, literal_co_consonance, literal_consonance, literal_wilker
@@ -87,19 +85,15 @@ def test_co_consonance_fails_without_its_candidates(monkeypatch):
         assert literal_co_consonance(x, candidates=[0] * len(x.opens())) is not None
 
 
-def test_co_consonance_matches_literal_quantifier_on_a_coarser_candidate(monkeypatch):
-    # every open as each candidate fails on 46 of the labelled spaces; the
-    # principal filters still decide what every upper family decides
-    def everything(x):
-        return [(1 << len(x.opens())) - 1] * len(x.opens())
-
-    monkeypatch.setattr(checkers, "_co_consonance_candidates", lambda x, opens, tri: everything(x))
-    failing = 0
-    for x in enumerate_spaces(4, up_to_iso=False):
-        v = is_co_consonant(x)
-        assert v.holds == (literal_co_consonance(x, candidates=everything(x)) is None)
-        failing += not v.holds
-    assert failing == 46
+def test_co_consonance_fails_on_a_coarser_candidate(monkeypatch):
+    # every open as each candidate leaves the principal filter of every
+    # open but {}, so it fails on exactly the labelled spaces with a point;
+    # no scan of triangle pairs rescues it
+    monkeypatch.setattr(checkers, "_co_consonance_candidates", lambda x, opens, tri: [(1 << len(opens)) - 1] * len(opens))
+    spaces = enumerate_spaces(4, up_to_iso=False)
+    failing = [x for x in spaces if not is_co_consonant(x).holds]
+    assert failing == [x for x in spaces if x.n > 0] and len(failing) == 242
+    assert all(is_co_consonant(x).witness["open"] == Powers(x).O.space.names[1] for x in failing)
 
 
 def test_upper_space_co_consonant():
@@ -115,16 +109,6 @@ def test_checkers_exhaustive_on_large_lattices():
     for checker in (is_consonant, is_co_consonant):
         v = checker(x)
         assert v.holds and v.info["opens"] == 168
-
-
-def test_strongly_compact():
-    assert is_strongly_compact(S, PtSet(S, 0b10)).holds
-    assert is_strongly_compact(D2, PtSet(D2, 0b11)).holds
-    with pytest.raises(NotSaturated):
-        is_strongly_compact(S, PtSet(S, 0b01))
-    for sp in enumerate_spaces(4):
-        for k in sp.opens():
-            assert is_strongly_compact(sp, PtSet(sp, k)).holds
 
 
 def test_wilker():
@@ -146,6 +130,15 @@ def test_irreducibles_and_sobriety():
     assert {p.mask for p in irreducible_closed_sets(D2)} == {0b01, 0b10}
     for sp in enumerate_spaces(4):
         assert is_sober(sp).holds
+
+
+def test_sobriety_fails_on_a_wrong_closure_index():
+    # with the discrete rows as point closures, {bot,top} is an
+    # irreducible closed set that is no point's closure
+    x = sierpinski()
+    object.__setattr__(x, "down", (0b01, 0b10))
+    v = is_sober(x)
+    assert not v.holds and v.witness == {"set": "{bot,top}", "irreducible": True}
 
 
 def test_irreducible_closed_sets_match_literal_quantifier():
@@ -172,7 +165,62 @@ def test_consonance_equivalence_agreement():
 
 def test_strong_compactness_implications():
     for sp in enumerate_spaces(4):
-        assert strong_compactness_implications(sp).holds
+        v = strong_compactness_implications(sp)
+        assert v.holds and v.info["consonant"] and v.info["co_consonant"]
+
+
+def _with_discrete_open_lattice(x):
+    """A tower over x whose O(X) keeps its extents and members index but
+    has the discrete order in place of inclusion."""
+    pw = Powers(x)
+    names = pw.O.space.names
+    object.__setattr__(pw.O, "space", FiniteSpace(names, tuple(1 << i for i in range(len(names)))))
+    return pw
+
+
+@pytest.mark.parametrize("x", [S, antichain(3), chain(3)], ids=["sierpinski", "antichain3", "chain3"])
+def test_consonance_fails_on_a_discrete_open_lattice(x):
+    # the compact filter of {} is every open, which the discrete order
+    # does not put above {}
+    assert is_consonant(x).holds and consonance_equivalence(x).holds
+    v = is_consonant(_with_discrete_open_lattice(x))
+    assert not v.holds and v.witness == {"family": "{{}}", "open": "{}"}
+    v = consonance_equivalence(_with_discrete_open_lattice(x))
+    assert not v.holds
+    assert v.info["definitional"] is False and v.info["sigma_bijective"] and v.info["tau_preimage_equality"]
+
+
+@pytest.mark.parametrize("point, extent, witness", [
+    # {top} loses its bit at top, so box({}) wrongly holds it
+    ("top", "{top}", {"K": "{}", "U1": "{}", "U2": "{}"}),
+    # {} gains a bit at top, so box({}) wrongly drops it
+    ("top", "{}", {"K": "{}", "U1": "{}", "U2": "{}"}),
+    # {bot,top} loses its bit at bot, so box({top}) wrongly holds it
+    ("bot", "{bot,top}", {"K": "{top}", "U1": "{}", "U2": "{top}"}),
+])
+def test_wilker_fails_on_a_wrong_box_index(point, extent, witness):
+    pw = Powers(S)
+    upper = pw.K
+    p, j = S.names.index(point), upper.space.names.index(extent)
+    sat_members = list(upper.sat_members)
+    sat_members[p] ^= 1 << j
+    object.__setattr__(upper, "sat_members", tuple(sat_members))
+    v = is_wilker(pw)
+    assert not v.holds and v.witness == witness
+
+
+def test_wilker_fails_on_a_missing_point():
+    pw = Powers(S)
+    del pw.K._index[0b10]  # the compact {top}
+    v = is_wilker(pw)
+    assert not v.holds and v.witness == {"K": "{top}", "U1": "{}", "U2": "{top}"}
+
+
+def test_strong_compactness_implications_fail_without_co_consonance(monkeypatch):
+    monkeypatch.setattr(checkers, "_co_consonance_candidates", lambda x, opens, tri: [0] * len(opens))
+    for x in (S, antichain(3), chain(3)):
+        v = strong_compactness_implications(x)
+        assert not v.holds and v.witness == {"direction": "consonant but not co-consonant"}
 
 
 def test_topology_coincidences():

@@ -69,6 +69,14 @@ def test_verify_on_the_empty_scope_runs_what_it_can(argv, checks, capsys):
     assert f"checks={checks} failed=0" in capsys.readouterr().out
 
 
+def test_verify_stops_at_the_cap_before_the_families(capsys):
+    # the first 4-point subject's associativity square would range over
+    # more families than the cap allows; they are counted, not enumerated
+    assert main(["verify", "--suite", "monad", "--max-points", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("resource cap:") and not captured.out
+
+
 def test_verify_deterministic_output(capsys, tmp_path):
     argv = ["verify", "--suite", "monad", "--max-points", "2", "--seed", "5"]
     assert main(argv) == 0

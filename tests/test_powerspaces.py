@@ -1,5 +1,6 @@
 import pytest
 
+from powerspace import powerspaces
 from powerspace.core import (
     PtSet,
     SpaceMap,
@@ -417,3 +418,15 @@ def test_law_checks_read_their_caps_off_the_tower():
             law("A", Powers(antichain(2), small))
         with pytest.raises(PowerspaceTooLarge):
             law("A", antichain(2), small)
+
+
+def test_law_checks_count_the_families_before_enumerating_them(monkeypatch):
+    # the lower sets of A(A(X)) over the 4-point antichain number
+    # 1,403,305,876; the count alone refuses them
+    pw = Powers(antichain(4))
+    pw.AA
+    enumerated = []
+    monkeypatch.setattr(powerspaces, "enumerate_lower_sets", lambda *args: enumerated.append(args))
+    with pytest.raises(PowerspaceTooLarge, match="1403305876"):
+        monad_laws("A", pw)
+    assert not enumerated

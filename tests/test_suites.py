@@ -5,10 +5,10 @@ from collections import Counter
 
 import pytest
 
-from powerspace import checkers, powerspaces
+from powerspace import approx, checkers, powerspaces
 from powerspace.config import DEFAULT_LIMITS
-from powerspace.core import Verdict, enumerate_spaces
-from powerspace.suites import SUITES, consonance_space_job, monad_space_job, run_suite
+from powerspace.core import PtSet, Verdict, enumerate_spaces, sierpinski
+from powerspace.suites import SUITES, consonance_space_job, monad_space_job, run_suite, wilker_space_job
 
 # sha256 of each suite's report body without timings and of its stdout
 # lines, at default scope; they pin every verdict and witness.
@@ -128,3 +128,21 @@ def test_consonance_job_runs_each_checker_once_per_tower(monkeypatch):
         consonance_space_job((space, DEFAULT_LIMITS))
         assert {name: runs[name] for name in ("is_consonant", "is_co_consonant")} == {
             "is_consonant": 3, "is_co_consonant": 3}, space
+
+
+def test_decompose_all_triples_fails_on_an_unsaturated_split(monkeypatch):
+    # on the Sierpinski space {bot} is not saturated, yet with {top} it
+    # covers K = {bot,top} under U1 = {bot,top} and U2 = {top}
+    x = sierpinski()
+    bot, top, full = 0b01, 0b10, 0b11
+    decompose = approx._decompose
+
+    def unsaturated(space, r, k_mask, u1, u2, limits):
+        *trace, k1, k2 = decompose(space, r, k_mask, u1, u2, limits)
+        return (*trace, bot, top) if (k_mask, u1, u2) == (full, full, top) else (*trace, k1, k2)
+
+    monkeypatch.setattr(approx, "_decompose", unsaturated)
+    [relation_valid, triples] = wilker_space_job((x, DEFAULT_LIMITS))
+    assert relation_valid.passed
+    assert triples.name == "decompose_all_triples" and not triples.passed
+    assert triples.witness == {"K": PtSet(x, full), "U1": PtSet(x, full), "U2": PtSet(x, top)}
