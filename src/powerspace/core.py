@@ -94,15 +94,32 @@ class FiniteSpace:
 
     Every space is validated on construction, in this order over all rows:
     masks in range and reflexive, then transitive, then antisymmetric.
-    With strict[i] = up[i] without i, let above be the union of strict[j]
-    over j in strict[i]: one C-level OR per order pair.  Reflexivity puts
-    each such j in up[i], so the order is transitive exactly when above
-    lies inside up[i].  The same union yields the Hasse diagram: j covers
-    i exactly when j is in strict[i] but not in above, and those edges are
-    kept in one flat array for covers() and is_monotone.  Once the order
-    is reflexive and transitive, i <= j <= i holds exactly when up[i] ==
-    up[j], so it is antisymmetric exactly when the rows are pairwise
-    distinct.
+
+    Transitivity is checked by walking a linear extension by row size.
+    The points are grouped into levels by |up[j]|.  For each point i, rest
+    starts as up[i] without i, and the levels below |up[i]| are walked
+    largest first: in each, the lowest j still in rest is picked, up[j]
+    must lie inside up[i], and up[j] is cleared from rest.  Whatever rest
+    holds after the levels must have the union of its rows inside up[i].
+
+    This decides transitivity, by induction on row size.  Each j in up[i]
+    other than i was picked and checked, or left in rest and checked, or
+    cleared by the row of a picked k, whose row is smaller than up[i] and
+    so transitive: up[j] lies inside up[k] and with it inside up[i].
+
+    On a partial order the picks are exactly the covers of i.  A cover j
+    of i lies in the row of no point strictly between i and j, as there is
+    none, so it is never cleared and is picked at its level.  Any other j
+    above i has some i < k < j; k's row is larger than j's, so k's level
+    comes first, and there k is picked or was cleared with the row of an
+    earlier pick that holds it.  Either way j is cleared with k.  The
+    covers are kept in one flat array for covers() and is_monotone.  The
+    walk costs one pick per edge and one AND per row and level below it,
+    not one OR per order pair.
+
+    Once the order is reflexive and transitive, i <= j <= i holds exactly
+    when up[i] == up[j], so it is antisymmetric exactly when the rows are
+    pairwise distinct.
     """
 
     names: tuple[str, ...]
@@ -121,17 +138,31 @@ class FiniteSpace:
                 raise ValueError("up mask out of range")
             if not (m >> i) & 1:
                 raise ValueError("order must be reflexive")
-        strict = [m & ~(1 << i) for i, m in enumerate(up)]
+        by_size: dict[int, int] = {}
+        for i, m in enumerate(up):
+            k = m.bit_count()
+            by_size[k] = by_size.get(k, 0) | 1 << i
+        level_of = {k: t for t, k in enumerate(sorted(by_size))}
+        levels = [by_size[k] for k in level_of]
         edges = array("I")
-        for i, (m, s) in enumerate(zip(up, strict)):
-            above = union_of(strict, s)
-            if above & ~m:
+        for i, m in enumerate(up):
+            rest, picked, t = m & ~(1 << i), 0, level_of[m.bit_count()]
+            while rest and t:
+                t -= 1
+                c = rest & levels[t]
+                while c:
+                    low = c & -c
+                    row = up[low.bit_length() - 1]
+                    if row | m != m:
+                        raise ValueError("order must be transitive")
+                    picked |= low
+                    rest &= ~row
+                    c &= rest
+            if rest and union_of(up, rest) | m != m:
                 raise ValueError("order must be transitive")
-            c = s & ~above
-            while c:
-                edges.extend((i, (c & -c).bit_length() - 1))
-                c &= c - 1
-        del strict
+            while picked:
+                edges.extend((i, (picked & -picked).bit_length() - 1))
+                picked &= picked - 1
         object.__setattr__(self, "_edges", edges)
         if len(set(up)) != n:
             raise ValueError("order must be antisymmetric")
@@ -187,13 +218,14 @@ class FiniteSpace:
                 m |= 1 << i
         return m
 
+    @cached_property
+    def _strict_up(self) -> tuple[int, ...]:
+        return tuple(m & ~(1 << i) for i, m in enumerate(self.up))
+
     def minimal_points(self, mask: int) -> int:
-        """Bit mask of the order-minimal points of mask."""
-        m = 0
-        for i in bits(mask):
-            if self.down[i] & mask == 1 << i:
-                m |= 1 << i
-        return m
+        """Bit mask of the order-minimal points of mask: those strictly
+        above no point of mask, in one union over mask's strict rows."""
+        return mask & ~union_of(self._strict_up, mask)
 
     @cached_property
     def _opens_memo(self) -> dict:
@@ -211,9 +243,13 @@ class FiniteSpace:
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (i, j) with j covering i in the order, by i then j.
 
-        They are the Hasse edges found while validating transitivity: j
-        covers i when j is strictly above i and above no other point
-        strictly above i.  Listing them is O(edges).
+        j covers i when j is strictly above i and above no other point
+        strictly above i.  They are the points the validating walk picked
+        in i's row: walking i's lower size levels largest first, a cover
+        is never cleared from the row, as no point lies between it and i,
+        and every other point above i is cleared with the row of a point
+        between them before its own level is reached.  Listing them is
+        O(edges).
         """
         it = iter(self._edges)
         return list(zip(it, it))

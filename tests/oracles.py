@@ -1,6 +1,37 @@
 """Literal quantifiers kept as test oracles for the library's shortcuts."""
 
-from powerspace.core import enumerate_upper_sets
+from powerspace.core import enumerate_upper_sets, union_of
+
+
+def row_union_covers(up) -> list[tuple[int, int]]:
+    """Validate up as a partial order by one union per row and return its
+    Hasse edges by i then j; raise ValueError with FiniteSpace's message.
+
+    With strict[i] = up[i] without i, above is the union of strict[j]
+    over j in strict[i], one OR per order pair.  Reflexivity puts each
+    such j in up[i], so the order is transitive exactly when above lies
+    inside up[i], and j covers i exactly when j is in strict[i] but not
+    in above.
+    """
+    n, full = len(up), (1 << len(up)) - 1
+    for i, m in enumerate(up):
+        if m & ~full:
+            raise ValueError("up mask out of range")
+        if not (m >> i) & 1:
+            raise ValueError("order must be reflexive")
+    strict = [m & ~(1 << i) for i, m in enumerate(up)]
+    edges = []
+    for i, (m, s) in enumerate(zip(up, strict)):
+        above = union_of(strict, s)
+        if above & ~m:
+            raise ValueError("order must be transitive")
+        c = s & ~above
+        while c:
+            edges.append((i, (c & -c).bit_length() - 1))
+            c &= c - 1
+    if len(set(up)) != n:
+        raise ValueError("order must be antisymmetric")
+    return edges
 
 
 def close_family(seeds, full: int) -> frozenset[int]:

@@ -8,7 +8,7 @@ to see one line per criterion.
 import random
 import time
 
-from powerspace.core import antichain, chain, enumerate_spaces, sierpinski
+from powerspace.core import antichain, chain, sierpinski
 from powerspace.omega import COUNTEREXAMPLES, CofinSet
 from powerspace.suites import run_suite
 

@@ -30,7 +30,6 @@ from powerspace.core import (
     enumerate_spaces,
     identity_map,
     iter_continuous_maps,
-    set_label,
     sierpinski,
 )
 from powerspace.errors import NotContinuous, PowerspaceTooLarge, ShapeMismatch

@@ -35,9 +35,9 @@ from powerspace.core import (
     space_product,
     union_of,
 )
-from oracles import close_family
+from oracles import close_family, row_union_covers
 from powerspace.errors import CycleDetected, LimitExceeded, NotT0
-from powerspace.powerspaces import convex_powerspace, lower_powerspace, open_lattice, upper_powerspace
+from powerspace.powerspaces import Powers, convex_powerspace, lower_powerspace, open_lattice, upper_powerspace
 
 CONSTRUCTIONS = (lower_powerspace, upper_powerspace, convex_powerspace, open_lattice)
 
@@ -390,6 +390,7 @@ def test_finite_space_validation_matches_pairwise_definition(n, reflexive, total
     seen = accepted = 0
     for up in _relations(n, reflexive):
         seen += 1
+        _assert_matches_row_union(up)
         expected = _literal_violation(up)
         if expected is None:
             accepted += 1
@@ -400,6 +401,53 @@ def test_finite_space_validation_matches_pairwise_definition(n, reflexive, total
                 FiniteSpace(names, up)
     assert seen == total
     assert accepted == {3: 19, 4: 219}[n]  # labelled posets, OEIS A001035
+
+
+def _outcome(validate, up) -> tuple[str | None, list | None]:
+    """(None, covers) when validate accepts up, (message, None) when it
+    raises ValueError."""
+    try:
+        return None, validate(up)
+    except ValueError as e:
+        return str(e), None
+
+
+def _assert_matches_row_union(up) -> str | None:
+    """FiniteSpace and the row-union oracle agree on acceptance, message
+    and covers; returns the message, None when up is accepted."""
+    names = tuple(f"p{i}" for i in range(len(up)))
+    got = _outcome(lambda u: FiniteSpace(names, u).covers(), up)
+    assert got == _outcome(row_union_covers, up)
+    return got[0]
+
+
+HOMEO_SUBJECT = FiniteSpace(tuple(f"p{i}" for i in range(5)), (1, 2, 4, 8, 17))
+
+
+def test_validation_matches_row_union_oracle_on_constructions():
+    pw = Powers(HOMEO_SUBJECT)
+    for word in ("A", "K", "O", "AK", "KA", "OO", "AO", "OK", "KO", "OA"):
+        assert _assert_matches_row_union(getattr(pw, word).space.up) is None
+
+
+def test_validation_matches_row_union_oracle_on_single_bit_flips():
+    up = Powers(HOMEO_SUBJECT).AK.space.up
+    rng = random.Random(2017)
+    messages = []
+    for _ in range(200):
+        i, j = rng.randrange(len(up)), rng.randrange(len(up))
+        flipped = up[:i] + (up[i] ^ 1 << j,) + up[i + 1:]
+        messages.append(_assert_matches_row_union(flipped))
+    assert None in messages and "order must be transitive" in messages
+
+
+def test_minimal_points_match_literal_loop():
+    for sp in enumerate_spaces(4, up_to_iso=False):
+        for mask in range(sp.full_mask + 1):
+            literal = mask_of(
+                i for i in bits(mask) if not any(j != i and sp.leq(j, i) for j in bits(mask))
+            )
+            assert sp.minimal_points(mask) == literal
 
 
 def _literal_covers(space: FiniteSpace) -> list[tuple[int, int]]:
@@ -455,6 +503,7 @@ def test_covers_match_relabel_oracle_on_large_constructions():
         got = sp.covers()
         assert (sp.n, len(got)) == (points, edges)
         assert got == _relabel_covers(sp)
+        assert _assert_matches_row_union(sp.up) is None
 
 
 def test_bits_match_literal_scan():

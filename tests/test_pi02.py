@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from powerspace.core import (
-    PtSet,
     SpaceMap,
     antichain,
     bits,

@@ -2,12 +2,9 @@ import pytest
 
 from powerspace import powerspaces
 from powerspace.core import (
-    PtSet,
     SpaceMap,
     antichain,
-    bits,
     chain,
-    check_continuous,
     empty_space,
     enumerate_spaces,
     iter_continuous_maps,

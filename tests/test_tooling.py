@@ -1,7 +1,8 @@
 """The benchmark harness and the scripts import names from powerspace that
 no other test touches.  Parse them, without running them, and resolve
 every such name, so a change to the public API cannot break them
-silently.  The README's quickstart is run as written."""
+silently.  The README's quickstart is run as written, and no module
+imports a name it never uses."""
 
 import ast
 import importlib
@@ -13,6 +14,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 FILES = [ROOT / "perfbench" / "worker.py", *sorted((ROOT / "scripts").glob("*.py"))]
+# __init__.py files import names to re-export them, not to use them
+MODULES = sorted(p for d in ("src", "scripts", "tests") for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py")
 
 
 def _resolve(module: str, name: str) -> bool:
@@ -93,3 +96,35 @@ def test_readme_quickstart_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {"__name__": "quickstart"})
     assert "digraph" in capsys.readouterr().out
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names an import in the file binds that no name in the file reads.
+    `from __future__` imports bind no such name."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in used]
+
+
+def test_no_module_imports_an_unused_name():
+    assert len(MODULES) > 20
+    unused = {p.relative_to(ROOT).as_posix(): names for p in MODULES if (names := _unused_imports(p))}
+    assert not unused
+
+
+def test_the_check_sees_an_unused_import(tmp_path):
+    module = tmp_path / "planted.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import os.path as osp\n"
+        "from json import dumps, loads\n"
+        "print(dumps(osp.sep))\n"
+    )
+    assert _unused_imports(module) == ["os", "loads"]
