@@ -1,6 +1,7 @@
 """Literal quantifiers kept as test oracles for the library's shortcuts."""
 
-from powerspace.core import enumerate_upper_sets, union_of
+from powerspace.canonical import alpha_beta, gamma_delta, phi_psi, sigma_tau
+from powerspace.core import enumerate_upper_sets, set_label, union_of
 
 
 def row_union_covers(up) -> list[tuple[int, int]]:
@@ -134,3 +135,41 @@ def literal_wilker(x) -> tuple[int, int, int] | None:
                 ):
                     return k, u1, u2
     return None
+
+
+def literal_preimage_identities(pw) -> list[tuple[str, str]]:
+    """Every (identity, parameter) at which a canonical map's preimage
+    identity fails, each family identity checked by one preimage per
+    family; empty when all hold.  Listed in loop order: the opens of the
+    base, then alpha over A(K(X)), beta and delta over O(O(X)), gamma
+    over K(A(X))."""
+    st, pp, ab, gd = sigma_tau(pw), phi_psi(pw), alpha_beta(pw), gamma_delta(pw)
+    failures = []
+    for u_idx, u in enumerate(pw.O.extents):
+        box_dia = pw.KA.box(pw.diamonds[u_idx])
+        dia_box = pw.AK.diamond(pw.boxes[u_idx])
+        boxtimes = pw.OO.members[u_idx]
+        for identity, f, opened, want in (
+            ("sigma^-1(box diamond U) = diamond box U", st.forward, box_dia, dia_box),
+            ("tau^-1(diamond box U) = box diamond U", st.backward, dia_box, box_dia),
+            ("phi^-1(boxtimes U) = box diamond U", pp.forward, boxtimes, box_dia),
+            ("psi^-1(box diamond U) = boxtimes U", pp.backward, box_dia, boxtimes),
+        ):
+            if f.preimage_mask(opened) != want:
+                failures.append((identity, set_label(pw.base.names, u)))
+    for i, fam in enumerate(pw.AK.extents):
+        phi_sigma = pw.OO.extents[pp.forward.table[st.forward.table[i]]]
+        if ab.forward.preimage_mask(pw.OK.diamond(fam)) != pw.AO.diamond(phi_sigma):
+            failures.append(("alpha^-1(triangle F) = diamond phi(sigma(F))", pw.AK.space.names[i]))
+    for i, fam in enumerate(pw.OO.extents):
+        tau_psi = pw.AK.extents[st.backward.table[pp.backward.table[i]]]
+        if ab.backward.preimage_mask(pw.AO.diamond(fam)) != pw.OK.diamond(tau_psi):
+            failures.append(("beta^-1(diamond H) = triangle tau(psi(H))", pw.OO.space.names[i]))
+        psi_h = pw.KA.extents[pp.backward.table[i]]
+        if gd.backward.preimage_mask(pw.KO.box(fam)) != pw.OA.containing(psi_h):
+            failures.append(("delta^-1(box H) = nabla psi(H)", pw.OO.space.names[i]))
+    for i, fam in enumerate(pw.KA.extents):
+        phi_fam = pw.OO.extents[pp.forward.table[i]]
+        if gd.forward.preimage_mask(pw.OA.containing(fam)) != pw.KO.box(phi_fam):
+            failures.append(("gamma^-1(nabla F) = box phi(F)", pw.KA.space.names[i]))
+    return failures

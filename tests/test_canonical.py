@@ -34,6 +34,8 @@ from powerspace.core import (
 )
 from powerspace.errors import NotContinuous, PowerspaceTooLarge, ShapeMismatch
 
+from oracles import literal_preimage_identities
+
 S = sierpinski()
 D2 = antichain(2, names=("a", "b"))
 
@@ -264,6 +266,109 @@ def test_preimage_identities_empty_space():
     assert check_preimage_identities(empty_space()).holds
 
 
+# square -> (pair builder, direction it checks, whether it runs against the arrows)
+SQUARES = {
+    "sigma": (sigma_tau, "forward", False),
+    "tau": (sigma_tau, "backward", False),
+    "phi": (phi_psi, "forward", False),
+    "psi": (phi_psi, "backward", False),
+    "alpha": (alpha_beta, "forward", True),
+    "beta": (alpha_beta, "backward", True),
+    "gamma": (gamma_delta, "forward", True),
+    "delta": (gamma_delta, "backward", True),
+}
+
+
+# the 4-point antichain with p4 below p0, as in test_five_point_subject
+SUBJECT_887 = FiniteSpace(("p0", "p1", "p2", "p3", "p4"), up=(1, 2, 4, 8, 17))
+
+
+@pytest.mark.parametrize(
+    "spaces",
+    [enumerate_spaces(3, up_to_iso=False), (antichain(4),), (SUBJECT_887,)],
+    ids=["labelled-up-to-3", "antichain-4", "subject-887"],
+)
+def test_preimage_identities_agree_with_literal_loop(spaces):
+    for sp in spaces:
+        pw = Powers(sp)
+        v = check_preimage_identities(pw)
+        assert v.holds == (literal_preimage_identities(pw) == []), sp
+
+
+def _with_wrong_entry(space, which, point):
+    """A tower over space whose table for the named map is wrong at point."""
+    builder, direction, _ = SQUARES[which]
+    pw = Powers(space)
+    good = builder(pw)
+    m = getattr(good, direction)
+    table = list(m.table)
+    table[point] = (table[point] + 1) % m.codomain.n
+    pw.pairs[builder.__name__] = replace(good, **{direction: SpaceMap(m.domain, m.codomain, tuple(table))})
+    return pw
+
+
+@pytest.mark.parametrize("which", list(SQUARES))
+def test_preimage_identities_fail_on_one_wrong_table_entry(which):
+    for space in (D2, antichain(3)):
+        builder, direction, _ = SQUARES[which]
+        n = getattr(builder(space), direction).domain.n
+        for point in range(n):
+            pw = _with_wrong_entry(space, which, point)
+            v = check_preimage_identities(pw)
+            literal = literal_preimage_identities(pw)
+            assert not v.holds and literal
+            assert (v.witness["identity"], v.witness["parameter"]) in literal
+
+
+def _generator_names(fams, gens) -> set[str]:
+    return {fams.space.names[fams.point_of(g)] for g in gens}
+
+
+def test_wrong_alpha_fails_at_a_generator():
+    # alpha is pulled back, so a wrong entry shows at some down(k): pass (a)
+    pw = _with_wrong_entry(D2, "alpha", 0)
+    v = check_preimage_identities(pw)
+    assert v.witness["identity"] == "alpha^-1(triangle F) = diamond phi(sigma(F))"
+    assert v.witness["parameter"] in _generator_names(pw.AK, pw.K.space.down)
+    assert (v.witness["identity"], v.witness["parameter"]) in literal_preimage_identities(pw)
+
+
+def test_wrong_sigma_off_the_generators_fails_at_its_family():
+    # sigma enters alpha's identity through phi o sigma on the right; wrong
+    # at a family that is neither empty nor principal, it leaves pass (a)
+    # alone and fails the union of pass (b) at that family
+    pw = Powers(D2)
+    gens = _generator_names(pw.AK, pw.K.space.down)
+    point = next(i for i, name in enumerate(pw.AK.space.names) if name not in gens and pw.AK.extents[i])
+    pw = _with_wrong_entry(D2, "sigma", point)
+    v = check_preimage_identities(pw)
+    assert v.witness == {"identity": "alpha^-1(triangle F) = diamond phi(sigma(F))",
+                         "parameter": pw.AK.space.names[point]}
+    assert v.witness["parameter"] not in gens
+    assert (v.witness["identity"], v.witness["parameter"]) in literal_preimage_identities(pw)
+
+
+def test_preimage_identities_take_one_preimage_per_generator(monkeypatch):
+    pw = Powers(SUBJECT_887)
+    for builder in PAIR_BUILDERS.values():
+        builder(pw)
+    calls = []
+    real = SpaceMap.preimage_mask
+
+    def counting(self, mask):
+        calls.append(mask)
+        return real(self, mask)
+
+    monkeypatch.setattr(SpaceMap, "preimage_mask", counting)
+    v = check_preimage_identities(pw)
+    n_o, n_k, n_a = (len(getattr(pw, w).extents) for w in "OKA")
+    # four per open of the base, one per generator: down(k), up(U), O(X) \ down(U), up(a)
+    bound = 4 * n_o + n_k + 2 * n_o + n_a
+    assert bound == 192
+    assert v.holds and len(calls) == v.info["generators"] <= bound
+    assert v.info["instances"] == 4 * n_o + pw.AK.space.n + 2 * pw.OO.space.n + pw.KA.space.n
+
+
 def test_naturality_identity_and_example():
     pw = Powers(S)
     for which in ("sigma", "tau", "phi", "psi", "alpha", "beta", "gamma", "delta"):
@@ -288,19 +393,6 @@ def test_naturality_all_maps_two_points():
             for f in iter_continuous_maps(dom, cod):
                 for which in ("sigma", "tau", "phi", "psi", "alpha", "beta", "gamma", "delta"):
                     assert check_naturality(f, which, powers[dom.fingerprint], powers[cod.fingerprint]).holds
-
-
-# square -> (pair builder, direction it checks, whether it runs against the arrows)
-SQUARES = {
-    "sigma": (sigma_tau, "forward", False),
-    "tau": (sigma_tau, "backward", False),
-    "phi": (phi_psi, "forward", False),
-    "psi": (phi_psi, "backward", False),
-    "alpha": (alpha_beta, "forward", True),
-    "beta": (alpha_beta, "backward", True),
-    "gamma": (gamma_delta, "forward", True),
-    "delta": (gamma_delta, "backward", True),
-}
 
 
 @pytest.mark.parametrize("which", list(SQUARES))
