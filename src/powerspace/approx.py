@@ -9,10 +9,23 @@ reading of the infinite axiom; whether it is the only faithful one on
 finite spaces is not claimed.
 
 The decomposition walks the two-tree covering construction levelwise.
-States are the sets of opens alive at a level, the level transition is
-deterministic, and the state space is finite, so the walk is driven to a
-cycle; the opens that survive the whole cycle are the values of the
-infinite tree paths, all of which stabilize.
+A state is (K, F, G): K a point mask, F and G the opens alive on either
+side as masks over indices into the sorted open family.  The relation is
+read as refiners[i], the opens refining opens[i], and the self-refining
+opens; a pair off the open family never meets a walk from opens.  A level
+covers K greedily, scanning the refiners of F and of G by index, and
+splits the chosen opens back by side.  The transition is deterministic
+and the states are finite, so the walk is driven to a cycle; the opens
+that refine themselves and stay alive and chosen around the whole cycle
+are the values of the infinite tree paths, all of which stabilize.
+
+Each relation keeps, per Limits, a memo from state to split (K1, K2),
+and it is exact: from any state of a walk, prefix or cycle, the walk
+reaches the same cycle, and the stable opens, an intersection over that
+cycle, do not depend on where it is entered.  So every state walked is
+stored with the walk's split, and a walk meeting a stored state stops
+there.  K is in the key because the cover depends on it; the indices are
+the relation's own, so the memo dies with the relation.
 """
 
 from __future__ import annotations
@@ -21,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .config import DEFAULT_LIMITS, Limits
-from .core import FiniteSpace, PtSet, Verdict, bits, set_label
+from .core import FiniteSpace, PtSet, Verdict, bits, set_label, union_of
 from .errors import EmptySpace, NoUniquePoint, PreconditionViolated
 
 
@@ -36,17 +49,11 @@ class ApproxRelation:
         return (u, v) in self.pairs
 
     @cached_property
-    def _by_coarse(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for u, v in sorted(self.pairs):
-            out.setdefault(v, []).append(u)
-        return out
-
-    def refiners_of(self, v: int) -> list[int]:
-        return self._by_coarse.get(v, [])
+    def _verdicts(self) -> dict[Limits, Verdict]:
+        return {}
 
     @cached_property
-    def _verdicts(self) -> dict[Limits, Verdict]:
+    def _walks(self) -> dict[Limits, _OpenWalk]:
         return {}
 
 
@@ -234,64 +241,104 @@ def scheme_limit(s: ApproxScheme, path: PathDescriptor) -> int:
 # the two-tree decomposition
 
 
-def _greedy_cover(candidates, k_mask: int):
-    """Deterministic subcover: scan by open-family index, keep a candidate
+@dataclass(frozen=True)
+class _OpenWalk:
+    """The relation on open-family indices, with the memo of its walks."""
+
+    names: tuple[str, ...]
+    opens: tuple[int, ...]
+    index: dict[int, int]
+    refiners: list[int]
+    self_refining: int
+    memo: dict[tuple[int, int, int], tuple[int, int]]
+
+
+def _open_walk(r: ApproxRelation, limits: Limits) -> _OpenWalk:
+    """The relation's tables for these limits, kept on it like its verdicts."""
+    got = r._walks.get(limits)
+    if got is None:
+        opens = r.space.opens(limits)
+        index = {u: i for i, u in enumerate(opens)}
+        refiners = [0] * len(opens)
+        self_refining = 0
+        for u, v in r.pairs:
+            if u in index and v in index:
+                refiners[index[v]] |= 1 << index[u]
+                if u == v:
+                    self_refining |= 1 << index[u]
+        got = r._walks[limits] = _OpenWalk(r.space.names, opens, index, refiners, self_refining, {})
+    return got
+
+
+def _step(w: _OpenWalk, k: int, f: int, g: int) -> tuple[int, int, int]:
+    """One level: (f', g', chosen).  The greedy cover keeps an open
     exactly when it covers something still uncovered."""
-    chosen = []
-    remaining = k_mask
-    for v in candidates:
-        if remaining == 0:
+    fr = union_of(w.refiners, f)
+    gr = union_of(w.refiners, g)
+    chosen, remaining = 0, k
+    for i in bits(fr | gr):
+        if not remaining:
             break
+        v = w.opens[i]
         if v & remaining:
-            chosen.append(v)
+            chosen |= 1 << i
             remaining &= ~v
-    return chosen, remaining
+    if remaining:
+        raise PreconditionViolated(
+            "the refinement relation cannot cover the compact set "
+            f"(missing {set_label(w.names, remaining)})"
+        )
+    return chosen & fr, chosen & gr, chosen
 
 
-def _decompose(x: FiniteSpace, r: ApproxRelation, k_mask: int, u1: int, u2: int, limits: Limits):
-    opens = x.opens(limits)
+def _walk(w: _OpenWalk, k: int, f: int, g: int, memo: dict | None = None):
+    """Walk the state (k, f, g) to its cycle: the levels as (f, g,
+    chosen) index masks, the cycle's first level, the stable index masks
+    and the split (K1, K2).  Given a memo, the walk stops at the first
+    state it holds, with the cycle start and stable masks None, and
+    stores every state walked with the split."""
     levels = []
-    fvals, gvals = frozenset([u1]), frozenset([u2])
-    seen: dict[tuple[frozenset, frozenset], int] = {}
-    while (fvals, gvals) not in seen:
-        seen[(fvals, gvals)] = len(levels)
-        # the opens refining some live value, filtered from opens in order
-        # so the greedy cover scans them by open-family index
-        f_refiners = {v for u in fvals for v in r.refiners_of(u)}
-        g_refiners = {v for u in gvals for v in r.refiners_of(u)}
-        pool = [v for v in opens if v in f_refiners or v in g_refiners]
-        chosen, remaining = _greedy_cover(pool, k_mask)
-        if remaining:
-            raise PreconditionViolated(
-                "the refinement relation cannot cover the compact set "
-                f"(missing {set_label(x.names, remaining)})"
-            )
-        next_f = frozenset(v for v in chosen if v in f_refiners)
-        next_g = frozenset(v for v in chosen if v in g_refiners)
-        levels.append({"f": fvals, "g": gvals, "chosen": tuple(chosen)})
-        fvals, gvals = next_f, next_g
-    start = seen[(fvals, gvals)]
-    cycle = levels[start:]
-    stable_f = _stable(r, cycle, "f")
-    stable_g = _stable(r, cycle, "g")
-    k1 = 0
-    for v in stable_f:
-        k1 |= v
-    k2 = 0
-    for v in stable_g:
-        k2 |= v
-    return levels, start, stable_f, stable_g, k1, k2
+    seen: dict[tuple[int, int], int] = {}
+    split = None
+    while (f, g) not in seen:
+        if memo is not None:
+            split = memo.get((k, f, g))
+            if split is not None:
+                break
+        seen[(f, g)] = len(levels)
+        nf, ng, chosen = _step(w, k, f, g)
+        levels.append((f, g, chosen))
+        f, g = nf, ng
+    start = stable_f = stable_g = None
+    if split is None:
+        start = seen[(f, g)]
+        stable_f = stable_g = w.self_refining
+        for lf, lg, chosen in levels[start:]:
+            stable_f &= lf & chosen
+            stable_g &= lg & chosen
+        split = union_of(w.opens, stable_f), union_of(w.opens, stable_g)
+    if memo is not None:
+        for lf, lg, _ in levels:
+            memo[(k, lf, lg)] = split
+    return levels, start, stable_f, stable_g, split
 
 
-def _stable(r: ApproxRelation, cycle, side: str) -> list[int]:
-    """Opens refining themselves that stay alive and chosen around the
-    whole cycle; these are exactly the eventual values of infinite paths."""
-    out = []
-    candidates = set.intersection(*(set(level[side]) for level in cycle)) if cycle else set()
-    for v in sorted(candidates):
-        if r.refines(v, v) and all(v in level["chosen"] for level in cycle):
-            out.append(v)
-    return out
+def require_valid_relation(r: ApproxRelation, limits: Limits = DEFAULT_LIMITS) -> None:
+    """Raise PreconditionViolated when r fails its axioms."""
+    if not validate_approx_relation(r, limits).holds:
+        raise PreconditionViolated("the approximation relation fails its axioms")
+
+
+def wilker_split(r: ApproxRelation, k: int, u1: int, u2: int, limits: Limits = DEFAULT_LIMITS) -> tuple[int, int]:
+    """wilker_decompose on masks, with no input checks: r has passed
+    require_valid_relation, U1 and U2 are opens of r's space and K is a
+    saturated set inside U1 | U2.  Returns (K1, K2) from the relation's
+    memo and checks the same postconditions."""
+    w = _open_walk(r, limits)
+    *_, (k1, k2) = _walk(w, k, 1 << w.index[u1], 1 << w.index[u2], w.memo)
+    if k1 & ~u1 or k2 & ~u2 or k & ~(k1 | k2):
+        raise AssertionError("decomposition postconditions violated")
+    return k1, k2
 
 
 def wilker_decompose(
@@ -313,11 +360,8 @@ def wilker_decompose(
         raise PreconditionViolated("K must be saturated")
     if k.mask & ~(u1.mask | u2.mask):
         raise PreconditionViolated("K must be covered by U1 and U2")
-    if not validate_approx_relation(r, limits).holds:
-        raise PreconditionViolated("the approximation relation fails its axioms")
-    *_, k1, k2 = _decompose(x, r, k.mask, u1.mask, u2.mask, limits)
-    if k1 & ~u1.mask or k2 & ~u2.mask or k.mask & ~(k1 | k2):
-        raise AssertionError("decomposition postconditions violated")
+    require_valid_relation(r, limits)
+    k1, k2 = wilker_split(r, k.mask, u1.mask, u2.mask, limits)
     return PtSet(x, k1), PtSet(x, k2)
 
 
@@ -329,17 +373,19 @@ def wilker_decomposition_trace(
     u2: PtSet,
     limits: Limits = DEFAULT_LIMITS,
 ) -> dict:
-    """Same walk as wilker_decompose, exported level by level for audit."""
-    levels, start, stable_f, stable_g, k1, k2 = _decompose(x, r, k.mask, u1.mask, u2.mask, limits)
+    """Same walk as wilker_decompose, with no memo, exported level by
+    level for audit."""
+    w = _open_walk(r, limits)
+    if u1.mask not in w.index or u2.mask not in w.index:
+        raise PreconditionViolated("U1 and U2 must be open")
+    levels, start, stable_f, stable_g, (k1, k2) = _walk(w, k.mask, 1 << w.index[u1.mask], 1 << w.index[u2.mask])
     lbl = lambda m: set_label(x.names, m)
+    labels = lambda sel: [lbl(w.opens[i]) for i in bits(sel)]
     return {
-        "levels": [
-            {"f": sorted(map(lbl, lv["f"])), "g": sorted(map(lbl, lv["g"])), "chosen": [lbl(c) for c in lv["chosen"]]}
-            for lv in levels
-        ],
+        "levels": [{"f": sorted(labels(f)), "g": sorted(labels(g)), "chosen": labels(chosen)} for f, g, chosen in levels],
         "cycle_start": start,
-        "stable_f": [lbl(v) for v in stable_f],
-        "stable_g": [lbl(v) for v in stable_g],
+        "stable_f": labels(stable_f),
+        "stable_g": labels(stable_g),
         "k1": lbl(k1),
         "k2": lbl(k2),
     }

@@ -27,7 +27,7 @@ from .core import (
     subspace,
 )
 from . import canonical, checkers, omega, pi02
-from .approx import canonical_approx_relation, validate_approx_relation, wilker_decompose
+from .approx import canonical_approx_relation, require_valid_relation, validate_approx_relation, wilker_split
 from .canonical import PAIR_BUILDERS, check_distributive_law, naturality_squares, verify_pair
 from .powerspaces import Powers, algebra_laws, monad_laws, monad_preimage_identities
 
@@ -235,20 +235,26 @@ def wilker_space_job(args) -> list[CheckRecord]:
     relation = canonical_approx_relation(space, limits)
     t0 = time.monotonic()
     out.append(_rec("canonical_relation_valid", subject, validate_approx_relation(relation, limits), t0))
+    require_valid_relation(relation, limits)
     opens = space.opens(limits)
     t0 = time.monotonic()
     triples = 0
     failure = None
-    # wilker_decompose raises on a split that misses its cover; the
-    # saturation of K1 and K2, which it also promises, is checked here
+    checked = set()
+    # wilker_split raises on a split that misses its cover; the saturation
+    # of K1 and K2, which wilker_decompose also promises, is checked here,
+    # once per distinct split, at the first triple that splits that way
     for u1, u2, k in product(opens, repeat=3):
         if k & ~(u1 | u2):
             continue
         triples += 1
-        sets = [PtSet(space, m) for m in (k, u1, u2)]
-        k1, k2 = wilker_decompose(space, relation, *sets, limits)
-        if space.saturation_mask(k1.mask) != k1.mask or space.saturation_mask(k2.mask) != k2.mask:
-            failure = dict(zip(("K", "U1", "U2"), sets))
+        split = wilker_split(relation, k, u1, u2, limits)
+        if split in checked:
+            continue
+        checked.add(split)
+        k1, k2 = split
+        if space.saturation_mask(k1) != k1 or space.saturation_mask(k2) != k2:
+            failure = {"K": PtSet(space, k), "U1": PtSet(space, u1), "U2": PtSet(space, u2)}
             break
     verdict = Verdict(failure is None, witness=failure, info={"triples": triples})
     out.append(_rec("decompose_all_triples", subject, verdict, t0))

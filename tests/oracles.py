@@ -1,7 +1,11 @@
 """Literal quantifiers kept as test oracles for the library's shortcuts."""
 
+from functools import reduce
+from operator import or_
+
 from powerspace.canonical import alpha_beta, gamma_delta, phi_psi, sigma_tau
 from powerspace.core import enumerate_upper_sets, set_label, union_of
+from powerspace.errors import PreconditionViolated
 
 
 def row_union_covers(up) -> list[tuple[int, int]]:
@@ -135,6 +139,47 @@ def literal_wilker(x) -> tuple[int, int, int] | None:
                 ):
                     return k, u1, u2
     return None
+
+
+def literal_wilker_walk(x, r, k, u1, u2):
+    """The levelwise walk written out literally: each level's pool tests
+    every open against every live value with r.refines."""
+    opens = x.opens()
+    levels, seen = [], {}
+    f, g = frozenset([u1]), frozenset([u2])
+    while (f, g) not in seen:
+        seen[(f, g)] = len(levels)
+        pool = [v for v in opens if any(r.refines(v, u) for u in f) or any(r.refines(v, u) for u in g)]
+        chosen, remaining = [], k
+        for v in pool:
+            if remaining and v & remaining:
+                chosen.append(v)
+                remaining &= ~v
+        if remaining:
+            raise PreconditionViolated("no cover")
+        levels.append((f, g, chosen))
+        f = frozenset(v for v in chosen if any(r.refines(v, u) for u in f))
+        g = frozenset(v for v in chosen if any(r.refines(v, u) for u in g))
+    start = seen[(f, g)]
+    cycle = levels[start:]
+
+    def stable(side):
+        alive = set.intersection(*(set(level[side]) for level in cycle))
+        return [v for v in sorted(alive) if r.refines(v, v) and all(v in level[2] for level in cycle)]
+
+    label = lambda m: set_label(x.names, m)
+    stable_f, stable_g = stable(0), stable(1)
+    return {
+        "levels": [
+            {"f": sorted(map(label, lf)), "g": sorted(map(label, lg)), "chosen": list(map(label, ch))}
+            for lf, lg, ch in levels
+        ],
+        "cycle_start": start,
+        "stable_f": list(map(label, stable_f)),
+        "stable_g": list(map(label, stable_g)),
+        "k1": label(reduce(or_, stable_f, 0)),
+        "k2": label(reduce(or_, stable_g, 0)),
+    }
 
 
 def literal_preimage_identities(pw) -> list[tuple[str, str]]:

@@ -1,6 +1,5 @@
 import random
-from functools import reduce
-from operator import or_
+from itertools import product
 
 import pytest
 
@@ -9,13 +8,17 @@ from powerspace.approx import (
     ApproxScheme,
     PathDescriptor,
     canonical_approx_relation,
+    require_valid_relation,
     scheme_limit,
     validate_approx_relation,
     wilker_decompose,
     wilker_decomposition_trace,
+    wilker_split,
 )
 from powerspace.core import PtSet, antichain, chain, empty_space, enumerate_spaces, set_label, sierpinski
 from powerspace.errors import EmptySpace, NoUniquePoint, PreconditionViolated
+
+from oracles import literal_wilker_walk
 
 S = sierpinski()
 D2 = antichain(2, names=("a", "b"))
@@ -84,6 +87,8 @@ def test_decompose_preconditions():
         wilker_decompose(S, r, PtSet(S, 0b01), PtSet(S, 0b10), PtSet(S, 0b10))  # not saturated
     with pytest.raises(PreconditionViolated):
         wilker_decompose(S, r, PtSet(S, 0b11), PtSet(S, 0b10), PtSet(S, 0b10))  # not covered
+    with pytest.raises(PreconditionViolated):
+        wilker_decomposition_trace(S, r, PtSet(S, 0b10), PtSet(S, 0b01), PtSet(S, 0b10))  # {bot} is not open
 
 
 def test_decompose_rejects_an_invalid_relation_on_every_call():
@@ -120,47 +125,6 @@ def test_decompose_all_triples_with_oracle():
                     assert oracle(sp, k, u1, u2)
 
 
-def _reference_trace(x, r, k, u1, u2):
-    """The levelwise walk written out literally: each level's pool tests
-    every open against every live value with r.refines."""
-    opens = x.opens()
-    levels, seen = [], {}
-    f, g = frozenset([u1]), frozenset([u2])
-    while (f, g) not in seen:
-        seen[(f, g)] = len(levels)
-        pool = [v for v in opens if any(r.refines(v, u) for u in f) or any(r.refines(v, u) for u in g)]
-        chosen, remaining = [], k
-        for v in pool:
-            if remaining and v & remaining:
-                chosen.append(v)
-                remaining &= ~v
-        if remaining:
-            raise PreconditionViolated("no cover")
-        levels.append((f, g, chosen))
-        f = frozenset(v for v in chosen if any(r.refines(v, u) for u in f))
-        g = frozenset(v for v in chosen if any(r.refines(v, u) for u in g))
-    start = seen[(f, g)]
-    cycle = levels[start:]
-
-    def stable(side):
-        alive = set.intersection(*(set(level[side]) for level in cycle))
-        return [v for v in sorted(alive) if r.refines(v, v) and all(v in level[2] for level in cycle)]
-
-    label = lambda m: set_label(x.names, m)
-    stable_f, stable_g = stable(0), stable(1)
-    return {
-        "levels": [
-            {"f": sorted(map(label, lf)), "g": sorted(map(label, lg)), "chosen": list(map(label, ch))}
-            for lf, lg, ch in levels
-        ],
-        "cycle_start": start,
-        "stable_f": list(map(label, stable_f)),
-        "stable_g": list(map(label, stable_g)),
-        "k1": label(reduce(or_, stable_f, 0)),
-        "k2": label(reduce(or_, stable_g, 0)),
-    }
-
-
 def _library_trace(x, r, k, u1, u2):
     return wilker_decomposition_trace(x, r, PtSet(x, k), PtSet(x, u1), PtSet(x, u2))
 
@@ -190,10 +154,29 @@ def test_trace_matches_reference_walk():
             for k in opens:
                 for u1 in opens:
                     for u2 in opens:
-                        expected = _walk_outcome(_reference_trace, sp, r, k, u1, u2)
+                        expected = _walk_outcome(literal_wilker_walk, sp, r, k, u1, u2)
                         assert _walk_outcome(_library_trace, sp, r, k, u1, u2) == expected
                         outcomes["no cover" if expected == "no cover" else "covered"] += 1
     assert outcomes["covered"] > 1000 and outcomes["no cover"] > 1000
+
+
+def test_memoised_split_matches_literal_walk():
+    """wilker_split, one relation and so one memo per space shared by all
+    its triples in the suite's order, against the literal walk: every
+    labelled space of at most 3 points, then the 24 spaces of at most 4
+    points up to isomorphism, all in one process, so that a memo keyed
+    without K or shared across spaces gives a wrong split."""
+    spaces = [sp for sp in (*enumerate_spaces(3, up_to_iso=False), *enumerate_spaces(4)) if sp.n]
+    assert len(spaces) == 23 + 24
+    for sp in spaces:
+        r = canonical_approx_relation(sp)
+        require_valid_relation(r)
+        for u1, u2, k in product(sp.opens(), repeat=3):
+            if k & ~(u1 | u2):
+                continue
+            want = literal_wilker_walk(sp, r, k, u1, u2)
+            k1, k2 = wilker_split(r, k, u1, u2)
+            assert (set_label(sp.names, k1), set_label(sp.names, k2)) == (want["k1"], want["k2"]), (sp, k, u1, u2)
 
 
 def test_trace_export():

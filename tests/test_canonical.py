@@ -30,6 +30,7 @@ from powerspace.core import (
     enumerate_spaces,
     identity_map,
     iter_continuous_maps,
+    set_label,
     sierpinski,
 )
 from powerspace.errors import NotContinuous, PowerspaceTooLarge, ShapeMismatch
@@ -346,6 +347,25 @@ def test_wrong_sigma_off_the_generators_fails_at_its_family():
                          "parameter": pw.AK.space.names[point]}
     assert v.witness["parameter"] not in gens
     assert (v.witness["identity"], v.witness["parameter"]) in literal_preimage_identities(pw)
+
+
+@pytest.mark.parametrize("space", [D2, antichain(3)], ids=["antichain-2", "antichain-3"])
+def test_wrong_boxtimes_fails_the_per_open_identity(space):
+    # pw.OO.members[U] is boxtimes U, read by the per-open loop alone; a
+    # wrong entry there leaves every family identity passing and fails
+    # phi's and psi's at U, phi's first
+    for u_idx, u in enumerate(Powers(space).O.extents):
+        pw = Powers(space)
+        for builder in PAIR_BUILDERS.values():
+            builder(pw)
+        members = list(pw.OO.members)
+        members[u_idx] ^= 1
+        object.__setattr__(pw.OO, "members", tuple(members))
+        label = set_label(space.names, u)
+        v = check_preimage_identities(pw)
+        assert v.witness == {"identity": "phi^-1(boxtimes U) = box diamond U", "parameter": label}
+        assert literal_preimage_identities(pw) == [
+            ("phi^-1(boxtimes U) = box diamond U", label), ("psi^-1(box diamond U) = boxtimes U", label)]
 
 
 def test_preimage_identities_take_one_preimage_per_generator(monkeypatch):

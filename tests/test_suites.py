@@ -7,7 +7,7 @@ import pytest
 
 from powerspace import approx, checkers, powerspaces
 from powerspace.config import DEFAULT_LIMITS
-from powerspace.core import PtSet, Verdict, enumerate_spaces, sierpinski
+from powerspace.core import PtSet, Verdict, antichain, enumerate_spaces, sierpinski
 from powerspace.suites import SUITES, consonance_space_job, monad_space_job, run_suite, wilker_space_job
 
 # sha256 of each suite's report body without timings and of its stdout
@@ -135,14 +135,30 @@ def test_decompose_all_triples_fails_on_an_unsaturated_split(monkeypatch):
     # covers K = {bot,top} under U1 = {bot,top} and U2 = {top}
     x = sierpinski()
     bot, top, full = 0b01, 0b10, 0b11
-    decompose = approx._decompose
+    walk = approx._walk
 
-    def unsaturated(space, r, k_mask, u1, u2, limits):
-        *trace, k1, k2 = decompose(space, r, k_mask, u1, u2, limits)
-        return (*trace, bot, top) if (k_mask, u1, u2) == (full, full, top) else (*trace, k1, k2)
+    def unsaturated(w, k, f, g, memo=None):
+        *trace, split = walk(w, k, f, g, memo)
+        return (*trace, (bot, top)) if (k, f, g) == (full, 1 << w.index[full], 1 << w.index[top]) else (*trace, split)
 
-    monkeypatch.setattr(approx, "_decompose", unsaturated)
+    monkeypatch.setattr(approx, "_walk", unsaturated)
     [relation_valid, triples] = wilker_space_job((x, DEFAULT_LIMITS))
     assert relation_valid.passed
     assert triples.name == "decompose_all_triples" and not triples.passed
     assert triples.witness == {"K": PtSet(x, full), "U1": PtSet(x, full), "U2": PtSet(x, top)}
+
+
+def test_decompose_all_triples_steps_each_state_once(monkeypatch):
+    # 2,641 distinct walk states on antichain(4); walking every triple
+    # from scratch took 4,786 level steps
+    steps = []
+    step = approx._step
+
+    def counting(w, k, f, g):
+        steps.append((k, f, g))
+        return step(w, k, f, g)
+
+    monkeypatch.setattr(approx, "_step", counting)
+    [relation_valid, triples] = wilker_space_job((antichain(4), DEFAULT_LIMITS))
+    assert relation_valid.passed and triples.passed
+    assert len(steps) == len(set(steps)) <= 2641
