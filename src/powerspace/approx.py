@@ -24,8 +24,10 @@ and it is exact: from any state of a walk, prefix or cycle, the walk
 reaches the same cycle, and the stable opens, an intersection over that
 cycle, do not depend on where it is entered.  So every state walked is
 stored with the walk's split, and a walk meeting a stored state stops
-there.  K is in the key because the cover depends on it; the indices are
-the relation's own, so the memo dies with the relation.
+there.  K is in the key because the cover depends on it; the key packs
+the state into one int, (K << 2m) | (F << m) | G for m opens, a quarter
+of the memory of a tuple key.  The indices are the relation's own, so
+the memo dies with the relation.
 """
 
 from __future__ import annotations
@@ -250,7 +252,7 @@ class _OpenWalk:
     index: dict[int, int]
     refiners: list[int]
     self_refining: int
-    memo: dict[tuple[int, int, int], tuple[int, int]]
+    memo: dict[int, tuple[int, int]]
 
 
 def _open_walk(r: ApproxRelation, limits: Limits) -> _OpenWalk:
@@ -300,9 +302,10 @@ def _walk(w: _OpenWalk, k: int, f: int, g: int, memo: dict | None = None):
     levels = []
     seen: dict[tuple[int, int], int] = {}
     split = None
+    m = len(w.opens)
     while (f, g) not in seen:
         if memo is not None:
-            split = memo.get((k, f, g))
+            split = memo.get((k << 2 * m) | (f << m) | g)
             if split is not None:
                 break
         seen[(f, g)] = len(levels)
@@ -319,7 +322,7 @@ def _walk(w: _OpenWalk, k: int, f: int, g: int, memo: dict | None = None):
         split = union_of(w.opens, stable_f), union_of(w.opens, stable_g)
     if memo is not None:
         for lf, lg, _ in levels:
-            memo[(k, lf, lg)] = split
+            memo[(k << 2 * m) | (lf << m) | lg] = split
     return levels, start, stable_f, stable_g, split
 
 

@@ -228,6 +228,15 @@ class FiniteSpace:
         return mask & ~union_of(self._strict_up, mask)
 
     @cached_property
+    def _strict_down(self) -> tuple[int, ...]:
+        return tuple(m & ~(1 << i) for i, m in enumerate(self.down))
+
+    def maximal_points(self, mask: int) -> int:
+        """Bit mask of the order-maximal points of mask, dually: those
+        strictly below no point of mask."""
+        return mask & ~union_of(self._strict_down, mask)
+
+    @cached_property
     def _opens_memo(self) -> dict:
         return {}
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
+from itertools import repeat
 
 from .config import DEFAULT_LIMITS, Limits
 from .core import (
@@ -35,7 +36,6 @@ from .core import (
     PtSet,
     SpaceMap,
     Verdict,
-    bits,
     check_continuous,
     count_upper_sets,
     enumerate_lower_sets,
@@ -77,7 +77,9 @@ class ConstructedSpace:
     def __post_init__(self):
         names = self.base.names
         if self.kind == KIND_CONVEX:
-            labels = tuple(f"<{set_label(names, a)},{set_label(names, k)}>" for a, k in self.extents)
+            # lenses share their parts, so each distinct part is labelled once
+            part = {m: set_label(names, m) for m in {m for pair in self.extents for m in pair}}
+            labels = tuple(f"<{part[a]},{part[k]}>" for a, k in self.extents)
             up = tuple(self.containing(a) & self.box(k) for a, k in self.extents)
         else:
             labels = tuple(set_label(names, e) for e in self.extents)
@@ -128,20 +130,25 @@ def _base_of(x) -> tuple[FiniteSpace, "ConstructedSpace | None", str]:
     return x, None, "X"
 
 
-def _members(n: int, extents) -> tuple[int, ...]:
-    members = [0] * n
-    for i, e in enumerate(extents):
-        for p in bits(e):
-            members[p] |= 1 << i
-    return tuple(members)
+def _members(n: int, extents: list[int]) -> tuple[int, ...]:
+    """members[p]: bit i set when base point p is in extents[i].
+
+    The extents, last first, are written as one string of n-digit binary
+    numerals, so extent i's numeral starts at (len - 1 - i) * n and holds
+    bit p at offset n - 1 - p.  Column p is then the slice from n - 1 - p
+    in steps of n, extent len - 1 first, which int(..., 2) reads back as
+    members[p]: one C-level pass per base point, none per extent bit.
+    """
+    digits = "".join(map(format, reversed(extents), repeat(f"0{n}b")))
+    return tuple(int(digits[n - 1 - p :: n] or "0", 2) for p in range(n))
 
 
 def _finish(base, base_cs, label, kind, extents, limits) -> ConstructedSpace:
     if len(extents) > limits.max_construction_points:
         raise PowerspaceTooLarge(f"{label} would have {len(extents)} points")
     if kind == KIND_CONVEX:
-        members = _members(base.n, (a for a, _ in extents))
-        sat_members = _members(base.n, (k for _, k in extents))
+        members = _members(base.n, [a for a, _ in extents])
+        sat_members = _members(base.n, [k for _, k in extents])
     else:
         members = sat_members = _members(base.n, extents)
     return ConstructedSpace(base, kind, tuple(extents), label, members, sat_members, base_cs)
@@ -162,17 +169,27 @@ def upper_powerspace(x, limits: Limits = DEFAULT_LIMITS) -> ConstructedSpace:
 
 
 def convex_powerspace(x, limits: Limits = DEFAULT_LIMITS) -> ConstructedSpace:
-    """L(X): lens pairs <A, K> with Cl(A&K) = A and up(A&K) = K."""
+    """L(X): lens pairs <A, K> with Cl(A&K) = A and up(A&K) = K.
+
+    A closed A and a saturated K form a lens exactly when max(A) lies in
+    K and min(K) lies in A, so each candidate pair costs two ANDs against
+    extremal points computed once per set.  If max(A) lies in K, it lies
+    in A&K, and Cl(A&K), which is inside the closed A, holds down(max(A)),
+    which on a finite space is all of A.  Conversely, if Cl(A&K) = A, a
+    maximal point of A lies below some point of A&K, inside A, so it is
+    that point and lies in K.  The argument for K is dual.  Both lists
+    come sorted, so the pairs come sorted by (A, K).
+    """
     base, base_cs, inner = _base_of(x)
     closed = enumerate_lower_sets(base, limits.max_construction_points)
     saturated = enumerate_upper_sets(base.up, limits.max_construction_points)
-    extents = []
-    for a in closed:
-        for k in saturated:
-            core = a & k
-            if base.closure_mask(core) == a and base.saturation_mask(core) == k:
-                extents.append((a, k))
-    extents.sort()
+    bottoms = list(zip(saturated, map(base.minimal_points, saturated)))
+    extents = [
+        (a, k)
+        for a, top in zip(closed, map(base.maximal_points, closed))
+        for k, bottom in bottoms
+        if not (top & ~k or bottom & ~a)
+    ]
     return _finish(base, base_cs, f"L({inner})", KIND_CONVEX, extents, limits)
 
 
@@ -435,22 +452,23 @@ def _first_family_apart(t: ConstructedSpace, struct: SpaceMap, limits: Limits):
 
 
 def construction_to_json(cs: ConstructedSpace) -> dict:
-    def ext_json(e):
-        if isinstance(e, tuple):
-            return {
-                "closed": list(PtSet(cs.base, e[0]).points()),
-                "saturated": list(PtSet(cs.base, e[1]).points()),
-            }
-        return list(PtSet(cs.base, e).points())
-
+    """The construction's points with their extents as base point names,
+    and its Hasse edges.  Each distinct base set is listed once per call:
+    a lens space repeats few closed and saturated parts over many points."""
+    convex = cs.kind == KIND_CONVEX
+    distinct = {m for pair in cs.extents for m in pair} if convex else set(cs.extents)
+    points = {m: PtSet(cs.base, m).points() for m in distinct}
+    if convex:
+        extents = [{"closed": list(points[a]), "saturated": list(points[k])} for a, k in cs.extents]
+    else:
+        extents = [list(points[e]) for e in cs.extents]
+    names = cs.space.names
     return {
         "label": cs.label,
         "kind": cs.kind,
         "base_points": list(cs.base.names),
-        "points": [
-            {"name": cs.space.names[i], "extent": ext_json(e)} for i, e in enumerate(cs.extents)
-        ],
-        "order": [[cs.space.names[i], cs.space.names[j]] for i, j in cs.space.covers()],
+        "points": [{"name": name, "extent": e} for name, e in zip(names, extents)],
+        "order": [[names[i], names[j]] for i, j in cs.space.covers()],
     }
 
 

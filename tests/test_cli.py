@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +119,21 @@ def test_build_antichain_double_lattice(tmp_path, capsys):
     path.write_text(json.dumps({"points": ["x", "y", "z"], "order": []}))
     assert main(["build", str(path), "--expr", "O(O(X))", "--format", "json", "--out", str(tmp_path / "o.json")]) == 0
     assert "O(O(X)): 20 points" in capsys.readouterr().out
+
+
+def test_build_export_bytes_match_the_benchmark_pins(tmp_path, capsys):
+    """L(K(X)) over the 4-point antichain, written as DOT and as JSON, has
+    the digests the benchmark's build-export workload checks.  The pins are
+    read from the benchmark's expected outputs, never written."""
+    expected = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+    pins = json.loads(expected.read_text())["build-export"]["outputs"]
+    space = tmp_path / "a4.json"
+    space.write_text(json.dumps({"points": ["a0", "a1", "a2", "a3"], "order": []}))
+    for fmt in ("dot", "json"):
+        out = tmp_path / f"lk.{fmt}"
+        assert main(["build", str(space), "--expr", "L(K(X))", "--format", fmt, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == pins[f"{fmt}_sha256"]
+    assert capsys.readouterr().out == "L(K(X)): 3938 points\n" * 2
 
 
 def test_build_cap_exit_code(tmp_path, capsys, d2_file):

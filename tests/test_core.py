@@ -448,6 +448,10 @@ def test_minimal_points_match_literal_loop():
                 i for i in bits(mask) if not any(j != i and sp.leq(j, i) for j in bits(mask))
             )
             assert sp.minimal_points(mask) == literal
+            literal = mask_of(
+                i for i in bits(mask) if not any(j != i and sp.leq(i, j) for j in bits(mask))
+            )
+            assert sp.maximal_points(mask) == literal
 
 
 def _literal_covers(space: FiniteSpace) -> list[tuple[int, int]]:

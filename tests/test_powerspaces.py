@@ -60,20 +60,24 @@ def test_convex_powerspace_examples():
     assert convex_powerspace(empty_space()).extents == ((0, 0),)
 
 
+# bases wider than the enumerated spaces: K(antichain(3)) has 8 points
+WIDE_BASES = (upper_powerspace(antichain(3)).space,)
+
+
 def test_convex_count_matches_pair_oracle():
-    for sp in enumerate_spaces(4):
-        lens = convex_powerspace(sp)
-        oracle = set()
-        for a in range(sp.full_mask + 1):
-            if not sp.is_lower(a):
-                continue
-            for k in range(sp.full_mask + 1):
-                if not sp.is_upper(k):
-                    continue
-                core = a & k
-                if sp.closure_mask(core) == a and sp.saturation_mask(core) == k:
-                    oracle.add((a, k))
-        assert set(lens.extents) == oracle
+    # the literal lens definition over every closed and saturated pair,
+    # against the extremal-point filter, order included
+    for sp in (*enumerate_spaces(4), *enumerate_spaces(3, up_to_iso=False), *WIDE_BASES):
+        subsets = range(sp.full_mask + 1)
+        closed = [a for a in subsets if sp.is_lower(a)]
+        saturated = [k for k in subsets if sp.is_upper(k)]
+        oracle = [
+            (a, k)
+            for a in closed
+            for k in saturated
+            if sp.closure_mask(a & k) == a and sp.saturation_mask(a & k) == k
+        ]
+        assert convex_powerspace(sp).extents == tuple(sorted(oracle))
 
 
 def test_open_lattice_shapes():
@@ -112,8 +116,11 @@ def test_specialization_order_of_constructions(builder, expected_order):
 def test_set_formers_match_pairwise_definitions():
     # diamond meets, box lies inside, containing contains: checked point by
     # point against the extents, closed parts of lenses for diamond and
-    # containing, saturated parts for box
-    for sp in enumerate_spaces(3):
+    # containing, saturated parts for box.  The members index is read column
+    # by column: the wide base checks it past 3 points, and the empty space,
+    # the first of enumerate_spaces, at none
+    assert enumerate_spaces(3)[0] == empty_space()
+    for sp in (*enumerate_spaces(3), *WIDE_BASES):
         for builder in (lower_powerspace, upper_powerspace, convex_powerspace, open_lattice):
             ps = builder(sp)
             closed = [e[0] if ps.kind == "L" else e for e in ps.extents]

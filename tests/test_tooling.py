@@ -1,12 +1,14 @@
 """The benchmark harness and the scripts import names from powerspace that
 no other test touches.  Parse them, without running them, and resolve
 every such name, so a change to the public API cannot break them
-silently.  The README's quickstart is run as written, and no module
-imports a name it never uses."""
+silently.  The README's quickstart is run as written, no module imports
+a name it never uses, and every committed benchmark record names a
+metric the benchmark measures."""
 
 import ast
 import importlib
 import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -128,3 +130,45 @@ def test_the_check_sees_an_unused_import(tmp_path):
         "print(dumps(osp.sep))\n"
     )
     assert _unused_imports(module) == ["os", "loads"]
+
+
+def _claim_faults(record: dict, spec: dict) -> list[str]:
+    """What is wrong with a benchmark record's claim: claim.metric must be
+    <workload>.<metric> for a workload and an end-to-end metric that spec
+    (BENCHMARK.json) declares, with a summary entry for that pair.  A
+    record with no claim has nothing to check."""
+    claim = record.get("claim")
+    if claim is None:
+        return []
+    name = claim.get("metric", "")
+    workload, _, metric = name.partition(".")
+    faults = []
+    if workload not in {w["name"] for w in spec["workloads"]}:
+        faults.append(f"no workload {workload!r}")
+    if metric not in {m["name"] for m in spec["end_to_end"]}:
+        faults.append(f"no end-to-end metric {metric!r}")
+    if name not in record.get("summary", {}):
+        faults.append(f"no summary of {name!r}")
+    return faults
+
+
+def test_bench_records_parse_and_claim_benchmarked_metrics():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    faults = {p.name: f for p in records if (f := _claim_faults(json.loads(p.read_text()), spec))}
+    assert not faults
+
+
+def test_the_check_sees_a_claim_off_the_benchmark():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    summary = {"build-export.wall_s": {}}
+    assert _claim_faults({"claim": {"metric": "build-export.wall_s"}, "summary": summary}, spec) == []
+    assert _claim_faults({"what": "no claim"}, spec) == []
+    assert _claim_faults({"claim": {"metric": "build-export.lens_s"}, "summary": summary}, spec) == [
+        "no end-to-end metric 'lens_s'",
+        "no summary of 'build-export.lens_s'",
+    ]
+    assert _claim_faults({"claim": {"metric": "export.wall_s"}, "summary": {"export.wall_s": {}}}, spec) == [
+        "no workload 'export'",
+    ]
