@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 from .config import DEFAULT_LIMITS, Limits
 from .core import FiniteSpace, PtSet, Verdict, bits, set_label, union_of
@@ -87,72 +88,34 @@ def validate_approx_relation(r: ApproxRelation, limits: Limits = DEFAULT_LIMITS)
 
 
 def _check_axioms(r: ApproxRelation, limits: Limits) -> Verdict:
-    x = r.space
-    opens = x.opens(limits)
-    open_set = set(opens)
-    for u, v in sorted(r.pairs):
-        if u not in open_set or v not in open_set:
-            return Verdict(False, witness={"axiom": 0, "pair": (set_label(x.names, u), set_label(x.names, v)),
-                                           "failure": "relation off the open family"})
-        if u & ~v:
-            return Verdict(False, witness={"axiom": 1, "pair": (set_label(x.names, u), set_label(x.names, v))})
-        for w in opens:
-            if not (v & ~w) and (u, w) not in r.pairs:
-                return Verdict(False, witness={"axiom": 2,
-                                               "instance": tuple(set_label(x.names, m) for m in (u, v, w))})
-    for u in opens:
-        for p in bits(u):
-            if not any((o >> p) & 1 and (o, u) in r.pairs for o in opens):
-                return Verdict(False, witness={"axiom": 3, "point": x.names[p], "open": set_label(x.names, u)})
-    for cycle in _refinement_cycles(r, opens):
-        family = sorted(cycle)
-        points = _basis_points(x, family, opens)
-        if len(points) != 1:
-            return Verdict(False, witness={"axiom": 4,
-                                           "cycle": tuple(set_label(x.names, m) for m in family),
-                                           "basis_points": tuple(x.names[p] for p in points)})
+    """The axioms on the walk's index tables, one test each, first
+    failure reported: (0) every pair joins two opens, the one fact the
+    tables cannot hold; (1) a refiner lies inside what it refines; (2) an
+    open refining V refines every open above V; (3) the refiners of an
+    open cover it; (4) every self-refining open is some up(p), which with
+    (1) in force is the limit axiom on the cycles (module docstring)."""
+    w = _open_walk(r, limits)
+    opens, refiners = w.opens, w.refiners
+    lbl = lambda m: set_label(w.names, m)
+    fail = lambda axiom, **witness: Verdict(False, witness={"axiom": axiom, **witness})
+    off = sorted((u, v) for u, v in r.pairs if u not in w.index or v not in w.index)
+    if off:
+        return fail(0, pair=tuple(map(lbl, off[0])), failure="relation off the open family")
+    for v, sel in zip(opens, refiners):
+        for i in bits(sel):
+            if opens[i] & ~v:
+                return fail(1, pair=(lbl(opens[i]), lbl(v)))
+    for (v, sel), (u, sel_u) in product(zip(opens, refiners), repeat=2):
+        if not v & ~u and (lost := sel & ~sel_u):
+            return fail(2, instance=(lbl(opens[next(bits(lost))]), lbl(v), lbl(u)))
+    for v, sel in zip(opens, refiners):
+        if uncovered := v & ~union_of(opens, sel):
+            return fail(3, point=w.names[next(bits(uncovered))], open=lbl(v))
+    minimal = set(r.space.up)
+    for i in bits(w.self_refining):
+        if opens[i] not in minimal:
+            return fail(4, cycle=(lbl(opens[i]),), basis_points=())
     return Verdict(True, info={"checker": "validate_approx_relation", "pairs": len(r.pairs), "opens": len(opens)})
-
-
-def _refinement_cycles(r: ApproxRelation, opens) -> list[set[int]]:
-    """Mutual-refinement classes that contain at least one edge."""
-    idx = {u: i for i, u in enumerate(opens)}
-    n = len(opens)
-    reach = [0] * n
-    for u, v in r.pairs:
-        if u in idx and v in idx:
-            reach[idx[u]] |= 1 << idx[v]
-    for k in range(n):
-        bk = 1 << k
-        for i in range(n):
-            if reach[i] & bk:
-                reach[i] |= reach[k]
-    seen = set()
-    cycles = []
-    for i in range(n):
-        if (reach[i] >> i) & 1 and i not in seen:
-            comp = {j for j in bits(reach[i]) if (reach[j] >> i) & 1}
-            seen |= comp
-            cycles.append({opens[j] for j in comp})
-    return cycles
-
-
-def _basis_points(x: FiniteSpace, family, opens) -> list[int]:
-    """Points for which the family is a neighborhood basis."""
-    out = []
-    for p in range(x.n):
-        if any(not ((u >> p) & 1) for u in family):
-            continue
-        good = True
-        for w in opens:
-            if not ((w >> p) & 1):
-                continue
-            if not any((u >> p) & 1 and not (u & ~w) for u in family):
-                good = False
-                break
-        if good:
-            out.append(p)
-    return out
 
 
 @dataclass(frozen=True)
@@ -181,15 +144,14 @@ class ApproxScheme:
     assignment: tuple[int, ...]
 
     def __post_init__(self):
-        node_set = set(self.nodes)
         if len(self.assignment) != len(self.nodes):
             raise PreconditionViolated("one open per tree node")
-        if () not in node_set:
+        assign = self._assign
+        if () not in assign:
             raise PreconditionViolated("the tree must contain the root")
         for s in self.nodes:
-            if s and s[:-1] not in node_set:
+            if s and s[:-1] not in assign:
                 raise PreconditionViolated("the tree must be prefix closed")
-        assign = dict(zip(self.nodes, self.assignment))
         for s in self.nodes:
             for t in self.nodes:
                 if len(s) < len(t) and t[: len(s)] == s:

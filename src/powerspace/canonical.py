@@ -29,7 +29,7 @@ from .core import (
     set_label,
     union_of,
 )
-from .errors import PowerspaceTooLarge, ShapeMismatch
+from .errors import ShapeMismatch
 from .powerspaces import (
     KIND_CONVEX,
     KIND_LOWER,
@@ -463,18 +463,16 @@ def _beck_diagrams(pw: Powers, f: str, s: str, lam_of) -> list[str]:
     return failures
 
 
-def check_distributive_law(x, limits: Limits = DEFAULT_LIMITS, allow_large: bool = False) -> Verdict:
+def check_distributive_law(x, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     """Beck compatibility of sigma as a law A(K(X)) => K(A(X)).
 
-    Triple-nested constructions blow up fast, so bases above two points
-    are refused unless allow_large is set.  The mirrored diagrams for tau
+    Triple-nested constructions blow up fast; the tower's Limits cap
+    bounds them, as it bounds every build.  The mirrored diagrams for tau
     (as a law K(A(X)) => A(K(X))) are evaluated as well and recorded, so
     the verdict states which orientation satisfies the diagrams instead of
     presuming one.
     """
     pw = _powers(x, limits)
-    if pw.base.n > 2 and not allow_large:
-        raise PowerspaceTooLarge("distributive-law check is restricted to bases with at most 2 points")
     sigma_fail = _beck_diagrams(pw, KIND_LOWER, KIND_UPPER, lambda p: sigma_tau(p).forward)
     tau_fail = _beck_diagrams(pw, KIND_UPPER, KIND_LOWER, lambda p: sigma_tau(p).backward)
     info = {

@@ -200,30 +200,29 @@ def strong_compactness_implications(x: FiniteSpace | Powers, limits: Limits = DE
 
 
 def topology_coincidence(space: ConstructedSpace, against: str, limits: Limits = DEFAULT_LIMITS) -> Verdict:
-    """Compare the topology generated by a construction's subbasis with a
-    reference recomputed from the specialization order alone, generated
-    by the complements of the point closures (weak) or by the up-sets
-    (Scott).  A family closed under finite unions and intersections is
-    the unions of its least neighborhoods, so comparing those decides."""
-    cs_space = space.space
-    if against == "weak":
-        seeds = [cs_space.full_mask & ~d for d in cs_space.down]
-    elif against == "scott":
-        seeds = cs_space.up
-    else:
+    """Compare the topology generated by a construction's subbasis with the
+    weak or the Scott topology of its specialization order.  On a finite
+    order both give p the least neighborhood up(p): the Scott opens are
+    the up-sets, and up(p) is the intersection of the complements of the
+    point closures down(q), q not in up(p), which generate the weak
+    topology.  A family closed under finite unions and intersections is
+    the unions of its least neighborhoods, so comparing those with up
+    decides."""
+    if against not in ("weak", "scott"):
         raise ValueError(f"unknown reference topology {against!r}")
+    cs_space = space.space
+    up = cs_space.up
     generated = neighborhoods(space.subbasis(limits), cs_space.n)
-    reference = neighborhoods(seeds, cs_space.n)
     info = {"checker": "topology_coincidence", "against": against}
-    if generated == reference:
+    if generated == list(up):
         return Verdict(True, info=info)
-    p = next(p for p in range(cs_space.n) if generated[p] != reference[p])
+    p = next(p for p in range(cs_space.n) if generated[p] != up[p])
     return Verdict(
         False,
         witness={
             "point": cs_space.names[p],
             "generated": set_label(cs_space.names, generated[p]),
-            against: set_label(cs_space.names, reference[p]),
+            against: set_label(cs_space.names, up[p]),
         },
         info=info,
     )

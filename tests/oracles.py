@@ -4,7 +4,8 @@ from functools import reduce
 from operator import or_
 
 from powerspace.canonical import alpha_beta, gamma_delta, phi_psi, sigma_tau
-from powerspace.core import enumerate_upper_sets, set_label, union_of
+from powerspace.config import DEFAULT_LIMITS
+from powerspace.core import Verdict, bits, enumerate_upper_sets, set_label, union_of
 from powerspace.errors import PreconditionViolated
 
 
@@ -180,6 +181,78 @@ def literal_wilker_walk(x, r, k, u1, u2):
         "k1": label(reduce(or_, stable_f, 0)),
         "k2": label(reduce(or_, stable_g, 0)),
     }
+
+
+def literal_approx_axioms(r, limits=DEFAULT_LIMITS) -> Verdict:
+    """The approximation axioms read off the pair set: a Warshall closure
+    for the refinement cycles and a basis-point scan for each, with the
+    axiom 0-2 tests interleaved per pair in sorted order."""
+    x = r.space
+    opens = x.opens(limits)
+    open_set = set(opens)
+    for u, v in sorted(r.pairs):
+        if u not in open_set or v not in open_set:
+            return Verdict(False, witness={"axiom": 0, "pair": (set_label(x.names, u), set_label(x.names, v)),
+                                           "failure": "relation off the open family"})
+        if u & ~v:
+            return Verdict(False, witness={"axiom": 1, "pair": (set_label(x.names, u), set_label(x.names, v))})
+        for w in opens:
+            if not (v & ~w) and (u, w) not in r.pairs:
+                return Verdict(False, witness={"axiom": 2,
+                                               "instance": tuple(set_label(x.names, m) for m in (u, v, w))})
+    for u in opens:
+        for p in bits(u):
+            if not any((o >> p) & 1 and (o, u) in r.pairs for o in opens):
+                return Verdict(False, witness={"axiom": 3, "point": x.names[p], "open": set_label(x.names, u)})
+    for cycle in _refinement_cycles(r, opens):
+        family = sorted(cycle)
+        points = _basis_points(x, family, opens)
+        if len(points) != 1:
+            return Verdict(False, witness={"axiom": 4,
+                                           "cycle": tuple(set_label(x.names, m) for m in family),
+                                           "basis_points": tuple(x.names[p] for p in points)})
+    return Verdict(True, info={"checker": "validate_approx_relation", "pairs": len(r.pairs), "opens": len(opens)})
+
+
+def _refinement_cycles(r, opens) -> list[set[int]]:
+    """Mutual-refinement classes that contain at least one edge."""
+    idx = {u: i for i, u in enumerate(opens)}
+    n = len(opens)
+    reach = [0] * n
+    for u, v in r.pairs:
+        if u in idx and v in idx:
+            reach[idx[u]] |= 1 << idx[v]
+    for k in range(n):
+        bk = 1 << k
+        for i in range(n):
+            if reach[i] & bk:
+                reach[i] |= reach[k]
+    seen = set()
+    cycles = []
+    for i in range(n):
+        if (reach[i] >> i) & 1 and i not in seen:
+            comp = {j for j in bits(reach[i]) if (reach[j] >> i) & 1}
+            seen |= comp
+            cycles.append({opens[j] for j in comp})
+    return cycles
+
+
+def _basis_points(x, family, opens) -> list[int]:
+    """Points for which the family is a neighborhood basis."""
+    out = []
+    for p in range(x.n):
+        if any(not ((u >> p) & 1) for u in family):
+            continue
+        good = True
+        for w in opens:
+            if not ((w >> p) & 1):
+                continue
+            if not any((u >> p) & 1 and not (u & ~w) for u in family):
+                good = False
+                break
+        if good:
+            out.append(p)
+    return out
 
 
 def literal_preimage_identities(pw) -> list[tuple[str, str]]:

@@ -18,7 +18,7 @@ from powerspace.approx import (
 from powerspace.core import PtSet, antichain, chain, empty_space, enumerate_spaces, set_label, sierpinski
 from powerspace.errors import EmptySpace, NoUniquePoint, PreconditionViolated
 
-from oracles import literal_wilker_walk
+from oracles import literal_approx_axioms, literal_wilker_walk
 
 S = sierpinski()
 D2 = antichain(2, names=("a", "b"))
@@ -60,6 +60,76 @@ def test_subset_axiom_violation():
     bad = ApproxRelation(S, frozenset({(0b11, 0b10)}))
     v = validate_approx_relation(bad)
     assert not v.holds and v.witness["axiom"] == 1
+
+
+# {bot} is not open in the Sierpinski space
+OFF_FAMILY = ApproxRelation(S, canonical_approx_relation(S).pairs | {(0b01, 0b11)})
+
+
+def test_off_family_pair_fails_relation_axiom():
+    v = validate_approx_relation(OFF_FAMILY)
+    assert not v.holds
+    assert v.witness == {"axiom": 0, "pair": ("{bot}", "{bot,top}"), "failure": "relation off the open family"}
+
+
+C3 = chain(3)
+# up(c1) = {c1,c2} refines itself but no longer the whole space, which
+# {c2} and the whole space still cover; {c1,c2} has a second refiner {c2}
+MISSING_UPWARD = ApproxRelation(C3, canonical_approx_relation(C3).pairs - {(0b110, 0b111)})
+
+
+def test_missing_upward_pair_fails_upward_axiom():
+    v = validate_approx_relation(MISSING_UPWARD)
+    assert not v.holds
+    assert v.witness == {"axiom": 2, "instance": ("{c1,c2}", "{c1,c2}", "{c0,c1,c2}")}
+
+
+def test_single_axiom_witnesses_match_literal_oracle():
+    """One relation failing only axiom k, for k = 0..4: the table reading
+    names the same instance as the pair-set reading."""
+    relations = [
+        OFF_FAMILY,
+        ApproxRelation(S, frozenset({(0b11, 0b10)})),
+        MISSING_UPWARD,
+        ApproxRelation(chain(1), frozenset()),
+        ApproxRelation(D2, frozenset((u, v) for u in D2.opens() for v in D2.opens() if not (u & ~v))),
+    ]
+    for axiom, r in enumerate(relations):
+        want = literal_approx_axioms(r)
+        assert not want.holds and want.witness["axiom"] == axiom
+        assert validate_approx_relation(r).witness == want.witness
+
+
+def test_axioms_match_literal_oracle():
+    """holds agrees with the pair-set reading on every labelled space of at
+    most 3 points, under random pairs of arbitrary masks, canonical
+    relations with one or two pairs added or removed, and random sets of
+    subset pairs on the opens; the oracle names every axiom on the way."""
+    rng = random.Random(16)
+    named = {}
+    relations = 0
+    for sp in enumerate_spaces(3, up_to_iso=False):
+        opens = sp.opens()
+        masks = range(sp.full_mask + 1)
+        subset_pairs = [(u, v) for u in opens for v in opens if not (u & ~v)]
+        drawn = [frozenset((rng.choice(masks), rng.choice(masks)) for _ in range(rng.randint(1, 4))) for _ in range(30)]
+        drawn += [frozenset(p for p in subset_pairs if rng.random() < 0.5) for _ in range(30)]
+        if sp.n:
+            canonical = sorted(canonical_approx_relation(sp).pairs)
+            for _ in range(30):
+                k = rng.randint(1, min(2, len(canonical)))
+                if rng.random() < 0.5:
+                    drawn.append(frozenset(canonical) - set(rng.sample(canonical, k)))
+                else:
+                    drawn.append(frozenset(canonical) | {(rng.choice(opens), rng.choice(opens)) for _ in range(k)})
+        for pairs in drawn:
+            want = literal_approx_axioms(ApproxRelation(sp, pairs))
+            assert validate_approx_relation(ApproxRelation(sp, pairs)).holds == want.holds, (sp, sorted(pairs))
+            key = "holds" if want.holds else want.witness["axiom"]
+            named[key] = named.get(key, 0) + 1
+            relations += 1
+    assert relations >= 2000
+    assert set(named) == {"holds", 0, 1, 2, 3, 4}, named
 
 
 def test_decompose_forced_example():

@@ -20,6 +20,7 @@ from powerspace.core import (
     empty_space,
     enumerate_spaces,
     enumerate_upper_sets,
+    neighborhoods,
     sierpinski,
 )
 from powerspace.powerspaces import ConstructedSpace, open_lattice
@@ -231,6 +232,25 @@ def test_topology_coincidences():
     assert topology_coincidence(Powers(D2).KA, "weak").holds
     with pytest.raises(ValueError):
         topology_coincidence(Powers(S).A, "metric")
+
+
+def test_weak_and_scott_neighborhoods_are_up():
+    """The fact topology_coincidence takes for its reference side: the
+    complements of the point closures (weak) and the up-sets (Scott) both
+    give each point of a finite order the least neighborhood up(p)."""
+
+    def check(sp):
+        weak = [sp.full_mask & ~d for d in sp.down]
+        assert neighborhoods(weak, sp.n) == list(sp.up) == neighborhoods(sp.up, sp.n), sp
+
+    bases = list(enumerate_spaces(5))
+    assert len(bases) == 88
+    for sp in (*bases, *enumerate_spaces(3, up_to_iso=False)):
+        check(sp)
+    for sp in enumerate_spaces(3):
+        pw = Powers(sp)
+        for cs in (pw.A, pw.K, pw.O, pw.AK, pw.KA):
+            check(cs.space)
 
 
 def test_topology_coincidence_names_the_point_a_lost_generator_changes(monkeypatch):
