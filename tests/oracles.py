@@ -5,8 +5,9 @@ from operator import or_
 
 from powerspace.canonical import alpha_beta, gamma_delta, phi_psi, sigma_tau
 from powerspace.config import DEFAULT_LIMITS
-from powerspace.core import Verdict, bits, enumerate_upper_sets, set_label, union_of
+from powerspace.core import Verdict, bits, enumerate_lower_sets, enumerate_upper_sets, set_label, union_of
 from powerspace.errors import PreconditionViolated
+from powerspace.powerspaces import KIND_LOWER
 
 
 def row_union_covers(up) -> list[tuple[int, int]]:
@@ -291,3 +292,22 @@ def literal_preimage_identities(pw) -> list[tuple[str, str]]:
         if gd.forward.preimage_mask(pw.OA.containing(fam)) != pw.KO.box(phi_fam):
             failures.append(("gamma^-1(nabla F) = box phi(F)", pw.KA.space.names[i]))
     return failures
+
+
+def literal_associativity(t, struct) -> int | None:
+    """The first family over t, T the kind of t, at which the square
+    struct o mult = struct o T(struct) fails, or None.  The points of
+    T(t) (lower sets of t for A, upper sets for K) are enumerated, never
+    built.  A family goes one way to struct of the union of its extents,
+    the other to struct of the closure (A) or saturation (K) of its
+    image, the image living in struct's codomain."""
+    lower = t.kind == KIND_LOWER
+    families = enumerate_lower_sets(t.space) if lower else enumerate_upper_sets(t.space.up)
+    hull = struct.codomain.down if lower else struct.codomain.up
+    image_hulls = [hull[v] for v in struct.table]
+    for fam in families:
+        left = struct.table[t.point_of(union_of(t.extents, fam))]
+        right = struct.table[t.point_of(union_of(image_hulls, fam))]
+        if left != right:
+            return fam
+    return None

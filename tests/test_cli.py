@@ -72,11 +72,12 @@ def test_verify_on_the_empty_scope_runs_what_it_can(argv, checks, capsys):
 
 
 def test_verify_stops_at_the_cap_before_the_families(capsys):
-    # the first 4-point subject's associativity square would range over
-    # more families than the cap allows; they are counted, not enumerated
-    assert main(["verify", "--suite", "monad", "--max-points", "4"]) == 2
+    # A(A(X)) of the 4-point antichain has 168 points, one over the cap;
+    # every construction of the 3-point subjects fits inside it
+    assert main(["verify", "--suite", "monad", "--max-points", "4", "--cap", "167"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("resource cap:") and not captured.out
+    assert main(["verify", "--suite", "monad", "--max-points", "4"]) == 0
 
 
 def test_verify_deterministic_output(capsys, tmp_path):
