@@ -40,8 +40,10 @@ from .powerspaces import (
     _kept_on_powers,
     _powers,
     functor_map,
+    lift_table,
     monad_mult,
     monad_unit,
+    require_continuous,
 )
 
 
@@ -349,25 +351,39 @@ _SQUARES = {
 
 
 class _Lifts:
-    """The lifts of a continuous f: X -> Y over the towers px and py.
+    """The lift tables of a continuous f: X -> Y over the towers px and py.
 
-    lifts[word] is T1(T2(...(f))) for a word such as "AK", built at most
-    once, from the lift of the word's tail.  An odd number of O's turns
-    the arrow around, so that lift runs from py's construction to px's.
-    A discontinuous f fails in functor_map, at its first lift.  Nothing
-    refers back to the object, so the lifts go with it.
+    lifts[word] is the table of T1(T2(...(f))) for a word such as "AK",
+    computed at most once, by lift_table from the table of the word's
+    tail.  An odd number of O's turns the arrow around, so that lift runs
+    from py's construction to px's.  Each map lifted (f and, for the
+    squares, A(f), K(f) and O(f)) has its continuity checked once, before
+    its first lift, so a discontinuous f fails there as in functor_map.
+    Nothing refers back to the object, so the tables go with it.
     """
 
     def __init__(self, f: SpaceMap, px: Powers, py: Powers):
+        if f.domain != px.base or f.codomain != py.base:
+            raise ValueError("the towers are not over the ends of the map")
         self.px, self.py = px, py
-        self._made: dict[str, SpaceMap] = {"": f}
+        self._made: dict[str, tuple[int, ...]] = {"": f.table}
+        self._continuous: set[str] = set()
 
-    def __getitem__(self, word: str) -> SpaceMap:
-        g = self._made.get(word)
-        if g is None:
-            src, dst = (self.py, self.px) if word.count(KIND_OPENS) % 2 else (self.px, self.py)
-            g = self._made[word] = functor_map(self[word[1:]], getattr(src, word), getattr(dst, word))
-        return g
+    def _ends(self, word: str) -> tuple[ConstructedSpace, ConstructedSpace]:
+        src, dst = (self.py, self.px) if word.count(KIND_OPENS) % 2 else (self.px, self.py)
+        return getattr(src, word), getattr(dst, word)
+
+    def __getitem__(self, word: str) -> tuple[int, ...]:
+        table = self._made.get(word)
+        if table is None:
+            tail = word[1:]
+            inner = self[tail]
+            if tail not in self._continuous:
+                ends = (self.px.base, self.py.base) if not tail else (cs.space for cs in self._ends(tail))
+                require_continuous(SpaceMap(*ends, inner))
+                self._continuous.add(tail)
+            table = self._made[word] = lift_table(inner, *self._ends(word))
+        return table
 
     def square(self, which: str) -> Verdict:
         builder, dom, cod, direction = _SQUARES[which]
@@ -377,17 +393,18 @@ class _Lifts:
         before, after = self[dom], self[cod]
         if direction == "backward":
             before, after = after, before
-        left = compose(getattr(ty, direction), before)
-        right = compose(after, getattr(tx, direction))
-        if left.table != right.table:
-            for i, (a, b) in enumerate(zip(left.table, right.table)):
-                if a != b:
-                    return Verdict(
-                        False,
-                        witness={"square": which, "point": left.domain.names[i],
-                                 "left": left.codomain.names[a], "right": left.codomain.names[b]},
-                    )
-        return Verdict(True, info={"checker": "check_naturality", "square": which, "points": left.domain.n})
+        mx, my = getattr(tx, direction), getattr(ty, direction)
+        my_table = my.table
+        left = [my_table[b] for b in before]  # my o before
+        right = [after[a] for a in mx.table]  # after o mx
+        if left != right:
+            i = next(i for i, (a, b) in enumerate(zip(left, right)) if a != b)
+            names = my.codomain.names
+            return Verdict(
+                False,
+                witness={"square": which, "point": mx.domain.names[i], "left": names[left[i]], "right": names[right[i]]},
+            )
+        return Verdict(True, info={"checker": "check_naturality", "square": which, "points": mx.domain.n})
 
 
 def naturality_squares(f: SpaceMap, px: Powers, py: Powers):

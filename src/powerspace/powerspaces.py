@@ -26,6 +26,7 @@ parts of the literature insist on non-empty lenses, this library does not.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
 from itertools import repeat
@@ -76,10 +77,13 @@ class ConstructedSpace:
     def __post_init__(self):
         names = self.base.names
         if self.kind == KIND_CONVEX:
-            # lenses share their parts, so each distinct part is labelled once
-            part = {m: set_label(names, m) for m in {m for pair in self.extents for m in pair}}
+            # lenses share their parts, so each distinct part is labelled and selected on once
+            closed, saturated = map(set, zip(*self.extents))
+            part = {m: set_label(names, m) for m in closed | saturated}
             labels = tuple(f"<{part[a]},{part[k]}>" for a, k in self.extents)
-            up = tuple(self.containing(a) & self.box(k) for a, k in self.extents)
+            containing = {a: self.containing(a) for a in closed}
+            box = {k: self.box(k) for k in saturated}
+            up = tuple(containing[a] & box[k] for a, k in self.extents)
         else:
             labels = tuple(set_label(names, e) for e in self.extents)
             up = tuple(map(self.box if self.kind == KIND_UPPER else self.containing, self.extents))
@@ -123,10 +127,10 @@ class ConstructedSpace:
         return f"ConstructedSpace({self.label}, points={self.space.n})"
 
 
-def _base_of(x) -> tuple[FiniteSpace, "ConstructedSpace | None", str]:
+def _base_of(x, kind: str) -> tuple[FiniteSpace, "ConstructedSpace | None", str]:
     if isinstance(x, ConstructedSpace):
-        return x.space, x, x.label
-    return x, None, "X"
+        return x.space, x, f"{kind}({x.label})"
+    return x, None, f"{kind}(X)"
 
 
 def _members(n: int, extents: list[int]) -> tuple[int, ...]:
@@ -142,6 +146,17 @@ def _members(n: int, extents: list[int]) -> tuple[int, ...]:
     return tuple(int(digits[n - 1 - p :: n] or "0", 2) for p in range(n))
 
 
+@contextmanager
+def _capped(label: str, limits: Limits):
+    """Report a cap hit while enumerating the extents of the construction
+    label names as that construction's size.  The sets enumerated are its
+    points, or for L embed in them (A as <A, up(A)>, K as <down(K), K>)."""
+    try:
+        yield
+    except PowerspaceTooLarge:
+        raise PowerspaceTooLarge(f"{label} would have more than {limits.max_construction_points} points") from None
+
+
 def _finish(base, base_cs, label, kind, extents, limits) -> ConstructedSpace:
     if len(extents) > limits.max_construction_points:
         raise PowerspaceTooLarge(f"{label} would have {len(extents)} points")
@@ -155,16 +170,18 @@ def _finish(base, base_cs, label, kind, extents, limits) -> ConstructedSpace:
 
 def lower_powerspace(x, limits: Limits = DEFAULT_LIMITS) -> ConstructedSpace:
     """A(X): closed sets with the lower Vietoris topology."""
-    base, base_cs, inner = _base_of(x)
-    extents = enumerate_lower_sets(base, limits.max_construction_points)
-    return _finish(base, base_cs, f"A({inner})", KIND_LOWER, extents, limits)
+    base, base_cs, label = _base_of(x, KIND_LOWER)
+    with _capped(label, limits):
+        extents = enumerate_lower_sets(base, limits.max_construction_points)
+    return _finish(base, base_cs, label, KIND_LOWER, extents, limits)
 
 
 def upper_powerspace(x, limits: Limits = DEFAULT_LIMITS) -> ConstructedSpace:
     """K(X): saturated sets with the upper Vietoris topology."""
-    base, base_cs, inner = _base_of(x)
-    extents = enumerate_upper_sets(base.up, limits.max_construction_points)
-    return _finish(base, base_cs, f"K({inner})", KIND_UPPER, extents, limits)
+    base, base_cs, label = _base_of(x, KIND_UPPER)
+    with _capped(label, limits):
+        extents = enumerate_upper_sets(base.up, limits.max_construction_points)
+    return _finish(base, base_cs, label, KIND_UPPER, extents, limits)
 
 
 def convex_powerspace(x, limits: Limits = DEFAULT_LIMITS) -> ConstructedSpace:
@@ -179,9 +196,10 @@ def convex_powerspace(x, limits: Limits = DEFAULT_LIMITS) -> ConstructedSpace:
     that point and lies in K.  The argument for K is dual.  Both lists
     come sorted, so the pairs come sorted by (A, K).
     """
-    base, base_cs, inner = _base_of(x)
-    closed = enumerate_lower_sets(base, limits.max_construction_points)
-    saturated = enumerate_upper_sets(base.up, limits.max_construction_points)
+    base, base_cs, label = _base_of(x, KIND_CONVEX)
+    with _capped(label, limits):
+        closed = enumerate_lower_sets(base, limits.max_construction_points)
+        saturated = enumerate_upper_sets(base.up, limits.max_construction_points)
     bottoms = list(zip(saturated, map(base.minimal_points, saturated)))
     extents = [
         (a, k)
@@ -189,14 +207,15 @@ def convex_powerspace(x, limits: Limits = DEFAULT_LIMITS) -> ConstructedSpace:
         for k, bottom in bottoms
         if not (top & ~k or bottom & ~a)
     ]
-    return _finish(base, base_cs, f"L({inner})", KIND_CONVEX, extents, limits)
+    return _finish(base, base_cs, label, KIND_CONVEX, extents, limits)
 
 
 def open_lattice(x, limits: Limits = DEFAULT_LIMITS) -> ConstructedSpace:
     """O(X): the opens of X ordered by inclusion, upper-set topology."""
-    base, base_cs, inner = _base_of(x)
-    extents = list(base.opens(limits))
-    return _finish(base, base_cs, f"O({inner})", KIND_OPENS, extents, limits)
+    base, base_cs, label = _base_of(x, KIND_OPENS)
+    with _capped(label, limits):
+        extents = list(base.opens(limits))
+    return _finish(base, base_cs, label, KIND_OPENS, extents, limits)
 
 
 BUILDERS = {
@@ -310,16 +329,36 @@ def functor_map(f: SpaceMap, dom_ps: ConstructedSpace, cod_ps: ConstructedSpace)
     src, dst = (f.codomain, f.domain) if kind == KIND_OPENS else (f.domain, f.codomain)
     if dom_ps.base != src or cod_ps.base != dst:
         raise ValueError(f"{dom_ps.label} -> {cod_ps.label} is not over the ends of the map in the {kind} direction")
+    require_continuous(f)
+    return SpaceMap(dom_ps.space, cod_ps.space, lift_table(f.table, dom_ps, cod_ps))
+
+
+def require_continuous(f: SpaceMap) -> None:
+    """Raise NotContinuous, naming check_continuous's witness, unless f
+    is continuous, as a map must be to lift."""
     verdict = check_continuous(f)
     if not verdict.holds:
         raise NotContinuous(f"cannot lift a discontinuous map (witness {verdict.witness.label()})")
-    if kind == KIND_OPENS:
-        table = [cod_ps.point_of(f.preimage_mask(v)) for v in dom_ps.extents]
+
+
+def lift_table(table: tuple[int, ...], dom_ps: ConstructedSpace, cod_ps: ConstructedSpace) -> tuple[int, ...]:
+    """The table of the lift from dom_ps to cod_ps of the map whose table
+    is given, with the ends functor_map checks taken as read and the map
+    taken as continuous.
+
+    Each extent goes to the union of parts over its base points: for A
+    and K the closure or saturation of each point's image, so the union
+    is that of the image; for O, an open of Y, the fiber over each point,
+    so the union is the open's preimage.
+    """
+    if dom_ps.kind == KIND_OPENS:
+        parts = [0] * dom_ps.base.n
+        for i, y in enumerate(table):
+            parts[y] |= 1 << i
     else:
-        hull = f.codomain.down if kind == KIND_LOWER else f.codomain.up
-        image_hulls = [hull[v] for v in f.table]
-        table = [cod_ps.point_of(union_of(image_hulls, ext)) for ext in dom_ps.extents]
-    return SpaceMap(dom_ps.space, cod_ps.space, tuple(table))
+        hull = cod_ps.base.down if dom_ps.kind == KIND_LOWER else cod_ps.base.up
+        parts = [hull[y] for y in table]
+    return tuple(cod_ps.point_of(union_of(parts, ext)) for ext in dom_ps.extents)
 
 
 def monad_unit(ps: ConstructedSpace) -> SpaceMap:

@@ -3,11 +3,11 @@
 from functools import reduce
 from operator import or_
 
-from powerspace.canonical import alpha_beta, gamma_delta, phi_psi, sigma_tau
+from powerspace.canonical import _SQUARES, alpha_beta, gamma_delta, phi_psi, sigma_tau
 from powerspace.config import DEFAULT_LIMITS
-from powerspace.core import Verdict, bits, enumerate_lower_sets, enumerate_upper_sets, set_label, union_of
+from powerspace.core import Verdict, bits, compose, enumerate_lower_sets, enumerate_upper_sets, set_label, union_of
 from powerspace.errors import PreconditionViolated
-from powerspace.powerspaces import KIND_LOWER
+from powerspace.powerspaces import KIND_LOWER, KIND_OPENS, functor_map
 
 
 def row_union_covers(up) -> list[tuple[int, int]]:
@@ -311,3 +311,34 @@ def literal_associativity(t, struct) -> int | None:
         if left != right:
             return fam
     return None
+
+
+def literal_naturality_square(f, which, px, py) -> Verdict:
+    """The named naturality square over a continuous f: X -> Y, px and py
+    the towers over X and Y, composed literally: every lift a validated
+    functor_map SpaceMap, lifted from the lift of its tail, and each side
+    of the square a compose.  The verdict, and on a failure the witness
+    (the first point where the sides differ), are check_naturality's."""
+    builder, dom, cod, direction = _SQUARES[which]
+    lifts = {"": f}
+
+    def lift(word):
+        if word not in lifts:
+            src, dst = (py, px) if word.count(KIND_OPENS) % 2 else (px, py)
+            lifts[word] = functor_map(lift(word[1:]), getattr(src, word), getattr(dst, word))
+        return lifts[word]
+
+    tx, ty = builder(px), builder(py)
+    if cod.count(KIND_OPENS) % 2:
+        tx, ty = ty, tx
+    before, after = lift(dom), lift(cod)
+    if direction == "backward":
+        before, after = after, before
+    left = compose(getattr(ty, direction), before)
+    right = compose(after, getattr(tx, direction))
+    for i, (a, b) in enumerate(zip(left.table, right.table)):
+        if a != b:
+            witness = {"square": which, "point": left.domain.names[i],
+                       "left": left.codomain.names[a], "right": left.codomain.names[b]}
+            return Verdict(False, witness=witness)
+    return Verdict(True, info={"checker": "check_naturality", "square": which, "points": left.domain.n})

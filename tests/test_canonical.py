@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from powerspace import canonical, suites
+from powerspace import canonical, powerspaces, suites
 from powerspace.canonical import (
     PAIR_BUILDERS,
     ModalGenerator,
@@ -35,7 +35,7 @@ from powerspace.core import (
 )
 from powerspace.errors import NotContinuous, PowerspaceTooLarge, ShapeMismatch
 
-from oracles import literal_preimage_identities
+from oracles import literal_naturality_square, literal_preimage_identities
 
 S = sierpinski()
 D2 = antichain(2, names=("a", "b"))
@@ -415,27 +415,65 @@ def test_naturality_all_maps_two_points():
                     assert check_naturality(f, which, powers[dom.fingerprint], powers[cod.fingerprint]).holds
 
 
+def test_naturality_matches_literal_squares_three_points():
+    # the table path against validated SpaceMap lifts and composites, on
+    # every continuous map between spaces of at most 3 points
+    spaces = enumerate_spaces(3)
+    powers = {sp.fingerprint: Powers(sp) for sp in spaces}
+    squares = 0
+    for dom in spaces:
+        for cod in spaces:
+            px, py = powers[dom.fingerprint], powers[cod.fingerprint]
+            for f in iter_continuous_maps(dom, cod):
+                for which, v in naturality_squares(f, px, py):
+                    assert v == literal_naturality_square(f, which, px, py)
+                    squares += 1
+    # 476 maps between non-empty spaces and the empty map into each of the 9 spaces
+    assert squares == 8 * (476 + 9)
+
+
 @pytest.mark.parametrize("which", list(SQUARES))
 def test_naturality_detects_one_wrong_table_entry(which):
     builder, direction, contravariant = SQUARES[which]
     px, py = Powers(D2), Powers(D2)
     good = builder(py)
     m = getattr(good, direction)
+    f = identity_map(D2)
+
+    def corrupt(table):
+        py.pairs[builder.__name__] = replace(good, **{direction: SpaceMap(m.domain, m.codomain, table)})
+
     wrong = (m.table[0] + 1) % m.codomain.n
-    bad = SpaceMap(m.domain, m.codomain, (wrong,) + m.table[1:])
-    py.pairs[builder.__name__] = replace(good, **{direction: bad})
+    corrupt((wrong,) + m.table[1:])
     # over the identity the lifts are identities, so each side of the square
     # is one of the two pairs: the one over Y is on the left unless the
     # square runs against the arrows
     sides = (m.codomain.names[m.table[0]], m.codomain.names[wrong])
     left, right = sides if contravariant else sides[::-1]
     expected = {"square": which, "point": m.domain.names[0], "left": left, "right": right}
-    f = identity_map(D2)
     verdicts = dict(naturality_squares(f, px, py))
     assert list(verdicts) == list(SQUARES)
     assert [w for w, v in verdicts.items() if not v.holds] == [which]
     assert verdicts[which].witness == expected
     assert check_naturality(f, which, px, py).witness == expected
+    # every single-entry corruption: the same verdicts and witnesses as the
+    # literal squares, the corrupted square alone failing, at that entry
+    corruptions = 0
+    for point, value in enumerate(m.table):
+        for wrong in range(m.codomain.n):
+            if wrong == value:
+                continue
+            corrupt(m.table[:point] + (wrong,) + m.table[point + 1 :])
+            verdicts = dict(naturality_squares(f, px, py))
+            assert verdicts == {w: literal_naturality_square(f, w, px, py) for w in SQUARES}
+            assert [w for w, v in verdicts.items() if not v.holds] == [which]
+            assert verdicts[which].witness["point"] == m.domain.names[point]
+            corruptions += 1
+    assert corruptions == m.domain.n * (m.codomain.n - 1)
+    # every entry wrong: both name the first point
+    corrupt(tuple((v + 1) % m.codomain.n for v in m.table))
+    assert check_naturality(f, which, px, py) == literal_naturality_square(f, which, px, py)
+    assert check_naturality(f, which, px, py).witness["point"] == m.domain.names[0]
 
 
 def test_naturality_squares_reject_discontinuous():
@@ -443,24 +481,60 @@ def test_naturality_squares_reject_discontinuous():
         next(naturality_squares(SpaceMap(S, S, (1, 0)), Powers(S), Powers(S)))
     with pytest.raises(ValueError, match="unknown map name"):
         check_naturality(identity_map(S), "omega", Powers(S), Powers(S))
+    with pytest.raises(ValueError, match="not over the ends"):
+        check_naturality(identity_map(S), "sigma", Powers(D2), Powers(S))
+
+
+def _naturality_maps(max_points):
+    spaces = [sp for sp in enumerate_spaces(max_points) if sp.n]
+    return sum(len(list(iter_continuous_maps(dom, cod))) for dom in spaces for cod in spaces)
 
 
 def test_naturality_lifts_each_map_once(monkeypatch):
     lifted = []
 
-    def counting_functor_map(f, dom_ps, cod_ps):
+    def counting_lift_table(table, dom_ps, cod_ps):
         lifted.append(dom_ps.kind)
-        return real_functor_map(f, dom_ps, cod_ps)
+        return real_lift_table(table, dom_ps, cod_ps)
 
-    real_functor_map = canonical.functor_map
-    monkeypatch.setattr(canonical, "functor_map", counting_functor_map)
+    real_lift_table = canonical.lift_table
+    monkeypatch.setattr(canonical, "lift_table", counting_lift_table)
     records = suites._naturality_records(2, False, DEFAULT_LIMITS)
-    spaces = [sp for sp in enumerate_spaces(2) if sp.n]
-    maps = sum(len(list(iter_continuous_maps(dom, cod))) for dom in spaces for cod in spaces)
+    maps = _naturality_maps(2)
     assert all(r.passed for r in records)
     # K, A, O, AK, KA, OO, OK, AO, OA and KO of each map, no more
     assert len(lifted) == 10 * maps
     assert sorted(lifted) == sorted("KAOAKOOAOK" * maps)
+
+
+def test_naturality_checks_each_lifted_map_once(monkeypatch):
+    checked = []
+
+    def counting_check_continuous(f):
+        checked.append((f.domain.n, f.codomain.n))
+        return real_check_continuous(f)
+
+    real_check_continuous = powerspaces.check_continuous
+    monkeypatch.setattr(powerspaces, "check_continuous", counting_check_continuous)
+    records = suites._naturality_records(2, False, DEFAULT_LIMITS)
+    assert all(r.passed for r in records)
+    # f, A(f), K(f) and O(f) of each map, the lifts of which the squares lift again
+    assert len(checked) == 4 * _naturality_maps(2)
+
+
+def test_naturality_checks_the_lifted_maps(monkeypatch):
+    # a non-monotone A(f) is caught before it is lifted again, as
+    # functor_map would catch it
+    def reversed_a(table, dom_ps, cod_ps):
+        lifted = real_lift_table(table, dom_ps, cod_ps)
+        return lifted[::-1] if dom_ps.label == "A(X)" else lifted
+
+    real_lift_table = canonical.lift_table
+    monkeypatch.setattr(canonical, "lift_table", reversed_a)
+    with pytest.raises(NotContinuous):
+        next(naturality_squares(identity_map(D2), Powers(D2), Powers(D2)))
+    with pytest.raises(NotContinuous):
+        check_naturality(identity_map(D2), "gamma", Powers(D2), Powers(D2))
 
 
 def test_distributive_law_small_and_guard():

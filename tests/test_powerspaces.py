@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from powerspace import powerspaces
@@ -148,8 +150,15 @@ def test_generated_topology_is_upper_family():
 
 
 def test_size_cap():
-    with pytest.raises(PowerspaceTooLarge):
-        lower_powerspace(antichain(4), Limits(max_construction_points=10))
+    # a cap hit while enumerating extents names the construction, not the
+    # kind of set enumerated: L(X) enumerates closed and saturated sets
+    cap = Limits(max_construction_points=10)
+    for builder, label in ((lower_powerspace, "A(X)"), (upper_powerspace, "K(X)"),
+                           (convex_powerspace, "L(X)"), (open_lattice, "O(X)")):
+        with pytest.raises(PowerspaceTooLarge, match=rf"^{re.escape(label)} would have more than 10 points$"):
+            builder(antichain(4), cap)
+    with pytest.raises(PowerspaceTooLarge, match=r"^A\(A\(X\)\) would have more than 5 points$"):
+        lower_powerspace(lower_powerspace(antichain(2)), Limits(max_construction_points=5))
 
 
 def test_functor_map_examples():
