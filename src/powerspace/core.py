@@ -17,7 +17,7 @@ import json
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import compress, count, permutations, product
+from itertools import compress, count, permutations, product, repeat
 from operator import and_, itemgetter, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -69,12 +69,26 @@ def intersection_of(masks: Sequence[int], sel: int, full: int) -> int:
     return reduce(and_, compress(masks, _selectors(sel)), full)
 
 
+def transpose(rows: Sequence[int], n: int) -> tuple[int, ...]:
+    """cols[p]: bit i set when bit p of rows[i] is set; every row lies below bit n.
+
+    The rows, last first, are written as one string of n-digit binary
+    numerals, so row i's numeral starts at (len - 1 - i) * n and holds
+    bit p at offset n - 1 - p.  Column p is then the slice from n - 1 - p
+    in steps of n, row len - 1 first, which int(..., 2) reads back as
+    cols[p]: one C-level pass per column, none per row bit.
+    """
+    digits = "".join(map(format, reversed(rows), repeat(f"0{n}b")))
+    # a list, not a generator: tuple() would shrink a ten-slot block, and those pile up on small free lists
+    return tuple([int(digits[n - 1 - p :: n] or "0", 2) for p in range(n)])
+
+
 def neighborhoods(seeds: Sequence[int], n: int) -> list[int]:
     """For each of n points, the intersection of the seeds containing it,
     or all n points when none does: its least neighborhood in the family
     the seeds generate under finite unions and intersections."""
     full = (1 << n) - 1
-    return [reduce(and_, (s for s in seeds if s >> p & 1), full) for p in range(n)]
+    return [intersection_of(seeds, col, full) for col in transpose(seeds, n)]
 
 
 def set_label(names: Sequence[str], mask: int) -> str:
@@ -177,11 +191,7 @@ class FiniteSpace:
 
     @cached_property
     def down(self) -> tuple[int, ...]:
-        d = [0] * self.n
-        for i, m in enumerate(self.up):
-            for j in bits(m):
-                d[j] |= 1 << i
-        return tuple(d)
+        return transpose(self.up, self.n)
 
     @cached_property
     def fingerprint(self) -> str:
@@ -212,11 +222,7 @@ class FiniteSpace:
         return union_of(self.up, mask)
 
     def interior_mask(self, mask: int) -> int:
-        m = 0
-        for i in bits(mask):
-            if not (self.up[i] & ~mask):
-                m |= 1 << i
-        return m
+        return self.full_mask & ~self.closure_mask(self.full_mask & ~mask)
 
     @cached_property
     def _strict_up(self) -> tuple[int, ...]:
@@ -614,9 +620,7 @@ def _canonical_posets_exact(k: int) -> list[tuple[int, ...]]:
         return got
     out: set[tuple[int, ...]] = set()
     for smaller in _canonical_posets_exact(k - 1):
-        space_down = FiniteSpace(tuple(f"p{i}" for i in range(k - 1)), smaller).down if k > 1 else ()
-        lowers = enumerate_upper_sets(space_down) if k > 1 else [0]
-        for low in lowers:
+        for low in enumerate_upper_sets(transpose(smaller, k - 1)):
             up = [m | (1 << (k - 1)) if (low >> i) & 1 else m for i, m in enumerate(smaller)]
             up.append(1 << (k - 1))
             out.add(canonical_order_key(tuple(up)))

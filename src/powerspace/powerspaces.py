@@ -29,7 +29,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
-from itertools import repeat
 
 from .config import DEFAULT_LIMITS, Limits
 from .core import (
@@ -43,6 +42,7 @@ from .core import (
     intersection_of,
     mask_of,
     set_label,
+    transpose,
     union_of,
 )
 from .errors import NotContinuous, PowerspaceTooLarge
@@ -133,19 +133,6 @@ def _base_of(x, kind: str) -> tuple[FiniteSpace, "ConstructedSpace | None", str]
     return x, None, f"{kind}(X)"
 
 
-def _members(n: int, extents: list[int]) -> tuple[int, ...]:
-    """members[p]: bit i set when base point p is in extents[i].
-
-    The extents, last first, are written as one string of n-digit binary
-    numerals, so extent i's numeral starts at (len - 1 - i) * n and holds
-    bit p at offset n - 1 - p.  Column p is then the slice from n - 1 - p
-    in steps of n, extent len - 1 first, which int(..., 2) reads back as
-    members[p]: one C-level pass per base point, none per extent bit.
-    """
-    digits = "".join(map(format, reversed(extents), repeat(f"0{n}b")))
-    return tuple(int(digits[n - 1 - p :: n] or "0", 2) for p in range(n))
-
-
 @contextmanager
 def _capped(label: str, limits: Limits):
     """Report a cap hit while enumerating the extents of the construction
@@ -161,10 +148,9 @@ def _finish(base, base_cs, label, kind, extents, limits) -> ConstructedSpace:
     if len(extents) > limits.max_construction_points:
         raise PowerspaceTooLarge(f"{label} would have {len(extents)} points")
     if kind == KIND_CONVEX:
-        members = _members(base.n, [a for a, _ in extents])
-        sat_members = _members(base.n, [k for _, k in extents])
+        members, sat_members = (transpose(parts, base.n) for parts in zip(*extents))
     else:
-        members = sat_members = _members(base.n, extents)
+        members = sat_members = transpose(extents, base.n)
     return ConstructedSpace(base, kind, tuple(extents), label, members, sat_members, base_cs)
 
 
@@ -352,9 +338,7 @@ def lift_table(table: tuple[int, ...], dom_ps: ConstructedSpace, cod_ps: Constru
     so the union is the open's preimage.
     """
     if dom_ps.kind == KIND_OPENS:
-        parts = [0] * dom_ps.base.n
-        for i, y in enumerate(table):
-            parts[y] |= 1 << i
+        parts = transpose([1 << y for y in table], dom_ps.base.n)
     else:
         hull = cod_ps.base.down if dom_ps.kind == KIND_LOWER else cod_ps.base.up
         parts = [hull[y] for y in table]

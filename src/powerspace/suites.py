@@ -26,6 +26,7 @@ from .core import (
     iter_continuous_maps,
     subspace,
 )
+from .errors import PowerspaceTooLarge
 from . import canonical, checkers, omega, pi02
 from .approx import canonical_approx_relation, require_valid_relation, validate_approx_relation, wilker_split
 from .canonical import PAIR_BUILDERS, check_distributive_law, naturality_squares, verify_pair
@@ -272,14 +273,21 @@ JOBS = {
 DEFAULT_SCOPE = {"homeo": 4, "monad": 3, "consonance": 4, "pi02": 3, "wilker": 4}
 
 
+def _space_job(args) -> list[CheckRecord]:
+    suite, space, limits = args
+    try:
+        return JOBS[suite]((space, limits))
+    except PowerspaceTooLarge as exc:
+        raise PowerspaceTooLarge(f"{_label(space)}: {exc}") from None
+
+
 def _run_spaces(suite: str, spaces, limits: Limits, jobs: int) -> list[CheckRecord]:
-    fn = JOBS[suite]
-    args = [(s, limits) for s in spaces]
+    args = [(suite, s, limits) for s in spaces]
     if jobs > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(fn, args))
+            chunks = list(pool.map(_space_job, args))
     else:
-        chunks = [fn(a) for a in args]
+        chunks = list(map(_space_job, args))
     records = [r for chunk in chunks for r in chunk]
     records.sort(key=CheckRecord.sort_key)
     return records
@@ -330,14 +338,17 @@ def _naturality_records(max_points: int, include_empty: bool, limits: Limits) ->
             t0 = time.monotonic()
             bad = None
             squares = 0
-            for f in iter_continuous_maps(dom, cod):
-                for which, v in naturality_squares(f, powers[dom.fingerprint], powers[cod.fingerprint]):
-                    squares += 1
-                    if not v.holds:
-                        bad = {"map": list(f.table), "square": which, "detail": v.witness}
+            try:
+                for f in iter_continuous_maps(dom, cod):
+                    for which, v in naturality_squares(f, powers[dom.fingerprint], powers[cod.fingerprint]):
+                        squares += 1
+                        if not v.holds:
+                            bad = {"map": list(f.table), "square": which, "detail": v.witness}
+                            break
+                    if bad:
                         break
-                if bad:
-                    break
+            except PowerspaceTooLarge as exc:
+                raise PowerspaceTooLarge(f"{subject}: {exc}") from None
             out.append(
                 _rec("naturality", subject, Verdict(bad is None, witness=bad, info={"squares": squares}), t0)
             )

@@ -41,6 +41,16 @@ def row_union_covers(up) -> list[tuple[int, int]]:
     return edges
 
 
+def literal_transpose(rows, n: int) -> tuple[int, ...]:
+    """cols[p]: bit i set when bit p of rows[i] is set, one OR per set
+    bit, for rows below bit n."""
+    cols = [0] * n
+    for i, m in enumerate(rows):
+        for p in bits(m):
+            cols[p] |= 1 << i
+    return tuple(cols)
+
+
 def close_family(seeds, full: int) -> frozenset[int]:
     """Close a family of sets under pairwise union and intersection,
     with the empty and full sets adjoined."""

@@ -507,6 +507,13 @@ def test_naturality_lifts_each_map_once(monkeypatch):
     assert sorted(lifted) == sorted("KAOAKOOAOK" * maps)
 
 
+def test_naturality_names_the_pair_of_spaces_on_a_cap_hit():
+    # A(K(X)) of the one-point space has 3 points, one over the cap
+    with pytest.raises(PowerspaceTooLarge) as hit:
+        suites._naturality_records(2, False, DEFAULT_LIMITS.with_cap(2))
+    assert str(hit.value) == "n1-526084feaa6a->n1-526084feaa6a: A(K(X)) would have more than 2 points"
+
+
 def test_naturality_checks_each_lifted_map_once(monkeypatch):
     checked = []
 

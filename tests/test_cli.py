@@ -73,10 +73,13 @@ def test_verify_on_the_empty_scope_runs_what_it_can(argv, checks, capsys):
 
 def test_verify_stops_at_the_cap_before_the_families(capsys):
     # A(A(X)) of the 4-point antichain has 168 points, one over the cap;
-    # every construction of the 3-point subjects fits inside it
-    assert main(["verify", "--suite", "monad", "--max-points", "4", "--cap", "167"]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == "resource cap: A(A(X)) would have more than 167 points\n" and not captured.out
+    # every construction of the 3-point subjects fits inside it.  The
+    # message names that subject, also when a worker process ran its job
+    for jobs in ("1", "2"):
+        assert main(["verify", "--suite", "monad", "--max-points", "4", "--cap", "167", "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "resource cap: n4-6b0c42dfe7f3: A(A(X)) would have more than 167 points\n"
+        assert not captured.out
     assert main(["verify", "--suite", "monad", "--max-points", "4"]) == 0
 
 

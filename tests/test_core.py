@@ -33,9 +33,10 @@ from powerspace.core import (
     space_to_json,
     subspace,
     space_product,
+    transpose,
     union_of,
 )
-from oracles import close_family, row_union_covers
+from oracles import close_family, literal_transpose, row_union_covers
 from powerspace.errors import CycleDetected, LimitExceeded, NotT0
 from powerspace.powerspaces import Powers, convex_powerspace, lower_powerspace, open_lattice, upper_powerspace
 
@@ -536,6 +537,27 @@ def test_union_and_intersection_match_literal_loops():
             assert intersection_of(masks, sel, full) == meet
             # bits of sel beyond the masks pick nothing
             assert union_of(masks, sel | 1 << size + 3) == union
+
+
+def test_transpose_matches_literal_loop():
+    rng = random.Random(19)
+    cases = [([], 0), ([], 5), ([0, 0], 0), ([0, 0, 0], 4), ([0b1011], 4), ([1 << 6, 0, 1 << 6 | 1], 7)]
+    for n in range(1, 71):
+        top = 1 << n - 1
+        cases.append(([top] * rng.randint(1, 5), n))
+        cases.extend(([rng.getrandbits(n) | top * rng.randint(0, 1) for _ in range(rng.randint(0, 80))], n)
+                     for _ in range(3))
+    for rows, n in cases:
+        assert transpose(rows, n) == literal_transpose(rows, n), (rows, n)
+
+
+def test_down_matches_literal_transpose():
+    for sp in enumerate_spaces(4, up_to_iso=False):
+        assert sp.down == literal_transpose(sp.up, sp.n), sp
+    pw = Powers(FiniteSpace(tuple(f"p{i}" for i in range(5)), (1, 2, 4, 8, 17)))
+    for word in ("A", "K", "O", "AK", "KA", "OO", "AO", "OK", "KO", "OA"):
+        sp = getattr(pw, word).space
+        assert sp.down == literal_transpose(sp.up, sp.n), word
 
 
 def test_neighborhoods_decide_generated_family_equality():

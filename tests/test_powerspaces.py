@@ -22,6 +22,7 @@ from powerspace.powerspaces import (
     construction_to_json,
     convex_powerspace,
     functor_map,
+    lift_table,
     lower_powerspace,
     monad_laws,
     monad_mult,
@@ -395,6 +396,27 @@ def test_maps_match_their_literal_definitions_on_labelled_spaces():
                 assert _images(functor_map(f, py.O, px.O), py.O, px.O) == [
                     _literal_preimage(f, v) for v in py.O.extents
                 ]
+    assert lifted == 4842
+
+
+def test_lift_tables_match_hulls_of_images_and_preimages():
+    # the plain tables the naturality squares compare: A(f) takes an extent
+    # to the closure of its image, K(f) to the saturation, and O(f) an open
+    # to its preimage, which shares no code with the transpose that lift_table
+    # reads the fibers from
+    towers = [Powers(sp) for sp in enumerate_spaces(3, up_to_iso=False)]
+    lifted = 0
+    for px in towers:
+        for py in towers:
+            y = py.base
+            for f in iter_continuous_maps(px.base, y):
+                lifted += 1
+                images = [_literal_image(f, e) for e in px.A.extents]
+                assert [py.A.extents[v] for v in lift_table(f.table, px.A, py.A)] == list(map(y.closure_mask, images))
+                images = [_literal_image(f, e) for e in px.K.extents]
+                assert [py.K.extents[v] for v in lift_table(f.table, px.K, py.K)] == list(map(y.saturation_mask, images))
+                preimages = list(map(f.preimage_mask, py.O.extents))
+                assert [px.O.extents[v] for v in lift_table(f.table, py.O, px.O)] == preimages
     assert lifted == 4842
 
 
