@@ -66,12 +66,12 @@ def sigma_tau(pw: Powers) -> CanonicalMapPair:
     meeting_k = tuple(map(pw.A.diamond, pw.K.extents))
     meeting_a = tuple(map(pw.K.diamond, pw.A.extents))
     full_a, full_k = pw.A.space.full_mask, pw.K.space.full_mask
-    fwd = [pw.KA.point_of(intersection_of(meeting_k, fam, full_a)) for fam in pw.AK.extents]
-    bwd = [pw.AK.point_of(intersection_of(meeting_a, fam, full_k)) for fam in pw.KA.extents]
+    fwd = pw.AK.intersections(meeting_k, full_a)
+    bwd = pw.KA.intersections(meeting_a, full_k)
     return CanonicalMapPair(
         "sigma/tau",
-        SpaceMap(pw.AK.space, pw.KA.space, tuple(fwd)),
-        SpaceMap(pw.KA.space, pw.AK.space, tuple(bwd)),
+        SpaceMap(pw.AK.space, pw.KA.space, pw.KA.points_of(fwd)),
+        SpaceMap(pw.KA.space, pw.AK.space, pw.AK.points_of(bwd)),
         pw.base,
         pw.AK,
         pw.KA,
@@ -83,12 +83,12 @@ def phi_psi(pw: Powers) -> CanonicalMapPair:
     """phi reads off which opens a compact family of closed sets hits
     everywhere; psi intersects the diamonds of a Scott-open family."""
     full_o, full_a = pw.O.space.full_mask, pw.A.space.full_mask
-    fwd = [pw.OO.point_of(intersection_of(pw.triangles, fam, full_o)) for fam in pw.KA.extents]
-    bwd = [pw.KA.point_of(intersection_of(pw.diamonds, fam, full_a)) for fam in pw.OO.extents]
+    fwd = pw.KA.intersections(pw.triangles, full_o)
+    bwd = pw.OO.intersections(pw.diamonds, full_a)
     return CanonicalMapPair(
         "phi/psi",
-        SpaceMap(pw.KA.space, pw.OO.space, tuple(fwd)),
-        SpaceMap(pw.OO.space, pw.KA.space, tuple(bwd)),
+        SpaceMap(pw.KA.space, pw.OO.space, pw.OO.points_of(fwd)),
+        SpaceMap(pw.OO.space, pw.KA.space, pw.KA.points_of(bwd)),
         pw.base,
         pw.KA,
         pw.OO,
@@ -100,13 +100,15 @@ def alpha_beta(pw: Powers) -> CanonicalMapPair:
     """alpha unions the boxes of a closed family of opens; beta collects
     the opens whose box sits inside a given open family of compacts."""
     full_o, full_k = pw.O.space.full_mask, pw.K.space.full_mask
-    fwd = [pw.OK.point_of(union_of(pw.boxes, fam)) for fam in pw.AO.extents]
-    # an open's box leaves the family exactly when the open contains a compact outside it
-    bwd = [pw.AO.point_of(full_o & ~union_of(pw.nablas, full_k & ~u_fam)) for u_fam in pw.OK.extents]
+    fwd = pw.AO.unions(pw.boxes)
+    # an open's box leaves the family exactly when the open contains a compact outside it;
+    # that outside shrinks along the steps of OK's fold, and a union cannot drop a part,
+    # so beta keeps one union_of per extent
+    bwd = [full_o & ~union_of(pw.nablas, full_k & ~u_fam) for u_fam in pw.OK.extents]
     return CanonicalMapPair(
         "alpha/beta",
-        SpaceMap(pw.AO.space, pw.OK.space, tuple(fwd)),
-        SpaceMap(pw.OK.space, pw.AO.space, tuple(bwd)),
+        SpaceMap(pw.AO.space, pw.OK.space, pw.OK.points_of(fwd)),
+        SpaceMap(pw.OK.space, pw.AO.space, pw.AO.points_of(bwd)),
         pw.base,
         pw.AO,
         pw.OK,
@@ -118,12 +120,12 @@ def gamma_delta(pw: Powers) -> CanonicalMapPair:
     """gamma intersects the diamonds of a compact family of opens; delta
     collects the opens whose diamond contains a given open family."""
     full_o, full_a = pw.O.space.full_mask, pw.A.space.full_mask
-    fwd = [pw.OA.point_of(intersection_of(pw.diamonds, fam, full_a)) for fam in pw.KO.extents]
-    bwd = [pw.KO.point_of(intersection_of(pw.triangles, u_fam, full_o)) for u_fam in pw.OA.extents]
+    fwd = pw.KO.intersections(pw.diamonds, full_a)
+    bwd = pw.OA.intersections(pw.triangles, full_o)
     return CanonicalMapPair(
         "gamma/delta",
-        SpaceMap(pw.KO.space, pw.OA.space, tuple(fwd)),
-        SpaceMap(pw.OA.space, pw.KO.space, tuple(bwd)),
+        SpaceMap(pw.KO.space, pw.OA.space, pw.OA.points_of(fwd)),
+        SpaceMap(pw.OA.space, pw.KO.space, pw.KO.points_of(bwd)),
         pw.base,
         pw.KO,
         pw.OA,
@@ -299,7 +301,7 @@ def check_preimage_identities(x, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     )
     instances = preimages = 0
     for identity, fams, f, modal, gens, g, modal_of_g, join in family_identities:
-        gen_points = list(map(fams.point_of, gens))
+        gen_points = fams.points_of(gens)
         for i in gen_points:  # pass (a)
             if f.preimage_mask(modal(fams.extents[i])) != modal_of_g(g(i)):
                 return fail(identity, fams.space.names[i])

@@ -449,16 +449,25 @@ def space_from_opens(names: Sequence[str], opens: Iterable[Iterable[int] | int])
     return FiniteSpace(names, tuple(up))
 
 
+def _point_index(index: Mapping[str, int], n: int, item) -> int:
+    """The index of the point item names, by name or by index below n;
+    ValueError for anything else."""
+    if isinstance(item, str) and item in index:
+        return index[item]
+    if type(item) is int and 0 <= item < n:
+        return item
+    raise ValueError(f"{item!r} is not a point")
+
+
 def space_from_poset(names: Sequence[str], covers: Iterable[tuple]) -> FiniteSpace:
-    """Build a space from order generators (x below y per pair)."""
+    """Build a space from order generators (x below y per pair), each
+    point given by name or by index; anything else raises ValueError."""
     names = tuple(names)
     n = len(names)
     index = {nm: i for i, nm in enumerate(names)}
     up = [1 << i for i in range(n)]
     for a, b in covers:
-        i = a if isinstance(a, int) else index[a]
-        j = b if isinstance(b, int) else index[b]
-        up[i] |= 1 << j
+        up[_point_index(index, n, a)] |= 1 << _point_index(index, n, b)
     # Warshall-style closure
     for k in range(n):
         bk = 1 << k
@@ -707,13 +716,7 @@ def space_from_json(data: dict | str) -> FiniteSpace:
         raise ValueError("'points' must be a list of strings")
     if len(set(names)) != len(names):
         raise ValueError("point names must be pairwise distinct")
-
-    def index(item) -> int:
-        if isinstance(item, str) and item in names:
-            return names.index(item)
-        if type(item) is int and 0 <= item < len(names):
-            return item
-        raise ValueError(f"{item!r} is not a point")
+    index = {nm: i for i, nm in enumerate(names)}
 
     def entries(key: str) -> list:
         value = data[key]
@@ -725,10 +728,10 @@ def space_from_json(data: dict | str) -> FiniteSpace:
         pairs = entries("order")
         if any(len(p) != 2 for p in pairs):
             raise ValueError("each order entry must be a pair of points")
-        return space_from_poset(names, [(index(a), index(b)) for a, b in pairs])
+        return space_from_poset(names, pairs)
     if "opens" in data:
         opens = entries("opens")
         if any(type(i) is not int for o in opens for i in o):
             raise ValueError("opens must list point indices")
-        return space_from_opens(names, [[index(i) for i in o] for o in opens])
+        return space_from_opens(names, [[_point_index(index, len(names), i) for i in o] for o in opens])
     raise ValueError("space JSON needs either 'order' or 'opens'")

@@ -26,9 +26,12 @@ parts of the literature insist on non-empty lenses, this library does not.
 
 from __future__ import annotations
 
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
+from itertools import islice
+from typing import Iterable, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
 from .core import (
@@ -118,10 +121,65 @@ class ConstructedSpace:
         return {e: i for i, e in enumerate(self.extents)}
 
     def point_of(self, extent) -> int:
+        return self.points_of((extent,))[0]
+
+    def points_of(self, extents: Iterable) -> tuple[int, ...]:
+        """The point of each extent, in one pass; ValueError names the
+        first extent that is not a point of this construction."""
         try:
-            return self._index[extent]
-        except KeyError:
-            raise ValueError(f"{extent!r} is not a point of {self.label}") from None
+            # a list first: tuple() of an iterator would shrink a ten-slot block onto a small free list
+            return tuple(list(map(self._index.__getitem__, extents)))
+        except KeyError as missing:
+            raise ValueError(f"{missing.args[0]!r} is not a point of {self.label}") from None
+
+    @cached_property
+    def _steps(self) -> tuple[array, array]:
+        """prev and piv of the folds below, read off the cover edges;
+        slot 0, the empty extent, is unused."""
+        if self.kind == KIND_CONVEX:
+            raise ValueError(f"no one-point steps on {self.label}: a lens step may change either part")
+        zeros = bytes(4 * len(self.extents))
+        prev, piv = array("I", zeros), array("I", zeros)
+        for i, j in self.space.covers():
+            small, big = (i, j) if i < j else (j, i)
+            prev[big] = small
+            piv[big] = (self.extents[big] ^ self.extents[small]).bit_length() - 1
+        return prev, piv
+
+    def unions(self, parts: Sequence[int]) -> list[int]:
+        """Per point, the union of parts[p] over the base points p of its
+        extent, with one OR per point.  Kinds A, K and O; L raises.
+
+        The extents are the lower (A) or upper (K, O) sets of the base,
+        and in a lattice of lower or upper sets one set covers another
+        exactly when they differ by one element (Birkhoff; Davey and
+        Priestley, Introduction to Lattices and Order, ch. 5).  The order
+        of the construction is inclusion (A, O) or its reverse (K), so its
+        cover edges are exactly the pairs of extents one base point apart,
+        and each non-empty extent has one below it: drop a maximal point
+        (A) or a minimal one (K, O).  _steps keeps one such edge per point
+        k > 0: prev[k], the point whose extent is one base point smaller,
+        and piv[k], that base point.  extents[0] is the empty set, and the
+        extents are sorted ascending as masks, so a subset comes earlier
+        and prev[k] < k: in point order out[prev[k]] is already known, and
+        out[k] = out[prev[k]] | parts[piv[k]].
+        """
+        prev, piv = self._steps
+        out = [0]
+        append = out.append
+        for p, q in islice(zip(prev, piv), 1, None):
+            append(out[p] | parts[q])
+        return out
+
+    def intersections(self, parts: Sequence[int], full: int) -> list[int]:
+        """Per point, the intersection of parts[p] over the base points p
+        of its extent, full for the empty extent; folded as unions is."""
+        prev, piv = self._steps
+        out = [full]
+        append = out.append
+        for p, q in islice(zip(prev, piv), 1, None):
+            append(out[p] & parts[q])
+        return out
 
     def __repr__(self):
         return f"ConstructedSpace({self.label}, points={self.space.n})"
@@ -332,17 +390,17 @@ def lift_table(table: tuple[int, ...], dom_ps: ConstructedSpace, cod_ps: Constru
     is given, with the ends functor_map checks taken as read and the map
     taken as continuous.
 
-    Each extent goes to the union of parts over its base points: for A
-    and K the closure or saturation of each point's image, so the union
-    is that of the image; for O, an open of Y, the fiber over each point,
-    so the union is the open's preimage.
+    Each extent goes to the union of parts over its base points, folded
+    along dom_ps's cover edges: for A and K the closure or saturation of
+    each point's image, so the union is that of the image; for O, an open
+    of Y, the fiber over each point, so the union is the open's preimage.
     """
     if dom_ps.kind == KIND_OPENS:
         parts = transpose([1 << y for y in table], dom_ps.base.n)
     else:
         hull = cod_ps.base.down if dom_ps.kind == KIND_LOWER else cod_ps.base.up
         parts = [hull[y] for y in table]
-    return tuple(cod_ps.point_of(union_of(parts, ext)) for ext in dom_ps.extents)
+    return cod_ps.points_of(dom_ps.unions(parts))
 
 
 def monad_unit(ps: ConstructedSpace) -> SpaceMap:
@@ -351,7 +409,7 @@ def monad_unit(ps: ConstructedSpace) -> SpaceMap:
     if ps.kind not in (KIND_LOWER, KIND_UPPER):
         raise ValueError(f"no monad unit into {ps.label}")
     hull = ps.base.down if ps.kind == KIND_LOWER else ps.base.up
-    return SpaceMap(ps.base, ps.space, tuple(map(ps.point_of, hull)))
+    return SpaceMap(ps.base, ps.space, ps.points_of(hull))
 
 
 def monad_mult(pps: ConstructedSpace) -> SpaceMap:
@@ -360,7 +418,7 @@ def monad_mult(pps: ConstructedSpace) -> SpaceMap:
     ps = pps.base_construction
     if pps.kind not in (KIND_LOWER, KIND_UPPER) or ps is None or ps.kind != pps.kind:
         raise ValueError(f"no monad multiplication on {pps.label}")
-    return SpaceMap(pps.space, ps.space, tuple(map(ps.point_of, _joins(pps))))
+    return SpaceMap(pps.space, ps.space, ps.points_of(_joins(pps)))
 
 
 def structure_map(t: ConstructedSpace) -> SpaceMap:
@@ -370,7 +428,7 @@ def structure_map(t: ConstructedSpace) -> SpaceMap:
     lattice = t.base_construction
     if t.kind not in (KIND_LOWER, KIND_UPPER) or lattice is None or lattice.kind != KIND_OPENS:
         raise ValueError(f"no structure map on {t.label}")
-    return SpaceMap(t.space, lattice.space, tuple(map(lattice.point_of, _joins(t))))
+    return SpaceMap(t.space, lattice.space, lattice.points_of(_joins(t)))
 
 
 def _joins(t: ConstructedSpace) -> list[int]:
@@ -379,8 +437,8 @@ def _joins(t: ConstructedSpace) -> list[int]:
     base for none) for K over O(X)."""
     c = t.base_construction
     if t.kind == KIND_UPPER and c.kind == KIND_OPENS:
-        return [intersection_of(c.extents, fam, c.base.full_mask) for fam in t.extents]
-    return [union_of(c.extents, fam) for fam in t.extents]
+        return t.intersections(c.extents, c.base.full_mask)
+    return t.unions(c.extents)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,16 @@ from operator import or_
 
 from powerspace.canonical import _SQUARES, alpha_beta, gamma_delta, phi_psi, sigma_tau
 from powerspace.config import DEFAULT_LIMITS
-from powerspace.core import Verdict, bits, compose, enumerate_lower_sets, enumerate_upper_sets, set_label, union_of
+from powerspace.core import (
+    Verdict,
+    bits,
+    compose,
+    enumerate_lower_sets,
+    enumerate_upper_sets,
+    intersection_of,
+    set_label,
+    union_of,
+)
 from powerspace.errors import PreconditionViolated
 from powerspace.powerspaces import KIND_LOWER, KIND_OPENS, functor_map
 
@@ -49,6 +58,18 @@ def literal_transpose(rows, n: int) -> tuple[int, ...]:
         for p in bits(m):
             cols[p] |= 1 << i
     return tuple(cols)
+
+
+def literal_unions(cs, parts) -> list[int]:
+    """Per point of the construction cs, the union of parts[p] over the
+    base points p of its extent, one union_of per extent."""
+    return [union_of(parts, e) for e in cs.extents]
+
+
+def literal_intersections(cs, parts, full: int) -> list[int]:
+    """Per point of cs, the intersection of parts[p] over its extent, full
+    for the empty extent, one intersection_of per extent."""
+    return [intersection_of(parts, e, full) for e in cs.extents]
 
 
 def close_family(seeds, full: int) -> frozenset[int]:

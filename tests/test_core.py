@@ -81,6 +81,22 @@ def test_poset_cycle_rejected():
         space_from_poset(("x", "y"), [("x", "y"), ("y", "x")])
 
 
+def test_poset_rejects_a_negative_index():
+    # Python's negative indexing would read -1 as b and build b <= a
+    with pytest.raises(ValueError, match="-1 is not a point"):
+        space_from_poset(["a", "b"], [(-1, 0)])
+
+
+def test_poset_rejects_an_index_past_the_last_point():
+    with pytest.raises(ValueError, match="5 is not a point"):
+        space_from_poset(["a", "b"], [(0, 5)])
+
+
+def test_poset_rejects_an_unknown_name():
+    with pytest.raises(ValueError, match="'c' is not a point"):
+        space_from_poset(["a", "b"], [("a", "c")])
+
+
 def test_closure_saturation_interior_on_sierpinski():
     s = sierpinski()
     assert closure(s, PtSet(s, 0b10)).mask == 0b11

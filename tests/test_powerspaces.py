@@ -1,9 +1,11 @@
+import random
 import re
 
 import pytest
 
 from powerspace import powerspaces
 from powerspace.core import (
+    FiniteSpace,
     SpaceMap,
     antichain,
     chain,
@@ -34,7 +36,7 @@ from powerspace.powerspaces import (
     upper_powerspace,
 )
 
-from oracles import literal_associativity
+from oracles import literal_associativity, literal_intersections, literal_unions
 
 S = sierpinski()
 D2 = antichain(2, names=("a", "b"))
@@ -509,3 +511,36 @@ def test_associativity_pass_matches_literal_square():
                     changed += 1
                     literal_rejects += not literal
     assert (changed, literal_rejects) == (2940, 2460)
+
+
+def test_cover_folds_match_literal_unions_and_intersections():
+    # random parts, wider than any base, so a wrong step shows in some bit
+    rng = random.Random(20171)
+    subjects = [Powers(sp) for sp in enumerate_spaces(3, up_to_iso=False)]
+    subjects.append(Powers(FiniteSpace(tuple(f"p{i}" for i in range(5)), (1, 2, 4, 8, 17))))
+    folded = 0
+    for pw in subjects:
+        for word in ("A", "K", "O", "AK", "KA", "OO", "AO", "OK", "KO", "OA"):
+            cs = getattr(pw, word)
+            for _ in range(3):
+                parts = [rng.getrandbits(64) for _ in range(cs.base.n)]
+                full = rng.getrandbits(64) | 1 << 64
+                assert cs.unions(parts) == literal_unions(cs, parts), (pw.base, word)
+                assert cs.intersections(parts, full) == literal_intersections(cs, parts, full), (pw.base, word)
+            folded += 1
+    assert folded == 250
+    lens = Powers(S).L
+    with pytest.raises(ValueError, match=re.escape("L(X)")):
+        lens.unions([1, 2])
+    with pytest.raises(ValueError, match=re.escape("L(X)")):
+        lens.intersections([1, 2], 3)
+
+
+def test_points_of_names_the_construction():
+    a_s = Powers(S).A
+    assert a_s.points_of(a_s.extents) == tuple(range(a_s.space.n))
+    assert a_s.points_of([]) == ()
+    with pytest.raises(ValueError, match=re.escape("2 is not a point of A(X)")):
+        a_s.points_of([0b11, 0b10])
+    with pytest.raises(ValueError, match=re.escape("2 is not a point of A(X)")):
+        a_s.point_of(0b10)
