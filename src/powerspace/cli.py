@@ -15,8 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
-from .config import DEFAULT_LIMITS
+from .config import DEFAULT_LIMITS, Limits
 from .core import enumerate_spaces, space_from_json, space_to_json
 from .errors import LimitExceeded, ParseError, PowerspaceTooLarge, SpaceError
 from .powerspaces import BUILDERS, Powers, construction_to_json, to_dot
@@ -44,12 +45,14 @@ def evaluate_expression(space, text: str, limits=DEFAULT_LIMITS):
     return getattr(Powers(space, limits), word) if word else space
 
 
-def _cmd_verify(args) -> int:
+def _limits(args) -> Limits:
+    """The defaults with what --cap and, for verify, --seed override."""
     limits = DEFAULT_LIMITS if args.cap is None else DEFAULT_LIMITS.with_cap(args.cap)
-    if args.seed is not None:
-        from dataclasses import replace
+    seed = getattr(args, "seed", None)
+    return limits if seed is None else replace(limits, seed=seed)
 
-        limits = replace(limits, seed=args.seed)
+
+def _cmd_verify(args) -> int:
     if args.suite == "all" and args.max_points is not None and args.max_points > 5:
         raise LimitExceeded("the full suite is guarded at 5 points")
     report = run_suite(
@@ -57,7 +60,7 @@ def _cmd_verify(args) -> int:
         max_points=args.max_points,
         include_empty=args.include_empty,
         jobs=args.jobs,
-        limits=limits,
+        limits=_limits(args),
     )
     if not report.records:
         print("input error: no check in scope", file=sys.stderr)
@@ -72,7 +75,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    limits = DEFAULT_LIMITS if args.cap is None else DEFAULT_LIMITS.with_cap(args.cap)
     with open(args.space) as fh:
         try:
             space = space_from_json(json.load(fh))
@@ -83,7 +85,7 @@ def _cmd_build(args) -> int:
         print(f"X: {space.n} points")
         _emit(payload, args.out)
         return 0
-    built = evaluate_expression(space, args.expr, limits)
+    built = evaluate_expression(space, args.expr, _limits(args))
     if args.format == "dot":
         payload = to_dot(built)
     else:

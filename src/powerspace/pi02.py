@@ -47,8 +47,15 @@ class Pi02Presentation:
 
     @staticmethod
     def from_json(ambient: FiniteSpace, data: dict, limits: Limits = DEFAULT_LIMITS) -> "Pi02Presentation":
+        """Pairs of indices into ambient.opens(); anything else raises ValueError."""
         opens = ambient.opens(limits)
-        return Pi02Presentation(ambient, tuple((opens[i], opens[j]) for i, j in data["pairs"]))
+        pairs = []
+        for entry in data["pairs"]:
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 2
+                    and all(type(i) is int and 0 <= i < len(opens) for i in entry)):
+                raise ValueError(f"{entry!r} is not a pair of open indices")
+            pairs.append((opens[entry[0]], opens[entry[1]]))
+        return Pi02Presentation(ambient, tuple(pairs))
 
 
 def pi02_eval(p: Pi02Presentation) -> PtSet:

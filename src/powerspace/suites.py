@@ -1,10 +1,15 @@
 """Verification suites: each one sweeps a family of spaces and emits a
 deterministic report.
 
-Per-space jobs are pure functions of the space, so the runner can fan
-them out to a process pool; results are merged back in canonical order
-regardless of worker scheduling.  Timings live in their own section of
-the report and are the only non-deterministic part.
+A per-space job yields named checks over one tower, the Powers of its
+subject; a check is a function of no arguments that returns a Verdict.
+_timed runs the checks and makes every record, timing each check from
+its call to its verdict, so the timings charge each check with the
+builds it triggers.  Jobs are pure functions of the space, so the runner
+can fan them out to a process pool, each worker making its own records;
+results are merged back in canonical order regardless of worker
+scheduling.  Timings live in their own section of the report and are
+the only non-deterministic part.
 """
 
 from __future__ import annotations
@@ -12,8 +17,9 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass
+from functools import partial
+from itertools import product, repeat
 
 from .config import DEFAULT_LIMITS, Limits
 from .core import (
@@ -28,7 +34,7 @@ from .core import (
 )
 from .errors import PowerspaceTooLarge
 from . import canonical, checkers, omega, pi02
-from .approx import canonical_approx_relation, require_valid_relation, validate_approx_relation, wilker_split
+from .approx import ApproxRelation, canonical_approx_relation, require_valid_relation, validate_approx_relation, wilker_split
 from .canonical import PAIR_BUILDERS, check_distributive_law, naturality_squares, verify_pair
 from .powerspaces import Powers, algebra_laws, monad_laws, monad_preimage_identities
 
@@ -40,8 +46,8 @@ class CheckRecord:
     name: str
     subject: str
     passed: bool
-    witness: object = None
-    millis: float = 0.0
+    witness: object
+    millis: float
 
     def sort_key(self):
         return (self.subject, self.name)
@@ -51,19 +57,11 @@ class CheckRecord:
 class SuiteReport:
     suite: str
     subjects: list[str]
-    records: list[CheckRecord] = field(default_factory=list)
+    records: list[CheckRecord]
 
     @property
     def failed(self) -> int:
         return sum(1 for r in self.records if not r.passed)
-
-    def merge(self, other: "SuiteReport") -> "SuiteReport":
-        merged = SuiteReport(
-            suite="all",
-            subjects=sorted(set(self.subjects) | set(other.subjects)),
-            records=self.records + other.records,
-        )
-        return merged
 
     def lines(self) -> list[str]:
         out = []
@@ -101,19 +99,21 @@ class SuiteReport:
         return body
 
 
-def _rec(name: str, subject: str, verdict: Verdict, t0: float) -> CheckRecord:
-    return CheckRecord(
-        name=name,
-        subject=subject,
-        passed=verdict.holds,
-        witness=None if verdict.holds else verdict.witness,
-        millis=(time.monotonic() - t0) * 1000,
-    )
-
-
-def _timed(name: str, subject: str, check, *args) -> CheckRecord:
-    t0 = time.monotonic()
-    return _rec(name, subject, check(*args), t0)
+def _timed(subject: str, checks) -> list[CheckRecord]:
+    """The records of the (name, check) pairs of one subject.  Each check
+    runs before the next pair is drawn, so a check may read its job's
+    loop variables.  A cap hit, in a check or between checks, names the
+    subject."""
+    records = []
+    try:
+        for name, check in checks:
+            t0 = time.monotonic()
+            verdict = check()
+            millis = (time.monotonic() - t0) * 1000
+            records.append(CheckRecord(name, subject, verdict.holds, verdict.witness, millis))
+    except PowerspaceTooLarge as exc:
+        raise PowerspaceTooLarge(f"{subject}: {exc}") from None
+    return records
 
 
 def _label(space: FiniteSpace) -> str:
@@ -126,126 +126,104 @@ def _spaces(max_points: int, include_empty: bool):
 
 
 # ---------------------------------------------------------------------------
-# per-space jobs (top level, so a process pool can pickle them)
+# per-space jobs; checks handed the tower read its limits
 
 
-def homeo_space_job(args) -> list[CheckRecord]:
-    space, limits = args
-    subject = _label(space)
-    out = []
-    pw = Powers(space, limits)
+def homeo_space_job(pw: Powers):
     for name, builder in PAIR_BUILDERS.items():
-        t0 = time.monotonic()
-        pair = builder(pw, limits)
-        out.append(_rec(f"pair[{name}]", subject, verify_pair(pair), t0))
-    t0 = time.monotonic()
-    out.append(_rec("preimage_identities", subject, canonical.check_preimage_identities(pw, limits), t0))
-    t0 = time.monotonic()
+        yield f"pair[{name}]", lambda: verify_pair(builder(pw))
+    yield "preimage_identities", lambda: canonical.check_preimage_identities(pw)
+    yield "cardinality_crosscheck", lambda: _cardinality_crosscheck(pw)
+
+
+def _cardinality_crosscheck(pw: Powers) -> Verdict:
+    """A(K(X)), K(A(X)) and O(O(X)) have equally many points, as many as
+    the lower sets of K(X), the upper sets of A(X) and of O(X), counted
+    independently."""
     sizes = {"A(K)": pw.AK.space.n, "K(A)": pw.KA.space.n, "O(O)": pw.OO.space.n}
-    # lower sets of K(X), upper sets of A(X) and of O(X), counted independently
     oracle = {
         "A(K)": count_upper_sets(pw.K.space),
         "K(A)": count_upper_sets(pw.A.space),
         "O(O)": count_upper_sets(pw.O.space),
     }
     ok = sizes["A(K)"] == sizes["K(A)"] == sizes["O(O)"] and oracle == sizes
-    verdict = Verdict(ok, witness=None if ok else {"sizes": sizes, "oracle": oracle})
-    out.append(_rec("cardinality_crosscheck", subject, verdict, t0))
-    return out
+    return Verdict(ok, witness=None if ok else {"sizes": sizes, "oracle": oracle})
 
 
-def monad_space_job(args) -> list[CheckRecord]:
-    space, limits = args
-    subject = _label(space)
-    pw = Powers(space, limits)
-    out = []
+def monad_space_job(pw: Powers):
     for kind in ("A", "K"):
-        out.append(_timed(f"monad_laws[{kind}]", subject, monad_laws, kind, pw, limits))
-        out.append(_timed(f"monad_preimages[{kind}]", subject, monad_preimage_identities, kind, pw, limits))
-        out.append(_timed(f"algebra_laws[{kind}]", subject, algebra_laws, kind, pw, limits))
-    if space.n <= 2:
-        out.append(_timed("distributive_law", subject, check_distributive_law, pw, limits))
-    return out
+        yield f"monad_laws[{kind}]", lambda: monad_laws(kind, pw)
+        yield f"monad_preimages[{kind}]", lambda: monad_preimage_identities(kind, pw)
+        yield f"algebra_laws[{kind}]", lambda: algebra_laws(kind, pw)
+    if pw.base.n <= 2:
+        yield "distributive_law", lambda: check_distributive_law(pw)
 
 
-def consonance_space_job(args) -> list[CheckRecord]:
-    space, limits = args
-    subject = _label(space)
-    pw = Powers(space, limits)
-    out = []
+def consonance_space_job(pw: Powers):
+    space, limits = pw.base, pw.limits
     # the checkers keep their verdicts on the tower they run on, so
-    # consonance_equivalence and strong_compactness_implications reuse them;
-    # checks handed a Powers read its limits
-    out.append(_timed("consonance_equivalence", subject, checkers.consonance_equivalence, pw))
-    out.append(_timed("is_consonant[X]", subject, checkers.is_consonant, pw))
-    out.append(_timed("is_co_consonant[X]", subject, checkers.is_co_consonant, pw))
-    out.append(_timed("is_wilker[X]", subject, checkers.is_wilker, pw))
-    out.append(_timed("is_sober[X]", subject, checkers.is_sober, space, limits))
-    out.append(_timed("lower_weak_coincidence", subject, checkers.topology_coincidence, pw.A, "weak", limits))
-    out.append(_timed("upper_scott_coincidence", subject, checkers.topology_coincidence, pw.K, "scott", limits))
-    out.append(_timed("is_sober[A(X)]", subject, checkers.is_sober, pw.A.space, limits))
-    out.append(_timed("is_sober[O(X)]", subject, checkers.is_sober, pw.O.space, limits))
-    out.append(_timed("is_consonant[O(X)]", subject, checkers.is_consonant, pw.over("O")))
-    out.append(_timed("is_co_consonant[O(X)]", subject, checkers.is_co_consonant, pw.over("O")))
-    out.append(_timed("strong_compactness_implications", subject, checkers.strong_compactness_implications, pw))
+    # consonance_equivalence and strong_compactness_implications reuse them
+    yield "consonance_equivalence", lambda: checkers.consonance_equivalence(pw)
+    yield "is_consonant[X]", lambda: checkers.is_consonant(pw)
+    yield "is_co_consonant[X]", lambda: checkers.is_co_consonant(pw)
+    yield "is_wilker[X]", lambda: checkers.is_wilker(pw)
+    yield "is_sober[X]", lambda: checkers.is_sober(space, limits)
+    yield "lower_weak_coincidence", lambda: checkers.topology_coincidence(pw.A, "weak", limits)
+    yield "upper_scott_coincidence", lambda: checkers.topology_coincidence(pw.K, "scott", limits)
+    yield "is_sober[A(X)]", lambda: checkers.is_sober(pw.A.space, limits)
+    yield "is_sober[O(X)]", lambda: checkers.is_sober(pw.O.space, limits)
+    yield "is_consonant[O(X)]", lambda: checkers.is_consonant(pw.over("O"))
+    yield "is_co_consonant[O(X)]", lambda: checkers.is_co_consonant(pw.over("O"))
+    yield "strong_compactness_implications", lambda: checkers.strong_compactness_implications(pw)
     if space.n <= 2:
-        out.append(_timed("double_weak_coincidence", subject, checkers.topology_coincidence, pw.KA, "weak", limits))
-    out.append(_timed("is_consonant[K(X)]", subject, checkers.is_consonant, pw.over("K")))
-    out.append(_timed("is_co_consonant[K(X)]", subject, checkers.is_co_consonant, pw.over("K")))
+        yield "double_weak_coincidence", lambda: checkers.topology_coincidence(pw.KA, "weak", limits)
+    yield "is_consonant[K(X)]", lambda: checkers.is_consonant(pw.over("K"))
+    yield "is_co_consonant[K(X)]", lambda: checkers.is_co_consonant(pw.over("K"))
     if space.n <= 3:
         # the triple-level composites behind sigma over K(X) stay capped here
-        out.append(_timed("consonance_equivalence[K(X)]", subject, checkers.consonance_equivalence, pw.over("K")))
-    return out
+        yield "consonance_equivalence[K(X)]", lambda: checkers.consonance_equivalence(pw.over("K"))
 
 
-def pi02_space_job(args) -> list[CheckRecord]:
-    space, limits = args
-    subject = _label(space)
-    pw = Powers(space, limits)
-    out = []
+def pi02_space_job(pw: Powers):
+    space, limits = pw.base, pw.limits
     for mask in range(1 << space.n):
         sub, embedding = subspace(space, mask)
         pres = pi02.presentation_for_subset(space, mask)
-        t0 = time.monotonic()
-        ok = pi02.pi02_eval(pres).mask == mask
-        out.append(
-            _rec(
-                f"presentation_roundtrip[{mask}]",
-                subject,
-                Verdict(ok, witness=None if ok else {"mask": mask}),
-                t0,
-            )
-        )
+        yield f"presentation_roundtrip[{mask}]", lambda: _presentation_roundtrip(pres, mask)
         # the subset's constructions are built inside the check that first uses them
         sub_pw = Powers(sub, limits)
-        out.append(_timed(f"lower_range[{mask}]", subject,
-                          lambda: pi02.lower_embedding_range(embedding, pres, sub_pw.A, pw.A)))
-        out.append(_timed(f"upper_range[{mask}]", subject,
-                          lambda: pi02.upper_embedding_range(embedding, pres, sub_pw.K, pw.K, limits)))
-    out.append(_timed("lens_identification", subject, pi02.lens_pi02, pw, limits))
-    out.append(_timed("unit_image_characterizations", subject, pi02.eta_image_characterizations, pw, limits))
-    return out
+        yield f"lower_range[{mask}]", lambda: pi02.lower_embedding_range(embedding, pres, sub_pw.A, pw.A)
+        yield f"upper_range[{mask}]", lambda: pi02.upper_embedding_range(embedding, pres, sub_pw.K, pw.K, limits)
+    yield "lens_identification", lambda: pi02.lens_pi02(pw)
+    yield "unit_image_characterizations", lambda: pi02.eta_image_characterizations(pw)
 
 
-def wilker_space_job(args) -> list[CheckRecord]:
-    space, limits = args
-    subject = _label(space)
-    out = []
+def _presentation_roundtrip(pres: pi02.Pi02Presentation, mask: int) -> Verdict:
+    """The presentation made for mask evaluates to mask."""
+    ok = pi02.pi02_eval(pres).mask == mask
+    return Verdict(ok, witness=None if ok else {"mask": mask})
+
+
+def wilker_space_job(pw: Powers):
+    space, limits = pw.base, pw.limits
     if space.n == 0:
-        return out  # no approximation relation exists on the empty space
+        return  # no approximation relation exists on the empty space
     relation = canonical_approx_relation(space, limits)
-    t0 = time.monotonic()
-    out.append(_rec("canonical_relation_valid", subject, validate_approx_relation(relation, limits), t0))
+    yield "canonical_relation_valid", lambda: validate_approx_relation(relation, limits)
     require_valid_relation(relation, limits)
-    opens = space.opens(limits)
-    t0 = time.monotonic()
+    yield "decompose_all_triples", lambda: _decompose_all_triples(relation, limits)
+
+
+def _decompose_all_triples(relation: ApproxRelation, limits: Limits) -> Verdict:
+    """K1 and K2 are saturated for every triple (U1, U2, K) of opens with
+    K inside U1 | U2, relation having passed require_valid_relation."""
+    space = relation.space
     triples = 0
-    failure = None
     checked = set()
     # wilker_split raises on a split that misses its cover; the saturation
     # of K1 and K2, which wilker_decompose also promises, is checked here,
     # once per distinct split, at the first triple that splits that way
-    for u1, u2, k in product(opens, repeat=3):
+    for u1, u2, k in product(space.opens(limits), repeat=3):
         if k & ~(u1 | u2):
             continue
         triples += 1
@@ -256,10 +234,8 @@ def wilker_space_job(args) -> list[CheckRecord]:
         k1, k2 = split
         if space.saturation_mask(k1) != k1 or space.saturation_mask(k2) != k2:
             failure = {"K": PtSet(space, k), "U1": PtSet(space, u1), "U2": PtSet(space, u2)}
-            break
-    verdict = Verdict(failure is None, witness=failure, info={"triples": triples})
-    out.append(_rec("decompose_all_triples", subject, verdict, t0))
-    return out
+            return Verdict(False, witness=failure, info={"triples": triples})
+    return Verdict(True, info={"triples": triples})
 
 
 JOBS = {
@@ -273,24 +249,18 @@ JOBS = {
 DEFAULT_SCOPE = {"homeo": 4, "monad": 3, "consonance": 4, "pi02": 3, "wilker": 4}
 
 
-def _space_job(args) -> list[CheckRecord]:
-    suite, space, limits = args
-    try:
-        return JOBS[suite]((space, limits))
-    except PowerspaceTooLarge as exc:
-        raise PowerspaceTooLarge(f"{_label(space)}: {exc}") from None
+def _space_job(suite: str, space: FiniteSpace, limits: Limits) -> list[CheckRecord]:
+    return _timed(_label(space), JOBS[suite](Powers(space, limits)))
 
 
 def _run_spaces(suite: str, spaces, limits: Limits, jobs: int) -> list[CheckRecord]:
-    args = [(suite, s, limits) for s in spaces]
-    if jobs > 1 and len(args) > 1:
+    args = (repeat(suite), spaces, repeat(limits))
+    if jobs > 1 and len(spaces) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_space_job, args))
+            chunks = list(pool.map(_space_job, *args))
     else:
-        chunks = list(map(_space_job, args))
-    records = [r for chunk in chunks for r in chunk]
-    records.sort(key=CheckRecord.sort_key)
-    return records
+        chunks = list(map(_space_job, *args))
+    return [r for chunk in chunks for r in chunk]
 
 
 def run_suite(
@@ -301,58 +271,44 @@ def run_suite(
     limits: Limits = DEFAULT_LIMITS,
 ) -> SuiteReport:
     if suite == "all":
-        parts = [
-            run_suite(s, max_points, include_empty, jobs, limits) for s in SUITES
-        ]
-        report = parts[0]
-        for part in parts[1:]:
-            report = report.merge(part)
-        return report
+        parts = [run_suite(s, max_points, include_empty, jobs, limits) for s in SUITES]
+        subjects = sorted({s for part in parts for s in part.subjects})
+        return SuiteReport("all", subjects, [r for part in parts for r in part.records])
     if suite == "counterexamples":
-        report = SuiteReport(suite="counterexamples", subjects=["omega"])
-        for name, fn in omega.COUNTEREXAMPLES.items():
-            t0 = time.monotonic()
-            report.records.append(_rec(name, "omega", fn(samples=100, seed=limits.seed), t0))
-        t0 = time.monotonic()
-        report.records.append(_rec("cofinset_algebra_oracle", "omega", _cofinset_oracle_check(limits.seed), t0))
-        return report
+        checks = [(name, partial(fn, samples=100, seed=limits.seed)) for name, fn in omega.COUNTEREXAMPLES.items()]
+        checks.append(("cofinset_algebra_oracle", partial(_cofinset_oracle_check, limits.seed)))
+        return SuiteReport("counterexamples", ["omega"], _timed("omega", checks))
     if suite not in JOBS:
         raise ValueError(f"unknown suite {suite!r}")
     scope = max_points if max_points is not None else DEFAULT_SCOPE[suite]
     spaces = _spaces(scope, include_empty)
-    report = SuiteReport(suite=suite, subjects=[_label(s) for s in spaces])
-    report.records = _run_spaces(suite, spaces, limits, jobs)
+    records = _run_spaces(suite, spaces, limits, jobs)
     if suite == "homeo":
-        report.records.extend(_naturality_records(min(scope, 3), include_empty, limits))
-        report.records.sort(key=CheckRecord.sort_key)
-    return report
+        records += _naturality_records(min(scope, 3), include_empty, limits)
+    return SuiteReport(suite, [_label(s) for s in spaces], sorted(records, key=CheckRecord.sort_key))
 
 
 def _naturality_records(max_points: int, include_empty: bool, limits: Limits) -> list[CheckRecord]:
-    spaces = _spaces(max_points, include_empty)
-    powers = {s.fingerprint: Powers(s, limits) for s in spaces}
+    """One naturality record per ordered pair of spaces, over one tower
+    per space."""
+    towers = [Powers(s, limits) for s in _spaces(max_points, include_empty)]
     out = []
-    for dom in spaces:
-        for cod in spaces:
-            subject = f"{_label(dom)}->{_label(cod)}"
-            t0 = time.monotonic()
-            bad = None
-            squares = 0
-            try:
-                for f in iter_continuous_maps(dom, cod):
-                    for which, v in naturality_squares(f, powers[dom.fingerprint], powers[cod.fingerprint]):
-                        squares += 1
-                        if not v.holds:
-                            bad = {"map": list(f.table), "square": which, "detail": v.witness}
-                            break
-                    if bad:
-                        break
-            except PowerspaceTooLarge as exc:
-                raise PowerspaceTooLarge(f"{subject}: {exc}") from None
-            out.append(
-                _rec("naturality", subject, Verdict(bad is None, witness=bad, info={"squares": squares}), t0)
-            )
+    for px, py in product(towers, repeat=2):
+        out += _timed(f"{_label(px.base)}->{_label(py.base)}", [("naturality", partial(_naturality, px, py))])
     return out
+
+
+def _naturality(px: Powers, py: Powers) -> Verdict:
+    """The eight squares over every continuous map between the subjects
+    of px and py."""
+    squares = 0
+    for f in iter_continuous_maps(px.base, py.base):
+        for which, v in naturality_squares(f, px, py):
+            squares += 1
+            if not v.holds:
+                bad = {"map": list(f.table), "square": which, "detail": v.witness}
+                return Verdict(False, witness=bad, info={"squares": squares})
+    return Verdict(True, info={"squares": squares})
 
 
 def _cofinset_oracle_check(seed: int, instances: int = 100) -> Verdict:

@@ -1,3 +1,4 @@
+import re
 from itertools import permutations, product
 
 import pytest
@@ -191,6 +192,13 @@ def test_presentation_serialization():
     data = pres.to_json()
     again = Pi02Presentation.from_json(S, data)
     assert again == pres
+
+
+@pytest.mark.parametrize("entry", [[-1, 0], [0, 7], [0]])
+def test_presentation_from_json_rejects_bad_entries(entry):
+    # the Sierpinski space has three opens, indexed 0 to 2
+    with pytest.raises(ValueError, match=rf"^{re.escape(repr(entry))} is not a pair of open indices$"):
+        Pi02Presentation.from_json(S, {"pairs": [entry]})
 
 
 def _first_order_mismatch(f: SpaceMap):

@@ -5,10 +5,11 @@ from collections import Counter
 
 import pytest
 
-from powerspace import approx, checkers, powerspaces
+from powerspace import approx, checkers, powerspaces, suites
 from powerspace.config import DEFAULT_LIMITS
 from powerspace.core import PtSet, Verdict, antichain, enumerate_spaces, sierpinski
-from powerspace.suites import SUITES, consonance_space_job, monad_space_job, run_suite, wilker_space_job
+from powerspace.powerspaces import Powers
+from powerspace.suites import SUITES, _space_job, _timed, consonance_space_job, monad_space_job, run_suite
 
 # sha256 of each suite's report body without timings and of its stdout
 # lines, at default scope; they pin every verdict and witness.
@@ -69,13 +70,29 @@ def test_reports_are_deterministic_modulo_timings():
 
 
 def test_parallel_jobs_match_serial():
-    serial = run_suite("wilker", max_points=3, jobs=1).to_json(include_timings=False)
-    parallel = run_suite("wilker", max_points=3, jobs=2).to_json(include_timings=False)
-    assert serial == parallel
+    for suite in SUITES:
+        serial = run_suite(suite, max_points=2, jobs=1).to_json(include_timings=False)
+        parallel = run_suite(suite, max_points=2, jobs=2).to_json(include_timings=False)
+        assert serial == parallel, suite
 
 
-def test_run_all_merges():
+def test_run_all_merges(monkeypatch):
+    # the benchmark's traced verify-all patches suites.run_suite the same
+    # way and reads each suite's part from the call run_suite("all") makes
+    parts = []
+    run_one = suites.run_suite
+
+    def recording(suite, *args, **kwargs):
+        report = run_one(suite, *args, **kwargs)
+        if suite != "all":
+            parts.append(report)
+        return report
+
+    monkeypatch.setattr(suites, "run_suite", recording)
     report = run_suite("all", max_points=1)
+    assert [part.suite for part in parts] == list(SUITES)
+    assert report.records == [r for part in parts for r in part.records]
+    assert report.subjects == sorted({s for part in parts for s in part.subjects})
     assert report.suite == "all"
     assert report.failed == 0
 
@@ -102,7 +119,7 @@ def test_golden_report_bodies(suite):
 def test_jobs_build_each_construction_once(job, builds):
     for space in enumerate_spaces(3):
         builds.clear()
-        job((space, DEFAULT_LIMITS))
+        _timed("subject", job(Powers(space, DEFAULT_LIMITS)))
         twice = [key for key, count in Counter(builds).items() if count > 1]
         assert not twice, (space, twice)
 
@@ -125,7 +142,7 @@ def test_consonance_job_runs_each_checker_once_per_tower(monkeypatch):
     monkeypatch.setattr(checkers, "Verdict", counting)
     for space in enumerate_spaces(3):
         runs.clear()
-        consonance_space_job((space, DEFAULT_LIMITS))
+        _timed("subject", consonance_space_job(Powers(space, DEFAULT_LIMITS)))
         assert {name: runs[name] for name in ("is_consonant", "is_co_consonant")} == {
             "is_consonant": 3, "is_co_consonant": 3}, space
 
@@ -142,7 +159,7 @@ def test_decompose_all_triples_fails_on_an_unsaturated_split(monkeypatch):
         return (*trace, (bot, top)) if (k, f, g) == (full, 1 << w.index[full], 1 << w.index[top]) else (*trace, split)
 
     monkeypatch.setattr(approx, "_walk", unsaturated)
-    [relation_valid, triples] = wilker_space_job((x, DEFAULT_LIMITS))
+    [relation_valid, triples] = _space_job("wilker", x, DEFAULT_LIMITS)
     assert relation_valid.passed
     assert triples.name == "decompose_all_triples" and not triples.passed
     assert triples.witness == {"K": PtSet(x, full), "U1": PtSet(x, full), "U2": PtSet(x, top)}
@@ -159,6 +176,6 @@ def test_decompose_all_triples_steps_each_state_once(monkeypatch):
         return step(w, k, f, g)
 
     monkeypatch.setattr(approx, "_step", counting)
-    [relation_valid, triples] = wilker_space_job((antichain(4), DEFAULT_LIMITS))
+    [relation_valid, triples] = _space_job("wilker", antichain(4), DEFAULT_LIMITS)
     assert relation_valid.passed and triples.passed
     assert len(steps) == len(set(steps)) <= 2641
