@@ -80,17 +80,14 @@ def _cmd_build(args) -> int:
             space = space_from_json(json.load(fh))
         except (KeyError, ValueError, json.JSONDecodeError) as exc:
             raise ParseError(f"bad space file: {exc}") from exc
-    if args.expr.strip().replace(" ", "") == "X":
-        payload = json.dumps(space_to_json(space), indent=2, sort_keys=True) + "\n"
-        print(f"X: {space.n} points")
-        _emit(payload, args.out)
-        return 0
     built = evaluate_expression(space, args.expr, _limits(args))
+    plain = built is space
     if args.format == "dot":
         payload = to_dot(built)
     else:
-        payload = json.dumps(construction_to_json(built), indent=2, sort_keys=True) + "\n"
-    print(f"{built.label}: {built.space.n} points")
+        doc = space_to_json(space) if plain else construction_to_json(built)
+        payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    print(f"X: {space.n} points" if plain else f"{built.label}: {built.space.n} points")
     _emit(payload, args.out)
     return 0
 

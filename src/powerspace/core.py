@@ -483,6 +483,8 @@ def space_from_poset(names: Sequence[str], covers: Iterable[tuple]) -> FiniteSpa
 
 def subspace(space: FiniteSpace, mask: int) -> tuple[FiniteSpace, SpaceMap]:
     """The subspace on mask together with its inclusion map."""
+    if mask & ~space.full_mask:
+        raise ValueError(f"mask {mask} is not a subset of the {space.n} points")
     chosen = list(bits(mask))
     pos = {p: k for k, p in enumerate(chosen)}
     up = []
@@ -564,10 +566,6 @@ def enumerate_upper_sets(up: Sequence[int], cap: int | None = None) -> list[int]
     return out
 
 
-def enumerate_lower_sets(space: FiniteSpace, cap: int | None = None) -> list[int]:
-    return enumerate_upper_sets(space.down, cap)
-
-
 def count_upper_sets(space: FiniteSpace) -> int:
     """Number of upper sets, equal by complement to the number of lower sets.
 
@@ -580,12 +578,22 @@ def count_upper_sets(space: FiniteSpace) -> int:
 
 
 def _count_split(p: int, up, down, memo: dict) -> int:
-    got = memo.get(p)
-    if got is None:
-        x = (p & -p).bit_length() - 1
-        got = _count_split(p & ~down[x], up, down, memo) + _count_split(p & ~up[x], up, down, memo)
-        memo[p] = got
-    return got
+    """D(p) by the split above, x the lowest point of each subset, on an
+    explicit stack: recursion would go one level deep per point of a
+    chain.  A subset whose halves are not both in memo goes back on the
+    stack under them."""
+    stack = [p]
+    while stack:
+        q = stack.pop()
+        if q in memo:
+            continue
+        x = (q & -q).bit_length() - 1
+        low, high = q & ~down[x], q & ~up[x]
+        if low in memo and high in memo:
+            memo[q] = memo[low] + memo[high]
+        else:
+            stack += (q, low, high)
+    return memo[p]
 
 
 # ---------------------------------------------------------------------------
@@ -602,15 +610,9 @@ def _relabelings(up: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         yield tuple(relabeled)
 
 
-_CANONICAL_CACHE: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-
 def canonical_order_key(up: tuple[int, ...]) -> tuple[int, ...]:
     """Least relabeling of the order under all point permutations."""
-    got = _CANONICAL_CACHE.get(up)
-    if got is None:
-        got = _CANONICAL_CACHE[up] = min(_relabelings(up))
-    return got
+    return min(_relabelings(up))
 
 
 _POSET_CACHE: dict[int, list[tuple[int, ...]]] = {}

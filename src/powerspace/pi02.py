@@ -68,6 +68,8 @@ def pi02_eval(p: Pi02Presentation) -> PtSet:
 
 def presentation_for_subset(ambient: FiniteSpace, mask: int) -> Pi02Presentation:
     """A presentation whose evaluation is exactly the given subset."""
+    if mask & ~ambient.full_mask:
+        raise ValueError(f"mask {mask} is not a subset of the {ambient.n} points")
     pairs = []
     for x in range(ambient.n):
         if not (mask >> x) & 1:

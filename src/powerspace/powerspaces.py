@@ -8,6 +8,9 @@ O(X)  the open-set lattice under inclusion with its upper-set topology
 On a finite base the specialization order of each topology is plain
 extent inclusion: subset for A and O, superset for K, and for L the
 Egli-Milner order (closed parts by subset, saturated parts by superset).
+Each space's upper sets are enumerated once, by FiniteSpace.opens: K
+and O share them as their extents, A reads their complements, and L
+pairs the two lists.
 Every construction leaves through _finish, which indexes the extents by
 base point once; ConstructedSpace reads the order and the modal sets off
 that index.  Points are sorted by extent so identical expressions always
@@ -27,7 +30,6 @@ parts of the literature insist on non-empty lenses, this library does not.
 from __future__ import annotations
 
 from array import array
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
 from itertools import islice
@@ -40,8 +42,6 @@ from .core import (
     SpaceMap,
     Verdict,
     check_continuous,
-    enumerate_lower_sets,
-    enumerate_upper_sets,
     intersection_of,
     mask_of,
     set_label,
@@ -185,19 +185,20 @@ class ConstructedSpace:
         return f"ConstructedSpace({self.label}, points={self.space.n})"
 
 
-def _base_of(x, kind: str) -> tuple[FiniteSpace, "ConstructedSpace | None", str]:
+def _base_of(x, kind: str, limits: Limits) -> tuple[FiniteSpace, "ConstructedSpace | None", str, tuple[int, ...]]:
+    """The base space, its construction if any, the label of kind over it,
+    and the base's opens, the one enumeration every construction reads its
+    extents from: K and O take the opens, A their complements, the closed
+    sets, taken in reverse so that they stay ascending, and L both.  A cap
+    hit while enumerating the opens is reported as the size of the
+    construction label names: they or their complements are its points,
+    or for L embed in them (A as <A, up(A)>, K as <down(K), K>)."""
     if isinstance(x, ConstructedSpace):
-        return x.space, x, f"{kind}({x.label})"
-    return x, None, f"{kind}(X)"
-
-
-@contextmanager
-def _capped(label: str, limits: Limits):
-    """Report a cap hit while enumerating the extents of the construction
-    label names as that construction's size.  The sets enumerated are its
-    points, or for L embed in them (A as <A, up(A)>, K as <down(K), K>)."""
+        base, base_cs, label = x.space, x, f"{kind}({x.label})"
+    else:
+        base, base_cs, label = x, None, f"{kind}(X)"
     try:
-        yield
+        return base, base_cs, label, base.opens(limits)
     except PowerspaceTooLarge:
         raise PowerspaceTooLarge(f"{label} would have more than {limits.max_construction_points} points") from None
 
@@ -214,18 +215,16 @@ def _finish(base, base_cs, label, kind, extents, limits) -> ConstructedSpace:
 
 def lower_powerspace(x, limits: Limits = DEFAULT_LIMITS) -> ConstructedSpace:
     """A(X): closed sets with the lower Vietoris topology."""
-    base, base_cs, label = _base_of(x, KIND_LOWER)
-    with _capped(label, limits):
-        extents = enumerate_lower_sets(base, limits.max_construction_points)
-    return _finish(base, base_cs, label, KIND_LOWER, extents, limits)
+    base, base_cs, label, opens = _base_of(x, KIND_LOWER, limits)
+    closed = [base.full_mask ^ u for u in reversed(opens)]
+    return _finish(base, base_cs, label, KIND_LOWER, closed, limits)
 
 
 def upper_powerspace(x, limits: Limits = DEFAULT_LIMITS) -> ConstructedSpace:
-    """K(X): saturated sets with the upper Vietoris topology."""
-    base, base_cs, label = _base_of(x, KIND_UPPER)
-    with _capped(label, limits):
-        extents = enumerate_upper_sets(base.up, limits.max_construction_points)
-    return _finish(base, base_cs, label, KIND_UPPER, extents, limits)
+    """K(X): saturated sets with the upper Vietoris topology.  On a finite
+    space they are the opens, so K(X) and O(X) share one extent tuple."""
+    base, base_cs, label, opens = _base_of(x, KIND_UPPER, limits)
+    return _finish(base, base_cs, label, KIND_UPPER, opens, limits)
 
 
 def convex_powerspace(x, limits: Limits = DEFAULT_LIMITS) -> ConstructedSpace:
@@ -240,10 +239,8 @@ def convex_powerspace(x, limits: Limits = DEFAULT_LIMITS) -> ConstructedSpace:
     that point and lies in K.  The argument for K is dual.  Both lists
     come sorted, so the pairs come sorted by (A, K).
     """
-    base, base_cs, label = _base_of(x, KIND_CONVEX)
-    with _capped(label, limits):
-        closed = enumerate_lower_sets(base, limits.max_construction_points)
-        saturated = enumerate_upper_sets(base.up, limits.max_construction_points)
+    base, base_cs, label, saturated = _base_of(x, KIND_CONVEX, limits)
+    closed = [base.full_mask ^ u for u in reversed(saturated)]
     bottoms = list(zip(saturated, map(base.minimal_points, saturated)))
     extents = [
         (a, k)
@@ -256,10 +253,8 @@ def convex_powerspace(x, limits: Limits = DEFAULT_LIMITS) -> ConstructedSpace:
 
 def open_lattice(x, limits: Limits = DEFAULT_LIMITS) -> ConstructedSpace:
     """O(X): the opens of X ordered by inclusion, upper-set topology."""
-    base, base_cs, label = _base_of(x, KIND_OPENS)
-    with _capped(label, limits):
-        extents = list(base.opens(limits))
-    return _finish(base, base_cs, label, KIND_OPENS, extents, limits)
+    base, base_cs, label, opens = _base_of(x, KIND_OPENS, limits)
+    return _finish(base, base_cs, label, KIND_OPENS, opens, limits)
 
 
 BUILDERS = {
@@ -552,17 +547,19 @@ def construction_to_json(cs: ConstructedSpace) -> dict:
     }
 
 
-def to_dot(cs: ConstructedSpace) -> str:
-    """Hasse diagram of the specialization order, extents as labels."""
+def to_dot(x: ConstructedSpace | FiniteSpace) -> str:
+    """Hasse diagram of the specialization order of a construction, its
+    extents as labels, or of a bare space, its point names as labels."""
+    space = x.space if isinstance(x, ConstructedSpace) else x
     lines = [
         "digraph {",
         "  rankdir=BT;",
         '  node [shape=box, fontname="monospace"];',
     ]
-    for i, name in enumerate(cs.space.names):
+    for i, name in enumerate(space.names):
         safe = name.replace('"', '\\"')
         lines.append(f'  n{i} [label="{safe}"];')
-    for i, j in cs.space.covers():
+    for i, j in space.covers():
         lines.append(f"  n{i} -> n{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

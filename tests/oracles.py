@@ -9,7 +9,6 @@ from powerspace.core import (
     Verdict,
     bits,
     compose,
-    enumerate_lower_sets,
     enumerate_upper_sets,
     intersection_of,
     set_label,
@@ -333,7 +332,7 @@ def literal_associativity(t, struct) -> int | None:
     the other to struct of the closure (A) or saturation (K) of its
     image, the image living in struct's codomain."""
     lower = t.kind == KIND_LOWER
-    families = enumerate_lower_sets(t.space) if lower else enumerate_upper_sets(t.space.up)
+    families = enumerate_upper_sets(t.space.down if lower else t.space.up)
     hull = struct.codomain.down if lower else struct.codomain.up
     image_hulls = [hull[v] for v in struct.table]
     for fam in families:

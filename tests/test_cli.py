@@ -112,6 +112,32 @@ def test_build_dot_chain(sierpinski_file, tmp_path, capsys):
     assert dot.count("->") == 3
 
 
+@pytest.fixture
+def vee_file(tmp_path):
+    path = tmp_path / "vee.json"
+    path.write_text(json.dumps({"points": ["x", "y", "z"], "order": [["x", "y"], ["x", "z"]]}))
+    return path
+
+
+def test_build_x_as_dot_draws_the_space(vee_file, tmp_path, capsys):
+    out = tmp_path / "x.dot"
+    assert main(["build", str(vee_file), "--expr", "X", "--format", "dot", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "X: 3 points\n"
+    dot = out.read_text()
+    assert dot.startswith("digraph {")
+    assert [line.strip() for line in dot.splitlines() if "->" in line] == ["n0 -> n1;", "n0 -> n2;"]
+    for i, name in enumerate("xyz"):
+        assert f'n{i} [label="{name}"];' in dot
+
+
+def test_build_x_as_json_writes_the_space_file(vee_file, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert main(["build", str(vee_file), "--expr", "X", "--format", "json", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "X: 3 points\n"
+    expected = {"order": [["x", "y"], ["x", "z"]], "points": ["x", "y", "z"]}
+    assert out.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
 def test_build_json_double_lattice(d2_file, capsys):
     assert main(["build", str(d2_file), "--expr", "O(O(X))", "--format", "json"]) == 0
     stdout = capsys.readouterr().out

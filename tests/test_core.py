@@ -281,6 +281,11 @@ def test_count_upper_sets_against_subset_filter():
         assert count_upper_sets(sp) == brute == len(enumerate_upper_sets(sp.up))
 
 
+def test_count_upper_sets_on_a_chain_longer_than_the_recursion_limit():
+    # one split per point: the recursive split raised RecursionError here
+    assert count_upper_sets(chain(2000)) == 2001
+
+
 def test_enumerate_spaces_labeled_counts():
     labeled = [s for s in enumerate_spaces(3, up_to_iso=False) if s.n == 3]
     assert len(labeled) == 19  # labeled posets on 3 points
@@ -307,6 +312,12 @@ def test_subspace_and_product():
     assert prod.n == 4
     assert prod.leq(pairs.index((0, 0)), pairs.index((1, 1)))
     assert not prod.leq(pairs.index((1, 0)), pairs.index((0, 1)))
+
+
+@pytest.mark.parametrize("mask", [0b100, -1])
+def test_subspace_rejects_a_mask_outside_the_space(mask):
+    with pytest.raises(ValueError, match=rf"^mask {mask} is not a subset of the 2 points$"):
+        subspace(sierpinski(), mask)
 
 
 def test_json_round_trip():

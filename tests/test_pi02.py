@@ -201,6 +201,12 @@ def test_presentation_from_json_rejects_bad_entries(entry):
         Pi02Presentation.from_json(S, {"pairs": [entry]})
 
 
+@pytest.mark.parametrize("mask", [0b100, -1])
+def test_presentation_for_subset_rejects_a_mask_outside_the_space(mask):
+    with pytest.raises(ValueError, match=rf"^mask {mask} is not a subset of the 2 points$"):
+        presentation_for_subset(S, mask)
+
+
 def _first_order_mismatch(f: SpaceMap):
     # the double loop: the first i with some j where i <= j and
     # f(i) <= f(j) disagree; with none, f is injective (two points with

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from powerspace import powerspaces
+from powerspace import core, powerspaces
 from powerspace.core import (
     FiniteSpace,
     SpaceMap,
@@ -162,6 +162,42 @@ def test_size_cap():
             builder(antichain(4), cap)
     with pytest.raises(PowerspaceTooLarge, match=r"^A\(A\(X\)\) would have more than 5 points$"):
         lower_powerspace(lower_powerspace(antichain(2)), Limits(max_construction_points=5))
+
+
+HOMEO_WORDS = ("A", "K", "O", "AK", "KA", "OO", "AO", "OK", "KO", "OA")
+
+
+def test_extents_are_the_upper_sets_of_the_base_and_their_complements():
+    # the lists read straight off the base's order, and for L the pairs
+    # of them that pass the lens definition Cl(A&K) = A, up(A&K) = K
+    subject = FiniteSpace(tuple(f"p{i}" for i in range(5)), (1, 2, 4, 8, 17))
+    for sp in (*enumerate_spaces(4, up_to_iso=False), subject):
+        lower, upper = core.enumerate_upper_sets(sp.down), core.enumerate_upper_sets(sp.up)
+        pw = Powers(sp)
+        assert list(pw.A.extents) == lower
+        assert pw.K.extents is pw.O.extents
+        assert list(pw.K.extents) == upper
+        lenses = [(a, k) for a in lower for k in upper
+                  if sp.closure_mask(a & k) == a and sp.saturation_mask(a & k) == k]
+        assert list(pw.L.extents) == lenses
+
+
+def test_homeo_words_enumerate_once_per_space(monkeypatch):
+    # A, K and O over X read X's opens; AK and OK those of K(X); KA and OA
+    # those of A(X); OO, AO and KO those of O(X): four spaces, four
+    # enumerations
+    calls = []
+    enumerate_upper_sets = core.enumerate_upper_sets
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_upper_sets(*args)
+
+    monkeypatch.setattr(core, "enumerate_upper_sets", counted)
+    pw = Powers(antichain(3))
+    for word in HOMEO_WORDS:
+        getattr(pw, word)
+    assert len(calls) == 4
 
 
 def test_functor_map_examples():
@@ -473,8 +509,7 @@ def test_law_checks_enumerate_no_families(monkeypatch):
     def refuse(*args):
         raise AssertionError("a law check enumerated a family")
 
-    monkeypatch.setattr(powerspaces, "enumerate_lower_sets", refuse)
-    monkeypatch.setattr(powerspaces, "enumerate_upper_sets", refuse)
+    monkeypatch.setattr(core, "enumerate_upper_sets", refuse)
     for kind in ("A", "K"):
         assert monad_laws(kind, pw).holds
         assert algebra_laws(kind, pw).holds
@@ -520,7 +555,7 @@ def test_cover_folds_match_literal_unions_and_intersections():
     subjects.append(Powers(FiniteSpace(tuple(f"p{i}" for i in range(5)), (1, 2, 4, 8, 17))))
     folded = 0
     for pw in subjects:
-        for word in ("A", "K", "O", "AK", "KA", "OO", "AO", "OK", "KO", "OA"):
+        for word in HOMEO_WORDS:
             cs = getattr(pw, word)
             for _ in range(3):
                 parts = [rng.getrandbits(64) for _ in range(cs.base.n)]
