@@ -106,8 +106,12 @@ class FiniteSpace:
     lazily because iterated powerspace constructions make the family
     Dedekind-large long before the point count becomes a problem.
 
-    Every space is validated on construction, in this order over all rows:
-    masks in range and reflexive, then transitive, then antisymmetric.
+    Every space built through this constructor is validated, in this order
+    over all rows: masks in range and reflexive, then transitive, then
+    antisymmetric.  That covers every parsed or user-given order and the
+    lens order of L.  The A, K and O constructions derive their rows and
+    Hasse edges from their extents instead and enter through _trusted,
+    with no walk: their order is extent inclusion by construction.
 
     Transitivity is checked by walking a linear extension by row size.
     The points are grouped into levels by |up[j]|.  For each point i, rest
@@ -180,6 +184,16 @@ class FiniteSpace:
         object.__setattr__(self, "_edges", edges)
         if len(set(up)) != n:
             raise ValueError("order must be antisymmetric")
+
+    @classmethod
+    def _trusted(cls, names: tuple[str, ...], up: tuple[int, ...], edges: array) -> FiniteSpace:
+        """A space on an order its caller derived and answers for: the
+        rows up and the Hasse edges, a flat array of (i, j) pairs by i then
+        j as covers() lists them, are taken as given, with no validating
+        walk.  Only the A, K and O constructions call it."""
+        space = cls.__new__(cls)
+        space.__dict__.update(names=names, up=up, _edges=edges)
+        return space
 
     @property
     def n(self) -> int:
@@ -255,16 +269,35 @@ class FiniteSpace:
             self._opens_memo[cap] = got
         return got
 
+    @cached_property
+    def _opens_index_memo(self) -> dict:
+        return {}
+
+    def opens_index(self, limits: Limits = DEFAULT_LIMITS) -> tuple[tuple[int, ...], tuple[str, ...]]:
+        """For opens(limits): the transpose, whose entry p is the mask of
+        the opens holding point p, and the label of each open.  K and O of
+        this space share them, as they share the opens; computed once per
+        cap."""
+        opens = self.opens(limits)
+        cap = limits.max_construction_points
+        got = self._opens_index_memo.get(cap)
+        if got is None:
+            got = (transpose(opens, self.n), tuple(set_label(self.names, u) for u in opens))
+            self._opens_index_memo[cap] = got
+        return got
+
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (i, j) with j covering i in the order, by i then j.
 
         j covers i when j is strictly above i and above no other point
-        strictly above i.  They are the points the validating walk picked
-        in i's row: walking i's lower size levels largest first, a cover
-        is never cleared from the row, as no point lies between it and i,
-        and every other point above i is cleared with the row of a point
-        between them before its own level is reached.  Listing them is
-        O(edges).
+        strictly above i.  On a validated space they are the points the
+        walk picked in i's row: walking i's lower size levels largest
+        first, a cover is never cleared from the row, as no point lies
+        between it and i, and every other point above i is cleared with
+        the row of a point between them before its own level is reached.
+        A derived space (A, K, O) carries the Birkhoff covers its
+        construction found, the pairs of extents one base point apart, in
+        the same order.  Listing them is O(edges).
         """
         it = iter(self._edges)
         return list(zip(it, it))

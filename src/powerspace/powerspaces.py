@@ -12,10 +12,12 @@ Each space's upper sets are enumerated once, by FiniteSpace.opens: K
 and O share them as their extents, A reads their complements, and L
 pairs the two lists.
 Every construction leaves through _finish, which indexes the extents by
-base point once; ConstructedSpace reads the order and the modal sets off
-that index.  Points are sorted by extent so identical expressions always
-rebuild identical spaces.  Powers keeps the constructions of one subject,
-each built once and named by its word (pw.AK is A(K(X))).
+base point once; ConstructedSpace reads the modal sets off that index.
+The order of A, K and O is derived from the extents, covers first, and
+trusted, not validated; only L's lens order goes through FiniteSpace's
+validating walk.  Points are sorted by extent so identical expressions
+always rebuild identical spaces.  Powers keeps the constructions of one
+subject, each built once and named by its word (pw.AK is A(K(X))).
 
 The maps between constructions take the constructions they run between
 and read the kind off them: monad_unit(pw.A) is X -> A(X),
@@ -30,7 +32,7 @@ parts of the literature insist on non-empty lenses, this library does not.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property, wraps
 from itertools import islice
 from typing import Iterable, Sequence
@@ -64,8 +66,14 @@ class ConstructedSpace:
     entry is a (closed, saturated) pair.  members[p] is the mask of points
     whose extent, or closed part for L, contains base point p; sat_members
     is the same over the saturated parts of L, and members itself for the
-    other kinds.  The order of space is read off this index and validated
-    by FiniteSpace.
+    other kinds.  names are the point labels when the caller has them (K
+    and O share the labels the base keeps for its opens), else None: each
+    point is then labelled by its extent, a lens by its two parts.
+
+    The order of A, K and O is extent inclusion (subset for A and O,
+    superset for K), derived here from the extent index and trusted, as
+    _derived_order argues.  The lens order of L is read off the members
+    index, one row per lens, and validated by FiniteSpace.
     """
 
     base: FiniteSpace
@@ -74,23 +82,90 @@ class ConstructedSpace:
     label: str
     members: tuple[int, ...]
     sat_members: tuple[int, ...]
+    names: InitVar[tuple[str, ...] | None]
     base_construction: "ConstructedSpace | None" = None
     space: FiniteSpace = field(init=False)
+    _steps: "tuple[array, array] | None" = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        names = self.base.names
+    def __post_init__(self, names):
+        base_names = self.base.names
         if self.kind == KIND_CONVEX:
             # lenses share their parts, so each distinct part is labelled and selected on once
             closed, saturated = map(set, zip(*self.extents))
-            part = {m: set_label(names, m) for m in closed | saturated}
-            labels = tuple(f"<{part[a]},{part[k]}>" for a, k in self.extents)
+            part = {m: set_label(base_names, m) for m in closed | saturated}
+            names = tuple(f"<{part[a]},{part[k]}>" for a, k in self.extents)
             containing = {a: self.containing(a) for a in closed}
             box = {k: self.box(k) for k in saturated}
             up = tuple(containing[a] & box[k] for a, k in self.extents)
+            space, steps = FiniteSpace(names, up), None
         else:
-            labels = tuple(set_label(names, e) for e in self.extents)
-            up = tuple(map(self.box if self.kind == KIND_UPPER else self.containing, self.extents))
-        object.__setattr__(self, "space", FiniteSpace(labels, up))
+            if names is None:
+                names = tuple(set_label(base_names, e) for e in self.extents)
+            up, edges, steps = self._derived_order()
+            space = FiniteSpace._trusted(names, up, edges)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "_steps", steps)
+
+    def _derived_order(self) -> tuple[tuple[int, ...], array, tuple[array, array]]:
+        """The rows, the Hasse edges as FiniteSpace._trusted takes them,
+        and the fold steps of A, K or O, with one extent-index lookup and
+        one OR per cover edge.
+
+        The extents are the lower (A) or upper (K, O) sets of the base,
+        and in a lattice of lower or upper sets one set covers another
+        exactly when they differ by one element (Birkhoff; Davey and
+        Priestley, Introduction to Lattices and Order, ch. 5).  So a cover
+        of extent e adds to e a minimal point of the rest of the base (A,
+        whose lower sets stay lower) or a maximal one (O), or drops from e
+        one of its minimal points (K, ordered by superset), and each is one
+        lookup of e with that point flipped.
+        In a finite poset every point strictly above i lies above a cover
+        of i, so up[i] is i with the rows of its covers (Davey and
+        Priestley, ch. 1): the extents ascend as masks, so the covers come
+        later for A and O and earlier for K, and the rows fold in
+        descending and ascending point order.  The points are flipped
+        highest first: for K that lists each row's covers ascending, for A
+        and O descending, and the edges, stored as (j, i) pairs, read by
+        i then j once the array is reversed.  Each edge also fills the
+        fold steps of unions: prev of the larger extent is the smaller.
+        """
+        extents, base, index = self.extents, self.base, self._index
+        n = len(extents)
+        up = [0] * n
+        zeros = bytes(4 * n)
+        prev, piv = array("I", zeros), array("I", zeros)
+        edges = array("I")
+        add = edges.append
+        if self.kind == KIND_UPPER:
+            minimal = base.minimal_points
+            for i, e in enumerate(extents):
+                row, m = 1 << i, minimal(e)
+                while m:
+                    p = m.bit_length() - 1
+                    m ^= 1 << p
+                    j = index[e ^ 1 << p]
+                    row |= up[j]
+                    add(i)
+                    add(j)
+                    prev[i], piv[i] = j, p
+                up[i] = row
+        else:
+            extremal = base.minimal_points if self.kind == KIND_LOWER else base.maximal_points
+            full = base.full_mask
+            for i in reversed(range(n)):
+                e = extents[i]
+                row, m = 1 << i, extremal(full & ~e)
+                while m:
+                    p = m.bit_length() - 1
+                    m ^= 1 << p
+                    j = index[e | 1 << p]
+                    row |= up[j]
+                    add(j)
+                    add(i)
+                    prev[j], piv[j] = i, p
+                up[i] = row
+            edges.reverse()
+        return tuple(up), edges, (prev, piv)
 
     def diamond(self, m: int) -> int:
         """Points whose extent, or closed part for L, meets the base set m."""
@@ -132,39 +207,28 @@ class ConstructedSpace:
         except KeyError as missing:
             raise ValueError(f"{missing.args[0]!r} is not a point of {self.label}") from None
 
-    @cached_property
-    def _steps(self) -> tuple[array, array]:
-        """prev and piv of the folds below, read off the cover edges;
+    def _fold_steps(self) -> tuple[array, array]:
+        """prev and piv of the folds below, filled in by _derived_order;
         slot 0, the empty extent, is unused."""
-        if self.kind == KIND_CONVEX:
+        if self._steps is None:
             raise ValueError(f"no one-point steps on {self.label}: a lens step may change either part")
-        zeros = bytes(4 * len(self.extents))
-        prev, piv = array("I", zeros), array("I", zeros)
-        for i, j in self.space.covers():
-            small, big = (i, j) if i < j else (j, i)
-            prev[big] = small
-            piv[big] = (self.extents[big] ^ self.extents[small]).bit_length() - 1
-        return prev, piv
+        return self._steps
 
     def unions(self, parts: Sequence[int]) -> list[int]:
         """Per point, the union of parts[p] over the base points p of its
         extent, with one OR per point.  Kinds A, K and O; L raises.
 
-        The extents are the lower (A) or upper (K, O) sets of the base,
-        and in a lattice of lower or upper sets one set covers another
-        exactly when they differ by one element (Birkhoff; Davey and
-        Priestley, Introduction to Lattices and Order, ch. 5).  The order
-        of the construction is inclusion (A, O) or its reverse (K), so its
-        cover edges are exactly the pairs of extents one base point apart,
-        and each non-empty extent has one below it: drop a maximal point
-        (A) or a minimal one (K, O).  _steps keeps one such edge per point
-        k > 0: prev[k], the point whose extent is one base point smaller,
-        and piv[k], that base point.  extents[0] is the empty set, and the
+        The cover edges of the construction are exactly the pairs of
+        extents one base point apart (_derived_order), and each non-empty
+        extent has one smaller by a point: drop a maximal point (A) or a
+        minimal one (K, O).  The steps keep one such edge per point k > 0:
+        prev[k], the point whose extent is one base point smaller, and
+        piv[k], that base point.  extents[0] is the empty set, and the
         extents are sorted ascending as masks, so a subset comes earlier
         and prev[k] < k: in point order out[prev[k]] is already known, and
         out[k] = out[prev[k]] | parts[piv[k]].
         """
-        prev, piv = self._steps
+        prev, piv = self._fold_steps()
         out = [0]
         append = out.append
         for p, q in islice(zip(prev, piv), 1, None):
@@ -174,7 +238,7 @@ class ConstructedSpace:
     def intersections(self, parts: Sequence[int], full: int) -> list[int]:
         """Per point, the intersection of parts[p] over the base points p
         of its extent, full for the empty extent; folded as unions is."""
-        prev, piv = self._steps
+        prev, piv = self._fold_steps()
         out = [full]
         append = out.append
         for p, q in islice(zip(prev, piv), 1, None):
@@ -206,11 +270,16 @@ def _base_of(x, kind: str, limits: Limits) -> tuple[FiniteSpace, "ConstructedSpa
 def _finish(base, base_cs, label, kind, extents, limits) -> ConstructedSpace:
     if len(extents) > limits.max_construction_points:
         raise PowerspaceTooLarge(f"{label} would have {len(extents)} points")
+    names = None
     if kind == KIND_CONVEX:
         members, sat_members = (transpose(parts, base.n) for parts in zip(*extents))
-    else:
+    elif kind == KIND_LOWER:
         members = sat_members = transpose(extents, base.n)
-    return ConstructedSpace(base, kind, tuple(extents), label, members, sat_members, base_cs)
+    else:
+        # the extents of K and O are the base's opens: one index and one label tuple for both
+        members, names = base.opens_index(limits)
+        sat_members = members
+    return ConstructedSpace(base, kind, tuple(extents), label, members, sat_members, names, base_cs)
 
 
 def lower_powerspace(x, limits: Limits = DEFAULT_LIMITS) -> ConstructedSpace:

@@ -15,7 +15,7 @@ from powerspace.core import (
     union_of,
 )
 from powerspace.errors import PreconditionViolated
-from powerspace.powerspaces import KIND_LOWER, KIND_OPENS, functor_map
+from powerspace.powerspaces import KIND_LOWER, KIND_OPENS, KIND_UPPER, functor_map
 
 
 def row_union_covers(up) -> list[tuple[int, int]]:
@@ -47,6 +47,13 @@ def row_union_covers(up) -> list[tuple[int, int]]:
     if len(set(up)) != n:
         raise ValueError("order must be antisymmetric")
     return edges
+
+
+def literal_rows(cs) -> tuple[int, ...]:
+    """The order rows of the construction cs, kind A, K or O, one selector
+    pass per extent: the points whose extent contains it (A, O) or lies
+    inside it (K)."""
+    return tuple(map(cs.box if cs.kind == KIND_UPPER else cs.containing, cs.extents))
 
 
 def literal_transpose(rows, n: int) -> tuple[int, ...]:

@@ -15,8 +15,11 @@ from powerspace.core import (
     iter_continuous_maps,
     mask_of,
     sierpinski,
+    space_from_json,
+    space_from_opens,
+    space_from_poset,
 )
-from powerspace.errors import NotContinuous, PowerspaceTooLarge
+from powerspace.errors import CycleDetected, NotContinuous, NotT0, PowerspaceTooLarge
 from powerspace.config import Limits
 from powerspace.powerspaces import (
     Powers,
@@ -36,7 +39,7 @@ from powerspace.powerspaces import (
     upper_powerspace,
 )
 
-from oracles import literal_associativity, literal_intersections, literal_unions
+from oracles import literal_associativity, literal_intersections, literal_rows, literal_unions
 
 S = sierpinski()
 D2 = antichain(2, names=("a", "b"))
@@ -176,10 +179,60 @@ def test_extents_are_the_upper_sets_of_the_base_and_their_complements():
         pw = Powers(sp)
         assert list(pw.A.extents) == lower
         assert pw.K.extents is pw.O.extents
+        assert pw.K.members is pw.O.members
+        assert pw.K.space.names is pw.O.space.names
         assert list(pw.K.extents) == upper
         lenses = [(a, k) for a in lower for k in upper
                   if sp.closure_mask(a & k) == a and sp.saturation_mask(a & k) == k]
         assert list(pw.L.extents) == lenses
+
+
+def test_derived_orders_match_the_row_pass_and_the_walk():
+    # the A, K and O orders are derived from the extents and trusted; here
+    # they meet the per-extent row pass and the validating walk, which
+    # share no code with the derivation, and every fold step adds one
+    # base point
+    subject = FiniteSpace(tuple(f"p{i}" for i in range(5)), (1, 2, 4, 8, 17))
+    checked = 0
+    for sp in (*enumerate_spaces(4, up_to_iso=False), subject):
+        pw = Powers(sp)
+        for word in HOMEO_WORDS:
+            cs = getattr(pw, word)
+            space = cs.space
+            assert space.up == literal_rows(cs), (sp, word)
+            assert space.covers() == FiniteSpace(space.names, space.up).covers(), (sp, word)
+            prev, piv = cs._fold_steps()
+            for k in range(1, space.n):
+                smaller = cs.extents[prev[k]]
+                assert not smaller >> piv[k] & 1 and smaller | 1 << piv[k] == cs.extents[k], (sp, word, k)
+            checked += 1
+    assert checked == 2440
+
+
+def test_derived_orders_skip_the_walk_and_parsed_input_does_not(monkeypatch):
+    walked = []
+    post_init = FiniteSpace.__post_init__
+
+    def counted(space):
+        walked.append(space.n)
+        post_init(space)
+
+    pw = Powers(antichain(3))
+    monkeypatch.setattr(FiniteSpace, "__post_init__", counted)
+    for word in HOMEO_WORDS:
+        getattr(pw, word)
+    assert walked == []
+    # a lens cover may change either part, so L's order is validated
+    lens = pw.LK
+    assert walked == [lens.space.n]
+    space_from_json({"points": ["a", "b"], "order": [["a", "b"]]})
+    assert walked == [lens.space.n, 2]
+    with pytest.raises(CycleDetected):
+        space_from_poset(["a", "b"], [("a", "b"), ("b", "a")])
+    with pytest.raises(NotT0):
+        space_from_opens(["a", "b"], [])
+    with pytest.raises(ValueError, match="order must be transitive"):
+        FiniteSpace(("a", "b", "c"), (0b011, 0b110, 0b100))
 
 
 def test_homeo_words_enumerate_once_per_space(monkeypatch):
