@@ -134,11 +134,13 @@ def irreducible_closed_sets(x: FiniteSpace, limits: Limits = DEFAULT_LIMITS) -> 
     """Non-empty closed sets that meet the intersection of any two opens
     they meet.  An open meeting a at p contains the open up(p), so a is
     kept when a & up(p) & up(q) is non-empty for all p, q in a (p = q
-    holds by p itself)."""
+    holds by p itself).  A space with more closed sets than the cap is
+    refused before they are enumerated."""
+    x.refuse_over_cap(limits)
     up = x.up
     return [
         PtSet(x, a)
-        for a in enumerate_upper_sets(x.down, limits.max_construction_points)
+        for a in enumerate_upper_sets(x.down)
         if a and all(a & up[p] & up[q] for p, q in combinations(bits(a), 2))
     ]
 

@@ -10,7 +10,9 @@ class Limits:
     """Caps that keep the doubly exponential constructions at desk scale.
 
     max_construction_points   hard cap on the point count of any single
-                              constructed space or materialized open family
+                              constructed space or materialized open family,
+                              decided by counting before the family is
+                              enumerated, so an enumeration never aborts
     seed                      seed for the counterexample suite's sampled
                               checks on its infinite spaces; no check on a
                               finite space samples

@@ -257,47 +257,40 @@ class FiniteSpace:
         return mask & ~union_of(self._strict_down, mask)
 
     @cached_property
-    def _opens_memo(self) -> dict:
-        return {}
+    def _upper_set_count(self) -> int:
+        return count_upper_sets(self)
 
-    def opens(self, limits: Limits = DEFAULT_LIMITS) -> tuple[int, ...]:
-        """All open sets, sorted ascending as masks.  Cap guarded."""
+    def refuse_over_cap(self, limits: Limits) -> None:
+        """Raise PowerspaceTooLarge, before anything is enumerated, if the
+        space has more upper (or lower) sets than the cap; counted once, and
+        only if 2**n exceeds the cap."""
         cap = limits.max_construction_points
-        got = self._opens_memo.get(cap)
-        if got is None:
-            got = tuple(enumerate_upper_sets(self.up, cap))
-            self._opens_memo[cap] = got
-        return got
+        if 1 << self.n > cap and self._upper_set_count > cap:
+            raise PowerspaceTooLarge(f"more than {cap} upper sets")
 
     @cached_property
-    def _opens_index_memo(self) -> dict:
-        return {}
+    def _opens(self) -> tuple[int, ...]:
+        return tuple(enumerate_upper_sets(self.up))
 
-    def opens_index(self, limits: Limits = DEFAULT_LIMITS) -> tuple[tuple[int, ...], tuple[str, ...]]:
-        """For opens(limits): the transpose, whose entry p is the mask of
-        the opens holding point p, and the label of each open.  K and O of
-        this space share them, as they share the opens; computed once per
-        cap."""
-        opens = self.opens(limits)
-        cap = limits.max_construction_points
-        got = self._opens_index_memo.get(cap)
-        if got is None:
-            got = (transpose(opens, self.n), tuple(set_label(self.names, u) for u in opens))
-            self._opens_index_memo[cap] = got
-        return got
+    def opens(self, limits: Limits = DEFAULT_LIMITS) -> tuple[int, ...]:
+        """All open sets, sorted ascending as masks.  refuse_over_cap decides
+        the cap first, so the enumeration never aborts, and one enumeration,
+        kept on the space, serves every cap."""
+        self.refuse_over_cap(limits)
+        return self._opens
+
+    @cached_property
+    def opens_index(self) -> tuple[tuple[int, ...], tuple[str, ...]]:
+        """The transpose of the opens, entry p the mask of those holding
+        point p, and their labels; K and O of this space share both."""
+        return transpose(self._opens, self.n), tuple(set_label(self.names, u) for u in self._opens)
 
     def covers(self) -> list[tuple[int, int]]:
-        """Pairs (i, j) with j covering i in the order, by i then j.
-
-        j covers i when j is strictly above i and above no other point
-        strictly above i.  On a validated space they are the points the
-        walk picked in i's row: walking i's lower size levels largest
-        first, a cover is never cleared from the row, as no point lies
-        between it and i, and every other point above i is cleared with
-        the row of a point between them before its own level is reached.
-        A derived space (A, K, O) carries the Birkhoff covers its
-        construction found, the pairs of extents one base point apart, in
-        the same order.  Listing them is O(edges).
+        """Pairs (i, j) with j covering i in the order, by i then j: the
+        points the validating walk picked in i's row (see the class
+        docstring), or for a derived space (A, K, O) the Birkhoff covers
+        its construction found, the pairs of extents one base point apart.
+        Listing them is O(edges).
         """
         it = iter(self._edges)
         return list(zip(it, it))
@@ -573,12 +566,13 @@ def _check_same(space: FiniteSpace, s: PtSet):
 # upper-set enumeration and the topology closure
 
 
-def enumerate_upper_sets(up: Sequence[int], cap: int | None = None) -> list[int]:
+def enumerate_upper_sets(up: Sequence[int]) -> list[int]:
     """All upper sets of the order, ascending as masks.
 
     Depth-first over the points, maximal elements first, so a point may be
-    included exactly when everything strictly above it already is.  Aborts
-    with PowerspaceTooLarge once more than cap sets have been produced.
+    included exactly when everything strictly above it already is.  It
+    takes no cap and never aborts: callers decide the cap before calling
+    it, by counting (FiniteSpace.refuse_over_cap).
     """
     n = len(up)
     order = sorted(range(n), key=lambda i: (up[i].bit_count(), i))
@@ -588,8 +582,6 @@ def enumerate_upper_sets(up: Sequence[int], cap: int | None = None) -> list[int]
         pos, cur = stack.pop()
         if pos == n:
             out.append(cur)
-            if cap is not None and len(out) > cap:
-                raise PowerspaceTooLarge(f"more than {cap} upper sets")
             continue
         p = order[pos]
         stack.append((pos + 1, cur))
@@ -605,7 +597,7 @@ def count_upper_sets(space: FiniteSpace) -> int:
     Memoized split over subsets P of the points: an upper set of P either
     misses x and with it all of down(x), or contains all of up(x), so
     D(P) = D(P - down(x)) + D(P - up(x)).  It shares no code with
-    enumerate_upper_sets, which it audits.
+    enumerate_upper_sets, which it audits and, in refuse_over_cap, gates.
     """
     return _count_split(space.full_mask, space.up, space.down, {0: 1})
 

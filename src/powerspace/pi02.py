@@ -47,7 +47,10 @@ class Pi02Presentation:
 
     @staticmethod
     def from_json(ambient: FiniteSpace, data: dict, limits: Limits = DEFAULT_LIMITS) -> "Pi02Presentation":
-        """Pairs of indices into ambient.opens(); anything else raises ValueError."""
+        """An object whose "pairs" lists pairs of indices into
+        ambient.opens(); anything else raises ValueError."""
+        if not (isinstance(data, dict) and isinstance(data.get("pairs"), list)):
+            raise ValueError("a presentation must be an object with a list of 'pairs'")
         opens = ambient.opens(limits)
         pairs = []
         for entry in data["pairs"]:

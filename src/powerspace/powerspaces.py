@@ -253,8 +253,8 @@ def _base_of(x, kind: str, limits: Limits) -> tuple[FiniteSpace, "ConstructedSpa
     """The base space, its construction if any, the label of kind over it,
     and the base's opens, the one enumeration every construction reads its
     extents from: K and O take the opens, A their complements, the closed
-    sets, taken in reverse so that they stay ascending, and L both.  A cap
-    hit while enumerating the opens is reported as the size of the
+    sets, taken in reverse so that they stay ascending, and L both.  A
+    cap refusal of the base's opens is reported as the size of the
     construction label names: they or their complements are its points,
     or for L embed in them (A as <A, up(A)>, K as <down(K), K>)."""
     if isinstance(x, ConstructedSpace):
@@ -267,9 +267,7 @@ def _base_of(x, kind: str, limits: Limits) -> tuple[FiniteSpace, "ConstructedSpa
         raise PowerspaceTooLarge(f"{label} would have more than {limits.max_construction_points} points") from None
 
 
-def _finish(base, base_cs, label, kind, extents, limits) -> ConstructedSpace:
-    if len(extents) > limits.max_construction_points:
-        raise PowerspaceTooLarge(f"{label} would have {len(extents)} points")
+def _finish(base, base_cs, label, kind, extents) -> ConstructedSpace:
     names = None
     if kind == KIND_CONVEX:
         members, sat_members = (transpose(parts, base.n) for parts in zip(*extents))
@@ -277,7 +275,7 @@ def _finish(base, base_cs, label, kind, extents, limits) -> ConstructedSpace:
         members = sat_members = transpose(extents, base.n)
     else:
         # the extents of K and O are the base's opens: one index and one label tuple for both
-        members, names = base.opens_index(limits)
+        members, names = base.opens_index
         sat_members = members
     return ConstructedSpace(base, kind, tuple(extents), label, members, sat_members, names, base_cs)
 
@@ -286,14 +284,14 @@ def lower_powerspace(x, limits: Limits = DEFAULT_LIMITS) -> ConstructedSpace:
     """A(X): closed sets with the lower Vietoris topology."""
     base, base_cs, label, opens = _base_of(x, KIND_LOWER, limits)
     closed = [base.full_mask ^ u for u in reversed(opens)]
-    return _finish(base, base_cs, label, KIND_LOWER, closed, limits)
+    return _finish(base, base_cs, label, KIND_LOWER, closed)
 
 
 def upper_powerspace(x, limits: Limits = DEFAULT_LIMITS) -> ConstructedSpace:
     """K(X): saturated sets with the upper Vietoris topology.  On a finite
     space they are the opens, so K(X) and O(X) share one extent tuple."""
     base, base_cs, label, opens = _base_of(x, KIND_UPPER, limits)
-    return _finish(base, base_cs, label, KIND_UPPER, opens, limits)
+    return _finish(base, base_cs, label, KIND_UPPER, opens)
 
 
 def convex_powerspace(x, limits: Limits = DEFAULT_LIMITS) -> ConstructedSpace:
@@ -306,7 +304,8 @@ def convex_powerspace(x, limits: Limits = DEFAULT_LIMITS) -> ConstructedSpace:
     which on a finite space is all of A.  Conversely, if Cl(A&K) = A, a
     maximal point of A lies below some point of A&K, inside A, so it is
     that point and lies in K.  The argument for K is dual.  Both lists
-    come sorted, so the pairs come sorted by (A, K).
+    come sorted, so the pairs come sorted by (A, K).  The lenses can
+    outnumber the opens, so the cap is checked again once they are listed.
     """
     base, base_cs, label, saturated = _base_of(x, KIND_CONVEX, limits)
     closed = [base.full_mask ^ u for u in reversed(saturated)]
@@ -317,13 +316,15 @@ def convex_powerspace(x, limits: Limits = DEFAULT_LIMITS) -> ConstructedSpace:
         for k, bottom in bottoms
         if not (top & ~k or bottom & ~a)
     ]
-    return _finish(base, base_cs, label, KIND_CONVEX, extents, limits)
+    if len(extents) > limits.max_construction_points:
+        raise PowerspaceTooLarge(f"{label} would have {len(extents)} points")
+    return _finish(base, base_cs, label, KIND_CONVEX, extents)
 
 
 def open_lattice(x, limits: Limits = DEFAULT_LIMITS) -> ConstructedSpace:
     """O(X): the opens of X ordered by inclusion, upper-set topology."""
     base, base_cs, label, opens = _base_of(x, KIND_OPENS, limits)
-    return _finish(base, base_cs, label, KIND_OPENS, opens, limits)
+    return _finish(base, base_cs, label, KIND_OPENS, opens)
 
 
 BUILDERS = {

@@ -139,7 +139,9 @@ def homeo_space_job(pw: Powers):
 def _cardinality_crosscheck(pw: Powers) -> Verdict:
     """A(K(X)), K(A(X)) and O(O(X)) have equally many points, as many as
     the lower sets of K(X), the upper sets of A(X) and of O(X), counted
-    independently."""
+    independently.  The count FiniteSpace.refuse_over_cap makes to refuse
+    a build over the cap feeds no built size, which is the length of an
+    enumeration, so the crosscheck stays independent."""
     sizes = {"A(K)": pw.AK.space.n, "K(A)": pw.KA.space.n, "O(O)": pw.OO.space.n}
     oracle = {
         "A(K)": count_upper_sets(pw.K.space),

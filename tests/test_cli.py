@@ -83,6 +83,21 @@ def test_verify_stops_at_the_cap_before_the_families(capsys):
     assert main(["verify", "--suite", "monad", "--max-points", "4"]) == 0
 
 
+@pytest.mark.parametrize("suite, cap, line", [
+    ("homeo", 8, "n3-d12b9dfacc5b: A(K(X)) would have more than 8 points"),
+    ("monad", 13, "n3-d12b9dfacc5b: A(A(X)) would have more than 13 points"),
+    ("consonance", 20, "n3-d12b9dfacc5b: A(K(K(X))) would have more than 20 points"),
+    ("pi02", 5, "n3-d12b9dfacc5b: A(X) would have more than 5 points"),
+    ("wilker", 5, "n3-d12b9dfacc5b: more than 5 upper sets"),
+    ("all", 3, "n2-16f7a9a28357: A(X) would have more than 3 points"),
+])
+def test_each_suite_exits_at_its_cap_with_one_line(suite, cap, line, capsys):
+    assert main(["verify", "--suite", suite, "--max-points", "3", "--cap", str(cap)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"resource cap: {line}\n"
+    assert not captured.out
+
+
 def test_verify_deterministic_output(capsys, tmp_path):
     argv = ["verify", "--suite", "monad", "--max-points", "2", "--seed", "5"]
     assert main(argv) == 0

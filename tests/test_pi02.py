@@ -201,6 +201,12 @@ def test_presentation_from_json_rejects_bad_entries(entry):
         Pi02Presentation.from_json(S, {"pairs": [entry]})
 
 
+@pytest.mark.parametrize("data", [{}, {"pairs": 5}, []])
+def test_presentation_from_json_rejects_anything_but_an_object_with_a_list(data):
+    with pytest.raises(ValueError, match=r"^a presentation must be an object with a list of 'pairs'$"):
+        Pi02Presentation.from_json(S, data)
+
+
 @pytest.mark.parametrize("mask", [0b100, -1])
 def test_presentation_for_subset_rejects_a_mask_outside_the_space(mask):
     with pytest.raises(ValueError, match=rf"^mask {mask} is not a subset of the 2 points$"):

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from powerspace import core, powerspaces
+from powerspace import checkers, core, powerspaces
 from powerspace.core import (
     FiniteSpace,
     SpaceMap,
@@ -20,7 +20,7 @@ from powerspace.core import (
     space_from_poset,
 )
 from powerspace.errors import CycleDetected, NotContinuous, NotT0, PowerspaceTooLarge
-from powerspace.config import Limits
+from powerspace.config import DEFAULT_LIMITS, Limits
 from powerspace.powerspaces import (
     Powers,
     algebra_laws,
@@ -251,6 +251,50 @@ def test_homeo_words_enumerate_once_per_space(monkeypatch):
     for word in HOMEO_WORDS:
         getattr(pw, word)
     assert len(calls) == 4
+
+
+def test_a_cap_hit_enumerates_nothing_and_one_enumeration_serves_every_cap(monkeypatch):
+    # the cap is decided by a count before anything is enumerated: the
+    # opens a space enumerates once serve every cap at or above their
+    # count, and a refused build or sobriety check enumerates nothing
+    subject = FiniteSpace(tuple(f"p{i}" for i in range(5)), (1, 2, 4, 8, 17))
+    for sp in (antichain(3), chain(4), subject):
+        opens = sp.opens(DEFAULT_LIMITS)
+        for cap in range(len(opens), (1 << sp.n) + 2):
+            assert sp.opens(DEFAULT_LIMITS.with_cap(cap)) is opens, (sp, cap)
+    small = Limits(max_construction_points=5)
+    inner = lower_powerspace(antichain(2), small)
+
+    def refuse(*args):
+        raise AssertionError("a refused build enumerated a family")
+
+    monkeypatch.setattr(core, "enumerate_upper_sets", refuse)
+    monkeypatch.setattr(checkers, "enumerate_upper_sets", refuse)
+    with pytest.raises(PowerspaceTooLarge, match=r"^O\(X\) would have more than 31 points$"):
+        open_lattice(antichain(5), Limits(max_construction_points=31))
+    with pytest.raises(PowerspaceTooLarge, match=r"^A\(A\(X\)\) would have more than 5 points$"):
+        lower_powerspace(inner, small)
+    with pytest.raises(PowerspaceTooLarge, match=r"^more than 31 upper sets$"):
+        checkers.is_sober(antichain(5), Limits(max_construction_points=31))
+
+
+def test_the_cap_counts_once_and_only_where_the_subsets_could_exceed_it(monkeypatch):
+    # the 3-point antichain has 8 opens, as many as its subsets
+    counted = []
+    count_upper_sets = core.count_upper_sets
+
+    def counting(space):
+        counted.append(space.n)
+        return count_upper_sets(space)
+
+    monkeypatch.setattr(core, "count_upper_sets", counting)
+    sp = antichain(3)
+    assert len(sp.opens(Limits(max_construction_points=8))) == 8
+    assert counted == []
+    for _ in range(2):
+        with pytest.raises(PowerspaceTooLarge, match=r"^more than 7 upper sets$"):
+            sp.opens(Limits(max_construction_points=7))
+    assert counted == [3]
 
 
 def test_functor_map_examples():
