@@ -33,9 +33,9 @@ def main() -> int:
         total_failed += report.failed
         print(f"{suite:<16} subjects={len(report.subjects):<4} checks={len(report.records):<5} "
               f"failed={report.failed:<3} ({dt:.1f}s)")
-        for record in report.records:
-            if not record.passed:
-                print(f"  FAIL {record.subject}:{record.name}  witness={record.witness}")
+        for line in report.lines():
+            if line.startswith("FAIL"):
+                print(f"  {line}")
     print("all suites green" if total_failed == 0 else f"{total_failed} failing checks")
     return 0 if total_failed == 0 else 1
 

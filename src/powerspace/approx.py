@@ -19,8 +19,8 @@ and the states are finite, so the walk is driven to a cycle; the opens
 that refine themselves and stay alive and chosen around the whole cycle
 are the values of the infinite tree paths, all of which stabilize.
 
-Each relation keeps, per Limits, a memo from state to split (K1, K2),
-and it is exact: from any state of a walk, prefix or cycle, the walk
+Each relation keeps one memo from state to split (K1, K2), for every
+cap, and it is exact: from any state of a walk, prefix or cycle, the walk
 reaches the same cycle, and the stable opens, an intersection over that
 cycle, do not depend on where it is entered.  So every state walked is
 stored with the walk's split, and a walk meeting a stored state stops
@@ -52,12 +52,23 @@ class ApproxRelation:
         return (u, v) in self.pairs
 
     @cached_property
-    def _verdicts(self) -> dict[Limits, Verdict]:
-        return {}
+    def _verdict(self) -> Verdict:
+        return _check_axioms(self)
 
     @cached_property
-    def _walks(self) -> dict[Limits, _OpenWalk]:
-        return {}
+    def _walk_tables(self) -> _OpenWalk:
+        """The relation on the space's one enumeration of opens, which
+        serves every cap; _open_walk decides the cap before reading it."""
+        opens = self.space._opens
+        index = {u: i for i, u in enumerate(opens)}
+        refiners = [0] * len(opens)
+        self_refining = 0
+        for u, v in self.pairs:
+            if u in index and v in index:
+                refiners[index[v]] |= 1 << index[u]
+                if u == v:
+                    self_refining |= 1 << index[u]
+        return _OpenWalk(self.space.names, opens, index, refiners, self_refining, {})
 
 
 def canonical_approx_relation(x: FiniteSpace, limits: Limits = DEFAULT_LIMITS) -> ApproxRelation:
@@ -78,23 +89,22 @@ def canonical_approx_relation(x: FiniteSpace, limits: Limits = DEFAULT_LIMITS) -
 def validate_approx_relation(r: ApproxRelation, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     """The four axioms; the limit axiom in its cycle form.
 
-    The relation is frozen, so its verdict is computed once per Limits
-    and kept on it; wilker_decompose asks for it on every call.
+    The relation is frozen, so its verdict is computed once and kept on
+    it for every cap, which is decided on every call; wilker_decompose
+    asks for it on every call.
     """
-    got = r._verdicts.get(limits)
-    if got is None:
-        got = r._verdicts[limits] = _check_axioms(r, limits)
-    return got
+    r.space.refuse_over_cap(limits)
+    return r._verdict
 
 
-def _check_axioms(r: ApproxRelation, limits: Limits) -> Verdict:
+def _check_axioms(r: ApproxRelation) -> Verdict:
     """The axioms on the walk's index tables, one test each, first
     failure reported: (0) every pair joins two opens, the one fact the
     tables cannot hold; (1) a refiner lies inside what it refines; (2) an
     open refining V refines every open above V; (3) the refiners of an
     open cover it; (4) every self-refining open is some up(p), which with
     (1) in force is the limit axiom on the cycles (module docstring)."""
-    w = _open_walk(r, limits)
+    w = r._walk_tables
     opens, refiners = w.opens, w.refiners
     lbl = lambda m: set_label(w.names, m)
     fail = lambda axiom, **witness: Verdict(False, witness={"axiom": axiom, **witness})
@@ -218,20 +228,10 @@ class _OpenWalk:
 
 
 def _open_walk(r: ApproxRelation, limits: Limits) -> _OpenWalk:
-    """The relation's tables for these limits, kept on it like its verdicts."""
-    got = r._walks.get(limits)
-    if got is None:
-        opens = r.space.opens(limits)
-        index = {u: i for i, u in enumerate(opens)}
-        refiners = [0] * len(opens)
-        self_refining = 0
-        for u, v in r.pairs:
-            if u in index and v in index:
-                refiners[index[v]] |= 1 << index[u]
-                if u == v:
-                    self_refining |= 1 << index[u]
-        got = r._walks[limits] = _OpenWalk(r.space.names, opens, index, refiners, self_refining, {})
-    return got
+    """The relation's tables, kept on it like its verdict; the cap is
+    decided on every call, before they are read."""
+    r.space.refuse_over_cap(limits)
+    return r._walk_tables
 
 
 def _step(w: _OpenWalk, k: int, f: int, g: int) -> tuple[int, int, int]:

@@ -34,7 +34,6 @@ from .core import (
     bits,
     enumerate_upper_sets,
     intersection_of,
-    mask_of,
     neighborhoods,
     set_label,
 )
@@ -66,7 +65,7 @@ def is_co_consonant(pw: Powers) -> Verdict:
     verdict is kept."""
     x, lattice = pw.base, pw.O
     opens = lattice.extents
-    tri = [lattice.diamond(x.full_mask ^ u) for u in opens]
+    tri = [lattice.diamond(closure) for closure in x.down]
     bad = _first_failing_open(lattice, _co_consonance_candidates(x, opens, tri))
     if bad:
         return Verdict(False, witness=bad, info={"checker": "is_co_consonant"})
@@ -85,15 +84,11 @@ def _first_failing_open(lattice: ConstructedSpace, candidates: list[int]) -> dic
 
 
 def _co_consonance_candidates(x: FiniteSpace, opens, tri) -> list[int]:
-    """Per open U, the intersection of tri[a] over the closures a of the
-    minimal points of U, as a mask over the opens (tri[k] belongs to the
-    complement of opens[k])."""
-    closed_index = {x.full_mask ^ u: k for k, u in enumerate(opens)}
+    """Per open U, the intersection of tri[p] over the minimal points p of
+    U, as a mask over the opens (tri[p] is the triangle of the closure of
+    the point p)."""
     everything = (1 << len(opens)) - 1
-    return [
-        intersection_of(tri, mask_of(closed_index[x.down[p]] for p in bits(x.minimal_points(u))), everything)
-        for u in opens
-    ]
+    return [intersection_of(tri, x.minimal_points(u), everything) for u in opens]
 
 
 def is_wilker(x: FiniteSpace | Powers, limits: Limits = DEFAULT_LIMITS) -> Verdict:
@@ -167,13 +162,9 @@ def consonance_equivalence(x: FiniteSpace | Powers, limits: Limits = DEFAULT_LIM
     definitional = is_consonant(pw).holds
     pair = sigma_tau(pw)
     bijective = len(set(pair.forward.table)) == pw.KA.space.n == pw.AK.space.n
-    tau_equality = True
-    for u in pw.base.opens(pw.limits):
-        box_dia = pw.KA.box(pw.A.diamond(u))
-        dia_box = pw.AK.diamond(pw.K.box(u))
-        if pair.backward.preimage_mask(dia_box) != box_dia:
-            tau_equality = False
-            break
+    tau_equality = all(
+        pair.backward.preimage_mask(pw.AK.diamond(box)) == pw.KA.box(dia) for dia, box in zip(pw.diamonds, pw.boxes)
+    )
     info = {
         "checker": "consonance_equivalence",
         "definitional": definitional,

@@ -34,7 +34,7 @@ from .core import (
 )
 from .errors import PowerspaceTooLarge
 from . import canonical, checkers, omega, pi02
-from .approx import ApproxRelation, canonical_approx_relation, require_valid_relation, validate_approx_relation, wilker_split
+from .approx import ApproxRelation, canonical_approx_relation, validate_approx_relation, wilker_split
 from .canonical import PAIR_BUILDERS, check_distributive_law, naturality_squares, verify_pair
 from .powerspaces import Powers, algebra_laws, monad_laws, monad_preimage_identities
 
@@ -212,29 +212,35 @@ def wilker_space_job(pw: Powers):
         return  # no approximation relation exists on the empty space
     relation = canonical_approx_relation(space, limits)
     yield "canonical_relation_valid", lambda: validate_approx_relation(relation, limits)
-    require_valid_relation(relation, limits)
     yield "decompose_all_triples", lambda: _decompose_all_triples(relation, limits)
 
 
 def _decompose_all_triples(relation: ApproxRelation, limits: Limits) -> Verdict:
-    """K1 and K2 are saturated for every triple (U1, U2, K) of opens with
-    K inside U1 | U2, relation having passed require_valid_relation."""
+    """K1 and K2 split K under the cover and are saturated for every
+    triple (U1, U2, K) of opens with K inside U1 | U2.  A relation that
+    fails its axioms fails here too, named by the axiom it fails."""
+    axioms = validate_approx_relation(relation, limits)
+    if not axioms.holds:
+        return Verdict(False, witness={"relation": axioms.witness})
     space = relation.space
     triples = 0
     checked = set()
-    # wilker_split raises on a split that misses its cover; the saturation
-    # of K1 and K2, which wilker_decompose also promises, is checked here,
-    # once per distinct split, at the first triple that splits that way
+    # wilker_split raises on a split that misses its cover, recorded as
+    # split None; the saturation of K1 and K2, which wilker_decompose also
+    # promises, is checked here, once per distinct split, at the first
+    # triple that splits that way
     for u1, u2, k in product(space.opens(limits), repeat=3):
         if k & ~(u1 | u2):
             continue
         triples += 1
-        split = wilker_split(relation, k, u1, u2, limits)
+        try:
+            split = wilker_split(relation, k, u1, u2, limits)
+        except AssertionError:
+            split = None
         if split in checked:
             continue
         checked.add(split)
-        k1, k2 = split
-        if space.saturation_mask(k1) != k1 or space.saturation_mask(k2) != k2:
+        if split is None or any(space.saturation_mask(m) != m for m in split):
             failure = {"K": PtSet(space, k), "U1": PtSet(space, u1), "U2": PtSet(space, u2)}
             return Verdict(False, witness=failure, info={"triples": triples})
     return Verdict(True, info={"triples": triples})

@@ -15,8 +15,9 @@ from powerspace.approx import (
     wilker_decomposition_trace,
     wilker_split,
 )
+from powerspace.config import DEFAULT_LIMITS
 from powerspace.core import PtSet, antichain, chain, empty_space, enumerate_spaces, set_label, sierpinski
-from powerspace.errors import EmptySpace, NoUniquePoint, PreconditionViolated
+from powerspace.errors import EmptySpace, NoUniquePoint, PowerspaceTooLarge, PreconditionViolated
 
 from oracles import literal_approx_axioms, literal_wilker_walk
 
@@ -247,6 +248,21 @@ def test_memoised_split_matches_literal_walk():
             want = literal_wilker_walk(sp, r, k, u1, u2)
             k1, k2 = wilker_split(r, k, u1, u2)
             assert (set_label(sp.names, k1), set_label(sp.names, k2)) == (want["k1"], want["k2"]), (sp, k, u1, u2)
+
+
+def test_kept_verdict_and_walk_do_not_pass_a_smaller_cap():
+    # the relation keeps one verdict and one walk table for every cap;
+    # each call decides its own cap, here below the 8 opens of antichain(3)
+    x = antichain(3)
+    r = canonical_approx_relation(x)
+    full = x.full_mask
+    assert validate_approx_relation(r, DEFAULT_LIMITS).holds
+    assert wilker_split(r, full, full, full, DEFAULT_LIMITS) == (full, full)
+    small = DEFAULT_LIMITS.with_cap(7)
+    with pytest.raises(PowerspaceTooLarge):
+        validate_approx_relation(r, small)
+    with pytest.raises(PowerspaceTooLarge):
+        wilker_split(r, full, full, full, small)
 
 
 def test_trace_export():

@@ -70,11 +70,24 @@ def test_co_consonance_matches_per_pair_candidates():
     for x in _labelled_subjects("K", "O"):
         opens = x.opens()
         lattice = open_lattice(x)
-        tri = [lattice.diamond(x.full_mask ^ u) for u in opens]
+        tri = [lattice.diamond(d) for d in x.down]
         assert checkers._co_consonance_candidates(x, opens, tri) == least_triangle_intersections(x)
         v = is_co_consonant(x)
         assert v.holds == (literal_co_consonance(x) is None)
         assert v.info["opens"] == len(opens)
+
+
+@pytest.mark.parametrize("over", ["O", "K"])
+def test_co_consonance_candidates_are_principal_filters_at_7581_opens(over):
+    # on a finite space the least triangle intersection containing U is
+    # U's principal filter in O(x); O(antichain(5)) and K(antichain(5))
+    # each have 7,581 opens
+    pw = Powers(antichain(5)).over(over)
+    x, lattice = pw.base, pw.O
+    opens = lattice.extents
+    assert len(opens) == 7581
+    tri = [lattice.diamond(d) for d in x.down]
+    assert checkers._co_consonance_candidates(x, opens, tri) == list(lattice.space.up)
 
 
 def test_co_consonance_fails_without_its_candidates(monkeypatch):

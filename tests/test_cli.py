@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from powerspace import approx
 from powerspace.cli import main, parse_expression
+from powerspace.core import Verdict
 from powerspace.errors import ParseError
 
 
@@ -96,6 +98,37 @@ def test_each_suite_exits_at_its_cap_with_one_line(suite, cap, line, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"resource cap: {line}\n"
     assert not captured.out
+
+
+def test_verify_wilker_reports_a_relation_failing_its_axioms(monkeypatch, capsys):
+    failure = {"axiom": 3, "open": "{p0}", "point": "p0"}
+    monkeypatch.setattr(approx, "_check_axioms", lambda r: Verdict(False, witness=failure))
+    assert main(["verify", "--suite", "wilker", "--max-points", "1"]) == 1
+    witness = json.dumps(failure, sort_keys=True)
+    assert capsys.readouterr().out.splitlines() == [
+        f"FAIL wilker:n1-526084feaa6a:canonical_relation_valid  witness={witness}",
+        f'FAIL wilker:n1-526084feaa6a:decompose_all_triples  witness={{"relation": {witness}}}',
+        "suite=wilker subjects=1 checks=2 failed=2",
+    ]
+
+
+def test_verify_wilker_reports_a_split_missing_its_cover(monkeypatch, capsys):
+    # every non-empty K splits into two empty sets; the first triple with
+    # such a K is K = U2 = {p0}, U1 = {}
+    walk = approx._walk
+
+    def empty_split(w, k, f, g, memo=None):
+        *trace, split = walk(w, k, f, g, memo)
+        return (*trace, (0, 0) if k else split)
+
+    monkeypatch.setattr(approx, "_walk", empty_split)
+    assert main(["verify", "--suite", "wilker", "--max-points", "1"]) == 1
+    at = lambda *points: json.dumps({"points": list(points), "space": "526084feaa6a"})
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS wilker:n1-526084feaa6a:canonical_relation_valid",
+        f'FAIL wilker:n1-526084feaa6a:decompose_all_triples  witness={{"K": {at("p0")}, "U1": {at()}, "U2": {at("p0")}}}',
+        "suite=wilker subjects=1 checks=2 failed=1",
+    ]
 
 
 def test_verify_deterministic_output(capsys, tmp_path):

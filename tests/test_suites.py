@@ -28,6 +28,11 @@ GOLDEN = {
                         "0dc48775267470be9e305cffa2446c81178ba69880ca60b1308d93078491080f"),
 }
 
+# the same pair for the consonance suite at --max-points 5, where O(X) and
+# K(X) of the 5-point antichain have 7,581 opens each
+CONSONANCE_AT_5 = ("200ce471105f932edb8ca958a57c15d41e6e58ed0971b5a73caec29bb3da8680",
+                   "0970bb629e29752169ed6c27b21ea390bf2590f80c58065bb5c74fc8a384b6f7")
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -113,6 +118,12 @@ def test_golden_report_bodies(suite):
     report = run_suite(suite)
     body = json.dumps(report.to_json(include_timings=False), sort_keys=True)
     assert (_sha256(body), _sha256("\n".join(report.lines()))) == GOLDEN[suite]
+
+
+def test_golden_consonance_body_at_five_points():
+    report = run_suite("consonance", max_points=5)
+    body = json.dumps(report.to_json(include_timings=False), sort_keys=True)
+    assert (_sha256(body), _sha256("\n".join(report.lines()))) == CONSONANCE_AT_5
 
 
 @pytest.mark.parametrize("job", [monad_space_job, consonance_space_job])

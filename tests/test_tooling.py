@@ -10,9 +10,13 @@ import importlib
 import importlib.util
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
+
+from powerspace.core import PtSet, sierpinski
+from powerspace.suites import SUITES, CheckRecord, SuiteReport
 
 ROOT = Path(__file__).resolve().parents[1]
 FILES = [ROOT / "perfbench" / "worker.py", *sorted((ROOT / "scripts").glob("*.py"))]
@@ -98,6 +102,21 @@ def test_readme_quickstart_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {"__name__": "quickstart"})
     assert "digraph" in capsys.readouterr().out
+
+
+def test_run_suites_prints_fail_lines_as_verify_does(monkeypatch, capsys):
+    # a witness holding a PtSet prints as the report's JSON, not its repr
+    spec = importlib.util.spec_from_file_location("run_suites", ROOT / "scripts" / "run_suites.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    record = CheckRecord("planted", "s", False, {"K": PtSet(sierpinski(), 0b01)}, 0.0)
+    monkeypatch.setattr(script, "run_suite", lambda suite, **kwargs: SuiteReport(suite, ["s"], [record]))
+    monkeypatch.setattr(sys, "argv", ["run_suites.py"])
+    assert script.main() == 1
+    out = capsys.readouterr().out.splitlines()
+    want = [f"  {SuiteReport(suite, ['s'], [record]).lines()[0]}" for suite in SUITES]
+    assert [line for line in out if "FAIL" in line] == want
+    assert want[0] == '  FAIL homeo:s:planted  witness={"K": {"points": ["bot"], "space": "%s"}}' % sierpinski().fingerprint
 
 
 def _unused_imports(path: Path) -> list[str]:
