@@ -12,12 +12,13 @@ import argparse
 import sys
 import time
 
+from powerspace.cli import _int_at_least
 from powerspace.suites import SUITES, run_suite
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=_int_at_least(1), default=1)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from .config import DEFAULT_LIMITS, Limits
 from .core import (
-    FiniteSpace,
     PtSet,
     SpaceMap,
     Verdict,
@@ -54,9 +53,25 @@ class CanonicalMapPair:
     name: str
     forward: SpaceMap
     backward: SpaceMap
-    base: FiniteSpace
     dom: ConstructedSpace
     cod: ConstructedSpace
+
+
+# each pair by name, with the words of the constructions it runs between, forward map's domain first
+_ENDS = {
+    "sigma/tau": ("AK", "KA"),
+    "phi/psi": ("KA", "OO"),
+    "alpha/beta": ("AO", "OK"),
+    "gamma/delta": ("KO", "OA"),
+}
+
+
+def _pair(pw: Powers, name: str, fwd: list[int], bwd: list[int]) -> CanonicalMapPair:
+    """The pair name over pw, fwd and bwd the extents its forward and
+    backward maps send each point to."""
+    dom, cod = (getattr(pw, word) for word in _ENDS[name])
+    forward = SpaceMap(dom.space, cod.space, cod.points_of(fwd))
+    return CanonicalMapPair(name, forward, SpaceMap(cod.space, dom.space, dom.points_of(bwd)), dom, cod)
 
 
 @_kept_on_powers
@@ -68,14 +83,7 @@ def sigma_tau(pw: Powers) -> CanonicalMapPair:
     full_a, full_k = pw.A.space.full_mask, pw.K.space.full_mask
     fwd = pw.AK.intersections(meeting_k, full_a)
     bwd = pw.KA.intersections(meeting_a, full_k)
-    return CanonicalMapPair(
-        "sigma/tau",
-        SpaceMap(pw.AK.space, pw.KA.space, pw.KA.points_of(fwd)),
-        SpaceMap(pw.KA.space, pw.AK.space, pw.AK.points_of(bwd)),
-        pw.base,
-        pw.AK,
-        pw.KA,
-    )
+    return _pair(pw, "sigma/tau", fwd, bwd)
 
 
 @_kept_on_powers
@@ -85,14 +93,7 @@ def phi_psi(pw: Powers) -> CanonicalMapPair:
     full_o, full_a = pw.O.space.full_mask, pw.A.space.full_mask
     fwd = pw.KA.intersections(pw.triangles, full_o)
     bwd = pw.OO.intersections(pw.diamonds, full_a)
-    return CanonicalMapPair(
-        "phi/psi",
-        SpaceMap(pw.KA.space, pw.OO.space, pw.OO.points_of(fwd)),
-        SpaceMap(pw.OO.space, pw.KA.space, pw.KA.points_of(bwd)),
-        pw.base,
-        pw.KA,
-        pw.OO,
-    )
+    return _pair(pw, "phi/psi", fwd, bwd)
 
 
 @_kept_on_powers
@@ -105,14 +106,7 @@ def alpha_beta(pw: Powers) -> CanonicalMapPair:
     # that outside shrinks along the steps of OK's fold, and a union cannot drop a part,
     # so beta keeps one union_of per extent
     bwd = [full_o & ~union_of(pw.nablas, full_k & ~u_fam) for u_fam in pw.OK.extents]
-    return CanonicalMapPair(
-        "alpha/beta",
-        SpaceMap(pw.AO.space, pw.OK.space, pw.OK.points_of(fwd)),
-        SpaceMap(pw.OK.space, pw.AO.space, pw.AO.points_of(bwd)),
-        pw.base,
-        pw.AO,
-        pw.OK,
-    )
+    return _pair(pw, "alpha/beta", fwd, bwd)
 
 
 @_kept_on_powers
@@ -122,14 +116,7 @@ def gamma_delta(pw: Powers) -> CanonicalMapPair:
     full_o, full_a = pw.O.space.full_mask, pw.A.space.full_mask
     fwd = pw.KO.intersections(pw.diamonds, full_a)
     bwd = pw.OA.intersections(pw.triangles, full_o)
-    return CanonicalMapPair(
-        "gamma/delta",
-        SpaceMap(pw.KO.space, pw.OA.space, pw.OA.points_of(fwd)),
-        SpaceMap(pw.OA.space, pw.KO.space, pw.KO.points_of(bwd)),
-        pw.base,
-        pw.KO,
-        pw.OA,
-    )
+    return _pair(pw, "gamma/delta", fwd, bwd)
 
 
 PAIR_BUILDERS = {
@@ -337,18 +324,14 @@ def check_preimage_identities(x, limits: Limits = DEFAULT_LIMITS) -> Verdict:
 
 
 # Each square names a canonical pair, the two constructions it runs between
-# and the direction of the pair it checks.  sigma, tau, phi, psi ride
-# covariantly on f; the other four mix in the contravariant O, so their
-# squares run against the arrows: beta_X o O(K(f)) = A(O(f)) o beta_Y, etc.
+# and the direction of the pair it checks, one square per map of each pair
+# in _ENDS.  sigma, tau, phi, psi ride covariantly on f; the other four mix
+# in the contravariant O, so their squares run against the arrows:
+# beta_X o O(K(f)) = A(O(f)) o beta_Y, etc.
 _SQUARES = {
-    "sigma": (sigma_tau, "AK", "KA", "forward"),
-    "tau": (sigma_tau, "AK", "KA", "backward"),
-    "phi": (phi_psi, "KA", "OO", "forward"),
-    "psi": (phi_psi, "KA", "OO", "backward"),
-    "alpha": (alpha_beta, "AO", "OK", "forward"),
-    "beta": (alpha_beta, "AO", "OK", "backward"),
-    "gamma": (gamma_delta, "KO", "OA", "forward"),
-    "delta": (gamma_delta, "KO", "OA", "backward"),
+    half: (PAIR_BUILDERS[name], dom, cod, direction)
+    for name, (dom, cod) in _ENDS.items()
+    for half, direction in zip(name.split("/"), ("forward", "backward"))
 }
 
 

@@ -109,9 +109,9 @@ class FiniteSpace:
     Every space built through this constructor is validated, in this order
     over all rows: masks in range and reflexive, then transitive, then
     antisymmetric.  That covers every parsed or user-given order and the
-    lens order of L.  The A, K and O constructions derive their rows and
-    Hasse edges from their extents instead and enter through _trusted,
-    with no walk: their order is extent inclusion by construction.
+    lens order of L.  A, K and O derive their rows and Hasse edges from
+    their base's open_covers instead and enter through _trusted, with no
+    walk: their order is extent inclusion by construction.
 
     Transitivity is checked by walking a linear extension by row size.
     The points are grouped into levels by |up[j]|.  For each point i, rest
@@ -248,15 +248,6 @@ class FiniteSpace:
         return mask & ~union_of(self._strict_up, mask)
 
     @cached_property
-    def _strict_down(self) -> tuple[int, ...]:
-        return tuple(m & ~(1 << i) for i, m in enumerate(self.down))
-
-    def maximal_points(self, mask: int) -> int:
-        """Bit mask of the order-maximal points of mask, dually: those
-        strictly below no point of mask."""
-        return mask & ~union_of(self._strict_down, mask)
-
-    @cached_property
     def _upper_set_count(self) -> int:
         return count_upper_sets(self)
 
@@ -285,12 +276,37 @@ class FiniteSpace:
         point p, and their labels; K and O of this space share both."""
         return transpose(self._opens, self.n), tuple(set_label(self.names, u) for u in self._opens)
 
+    @cached_property
+    def open_covers(self) -> tuple[array, array, array]:
+        """The cover pairs of the lattice of opens, as flat arrays hi, lo
+        and piv: _opens[lo[k]] is _opens[hi[k]] less piv[k], one of its
+        minimal points; by hi, then lo, ascending (highest piv first).
+
+        Two upper sets are a cover pair exactly when they differ by one
+        point (Birkhoff; Davey and Priestley, Introduction to Lattices and
+        Order, ch. 5), which must be minimal in the larger: one
+        minimal_points pass per open and one lookup per edge, once per
+        space.  A, K, L and O over the space all read these edges.
+        """
+        opens = self._opens
+        index = {u: i for i, u in enumerate(opens)}
+        hi, lo, piv = array("I"), array("I"), array("I")
+        for h, u in enumerate(opens):
+            m = self.minimal_points(u)
+            while m:
+                p = m.bit_length() - 1
+                m ^= 1 << p
+                hi.append(h)
+                lo.append(index[u ^ 1 << p])
+                piv.append(p)
+        return hi, lo, piv
+
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (i, j) with j covering i in the order, by i then j: the
         points the validating walk picked in i's row (see the class
-        docstring), or for a derived space (A, K, O) the Birkhoff covers
-        its construction found, the pairs of extents one base point apart.
-        Listing them is O(edges).
+        docstring), or for a derived space (A, K, O) its base's
+        open_covers, the pairs of extents one base point apart, as its
+        construction reads them.  Listing them is O(edges).
         """
         it = iter(self._edges)
         return list(zip(it, it))
@@ -333,13 +349,6 @@ class Verdict:
             raise ValueError("a holding verdict carries no witness")
         if not self.holds and self.witness is None:
             raise ValueError("a failing verdict needs a witness")
-
-    def to_json(self) -> dict:
-        return {
-            "holds": self.holds,
-            "witness": _jsonable(self.witness),
-            "info": _jsonable(dict(self.info)),
-        }
 
 
 def _jsonable(obj):

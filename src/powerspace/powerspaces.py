@@ -13,11 +13,13 @@ and O share them as their extents, A reads their complements, and L
 pairs the two lists.
 Every construction leaves through _finish, which indexes the extents by
 base point once; ConstructedSpace reads the modal sets off that index.
-The order of A, K and O is derived from the extents, covers first, and
-trusted, not validated; only L's lens order goes through FiniteSpace's
-validating walk.  Points are sorted by extent so identical expressions
-always rebuild identical spaces.  Powers keeps the constructions of one
-subject, each built once and named by its word (pw.AK is A(K(X))).
+All four read the covers of the base's lattice of opens, found once per
+space (FiniteSpace.open_covers): A, K and O fold their order along them,
+trusted, not validated, and L its extremal points; only L's lens order
+goes through FiniteSpace's validating walk.  Points are sorted by extent
+so identical expressions always rebuild identical spaces.  Powers keeps
+the constructions of one subject, each built once and named by its word
+(pw.AK is A(K(X))).
 
 The maps between constructions take the constructions they run between
 and read the kind off them: monad_unit(pw.A) is X -> A(X),
@@ -34,7 +36,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property, wraps
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
@@ -71,8 +73,8 @@ class ConstructedSpace:
     point is then labelled by its extent, a lens by its two parts.
 
     The order of A, K and O is extent inclusion (subset for A and O,
-    superset for K), derived here from the extent index and trusted, as
-    _derived_order argues.  The lens order of L is read off the members
+    superset for K), folded here along the base's open_covers and
+    trusted, as _derived_order argues.  The lens order of L is read off the members
     index, one row per lens, and validated by FiniteSpace.
     """
 
@@ -108,64 +110,43 @@ class ConstructedSpace:
 
     def _derived_order(self) -> tuple[tuple[int, ...], array, tuple[array, array]]:
         """The rows, the Hasse edges as FiniteSpace._trusted takes them,
-        and the fold steps of A, K or O, with one extent-index lookup and
-        one OR per cover edge.
+        and the fold steps of A, K or O, with one OR per edge of the base's
+        open_covers: (hi, lo, piv) says opens[lo] is opens[hi] less piv.
 
-        The extents are the lower (A) or upper (K, O) sets of the base,
-        and in a lattice of lower or upper sets one set covers another
-        exactly when they differ by one element (Birkhoff; Davey and
-        Priestley, Introduction to Lattices and Order, ch. 5).  So a cover
-        of extent e adds to e a minimal point of the rest of the base (A,
-        whose lower sets stay lower) or a maximal one (O), or drops from e
-        one of its minimal points (K, ordered by superset), and each is one
-        lookup of e with that point flipped.
-        In a finite poset every point strictly above i lies above a cover
-        of i, so up[i] is i with the rows of its covers (Davey and
-        Priestley, ch. 1): the extents ascend as masks, so the covers come
-        later for A and O and earlier for K, and the rows fold in
-        descending and ascending point order.  The points are flipped
-        highest first: for K that lists each row's covers ascending, for A
-        and O descending, and the edges, stored as (j, i) pairs, read by
-        i then j once the array is reversed.  Each edge also fills the
-        fold steps of unions: prev of the larger extent is the smaller.
+        K and O take the opens as extents, by superset and by subset, and
+        point a of A is the complement of open last - a, so the edge is
+        the cover pair (hi, lo) of K, (lo, hi) of O and (last - hi,
+        last - lo) of A.  In a finite poset up[i] is i with the rows of
+        its covers (Davey and Priestley, ch. 1): the edges come by hi
+        ascending, so the rows of K and A fold forward along them and
+        those of O backward.  By i then j, the edges of K are as given,
+        those of A reversed and mirrored, and those of O sorted.  Each
+        edge also fills a fold step: prev of the larger extent is the
+        smaller.
         """
-        extents, base, index = self.extents, self.base, self._index
-        n = len(extents)
-        up = [0] * n
+        hi, lo, piv = self.base.open_covers
+        n = len(self.extents)
+        up = [1 << i for i in range(n)]
         zeros = bytes(4 * n)
-        prev, piv = array("I", zeros), array("I", zeros)
-        edges = array("I")
-        add = edges.append
+        prev, step = array("I", zeros), array("I", zeros)
         if self.kind == KIND_UPPER:
-            minimal = base.minimal_points
-            for i, e in enumerate(extents):
-                row, m = 1 << i, minimal(e)
-                while m:
-                    p = m.bit_length() - 1
-                    m ^= 1 << p
-                    j = index[e ^ 1 << p]
-                    row |= up[j]
-                    add(i)
-                    add(j)
-                    prev[i], piv[i] = j, p
-                up[i] = row
+            for big, small, p in zip(hi, lo, piv):
+                up[big] |= up[small]
+                prev[big], step[big] = small, p
+            pairs = zip(hi, lo)
+        elif self.kind == KIND_LOWER:
+            last = n - 1
+            for big, small, p in zip(hi, lo, piv):
+                a, b = last - big, last - small
+                up[a] |= up[b]
+                prev[b], step[b] = a, p
+            pairs = zip(map(last.__sub__, reversed(hi)), map(last.__sub__, reversed(lo)))
         else:
-            extremal = base.minimal_points if self.kind == KIND_LOWER else base.maximal_points
-            full = base.full_mask
-            for i in reversed(range(n)):
-                e = extents[i]
-                row, m = 1 << i, extremal(full & ~e)
-                while m:
-                    p = m.bit_length() - 1
-                    m ^= 1 << p
-                    j = index[e | 1 << p]
-                    row |= up[j]
-                    add(j)
-                    add(i)
-                    prev[j], piv[j] = i, p
-                up[i] = row
-            edges.reverse()
-        return tuple(up), edges, (prev, piv)
+            for big, small, p in zip(reversed(hi), reversed(lo), reversed(piv)):
+                up[small] |= up[big]
+                prev[big], step[big] = small, p
+            pairs = sorted(zip(lo, hi))
+        return tuple(up), array("I", chain.from_iterable(pairs)), (prev, step)
 
     def diamond(self, m: int) -> int:
         """Points whose extent, or closed part for L, meets the base set m."""
@@ -299,8 +280,10 @@ def convex_powerspace(x, limits: Limits = DEFAULT_LIMITS) -> ConstructedSpace:
 
     A closed A and a saturated K form a lens exactly when max(A) lies in
     K and min(K) lies in A, so each candidate pair costs two ANDs against
-    extremal points computed once per set.  If max(A) lies in K, it lies
-    in A&K, and Cl(A&K), which is inside the closed A, holds down(max(A)),
+    extremal points read off the base's open_covers: an edge (hi, lo,
+    piv) drops the minimal point piv from the open hi and adds it, then
+    maximal, to the closed set last - lo.  If max(A) lies in K, it lies in
+    A&K, and Cl(A&K), which is inside the closed A, holds down(max(A)),
     which on a finite space is all of A.  Conversely, if Cl(A&K) = A, a
     maximal point of A lies below some point of A&K, inside A, so it is
     that point and lies in K.  The argument for K is dual.  Both lists
@@ -309,13 +292,13 @@ def convex_powerspace(x, limits: Limits = DEFAULT_LIMITS) -> ConstructedSpace:
     """
     base, base_cs, label, saturated = _base_of(x, KIND_CONVEX, limits)
     closed = [base.full_mask ^ u for u in reversed(saturated)]
-    bottoms = list(zip(saturated, map(base.minimal_points, saturated)))
-    extents = [
-        (a, k)
-        for a, top in zip(closed, map(base.maximal_points, closed))
-        for k, bottom in bottoms
-        if not (top & ~k or bottom & ~a)
-    ]
+    last = len(saturated) - 1
+    bottom, top = [0] * len(saturated), [0] * len(saturated)
+    for big, small, p in zip(*base.open_covers):
+        bottom[big] |= 1 << p
+        top[last - small] |= 1 << p
+    bottoms = list(zip(saturated, bottom))
+    extents = [(a, k) for a, t in zip(closed, top) for k, b in bottoms if not (t & ~k or b & ~a)]
     if len(extents) > limits.max_construction_points:
         raise PowerspaceTooLarge(f"{label} would have {len(extents)} points")
     return _finish(base, base_cs, label, KIND_CONVEX, extents)

@@ -476,10 +476,21 @@ def test_minimal_points_match_literal_loop():
                 i for i in bits(mask) if not any(j != i and sp.leq(j, i) for j in bits(mask))
             )
             assert sp.minimal_points(mask) == literal
-            literal = mask_of(
-                i for i in bits(mask) if not any(j != i and sp.leq(i, j) for j in bits(mask))
-            )
-            assert sp.maximal_points(mask) == literal
+
+
+def test_open_covers_are_the_pairs_of_opens_one_point_apart():
+    # every pair of opens one point apart, listed once with that point as
+    # piv, by hi then lo; spaces' own opens are the literal side
+    for sp in (*enumerate_spaces(4, up_to_iso=False), antichain(5)):
+        opens = sp.opens()
+        literal = [
+            (h, lo, (u ^ v).bit_length() - 1)
+            for h, u in enumerate(opens)
+            for lo, v in enumerate(opens)
+            if v | u == u and (u ^ v).bit_count() == 1
+        ]
+        hi, lo, piv = sp.open_covers
+        assert list(zip(hi, lo, piv)) == literal, sp
 
 
 def _literal_covers(space: FiniteSpace) -> list[tuple[int, int]]:

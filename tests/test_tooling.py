@@ -119,6 +119,20 @@ def test_run_suites_prints_fail_lines_as_verify_does(monkeypatch, capsys):
     assert want[0] == '  FAIL homeo:s:planted  witness={"K": {"points": ["bot"], "space": "%s"}}' % sierpinski().fingerprint
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_run_suites_rejects_a_job_count_below_one(monkeypatch, capsys, jobs):
+    # as `powerspace verify --jobs` does, rather than running serially
+    spec = importlib.util.spec_from_file_location("run_suites", ROOT / "scripts" / "run_suites.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "run_suite", lambda suite, **kwargs: pytest.fail("ran a suite"))
+    monkeypatch.setattr(sys, "argv", ["run_suites.py", "--jobs", jobs])
+    with pytest.raises(SystemExit) as exit_info:
+        script.main()
+    assert exit_info.value.code == 2
+    assert f"must be at least 1, got {jobs}" in capsys.readouterr().err
+
+
 def _unused_imports(path: Path) -> list[str]:
     """Names an import in the file binds that no name in the file reads.
     `from __future__` imports bind no such name."""
