@@ -92,7 +92,9 @@ def neighborhoods(seeds: Sequence[int], n: int) -> list[int]:
 
 
 def set_label(names: Sequence[str], mask: int) -> str:
-    return "{" + ",".join(names[i] for i in bits(mask)) + "}"
+    """The names of mask's points, lowest first, as "{a,b}": the selector
+    bytes pick the names in one C-level pass."""
+    return "{" + ",".join(compress(names, _selectors(mask))) + "}"
 
 
 @dataclass(frozen=True)
@@ -108,10 +110,11 @@ class FiniteSpace:
 
     Every space built through this constructor is validated, in this order
     over all rows: masks in range and reflexive, then transitive, then
-    antisymmetric.  That covers every parsed or user-given order and the
-    lens order of L.  A, K and O derive their rows and Hasse edges from
-    their base's open_covers instead and enter through _trusted, with no
-    walk: their order is extent inclusion by construction.
+    antisymmetric.  That covers every parsed or user-given order.  The
+    constructions A, K, L and O derive their rows and Hasse edges instead
+    and enter through _trusted, with no walk: A, K and O fold extent
+    inclusion along their base's open_covers, and L lists the one-part
+    covers of its lens order.
 
     Transitivity is checked by walking a linear extension by row size.
     The points are grouped into levels by |up[j]|.  For each point i, rest
@@ -190,7 +193,7 @@ class FiniteSpace:
         """A space on an order its caller derived and answers for: the
         rows up and the Hasse edges, a flat array of (i, j) pairs by i then
         j as covers() lists them, are taken as given, with no validating
-        walk.  Only the A, K and O constructions call it."""
+        walk.  Only the constructions A, K, L and O call it."""
         space = cls.__new__(cls)
         space.__dict__.update(names=names, up=up, _edges=edges)
         return space
@@ -304,9 +307,10 @@ class FiniteSpace:
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (i, j) with j covering i in the order, by i then j: the
         points the validating walk picked in i's row (see the class
-        docstring), or for a derived space (A, K, O) its base's
-        open_covers, the pairs of extents one base point apart, as its
-        construction reads them.  Listing them is O(edges).
+        docstring), or for a construction the edges it derived: for A, K
+        and O its base's open_covers, the pairs of extents one base point
+        apart, and for L the lens pairs one part apart.  Listing them is
+        O(edges).
         """
         it = iter(self._edges)
         return list(zip(it, it))

@@ -15,8 +15,9 @@ Every construction leaves through _finish, which indexes the extents by
 base point once; ConstructedSpace reads the modal sets off that index.
 All four read the covers of the base's lattice of opens, found once per
 space (FiniteSpace.open_covers): A, K and O fold their order along them,
-trusted, not validated, and L its extremal points; only L's lens order
-goes through FiniteSpace's validating walk.  Points are sorted by extent
+and L its extremal points.  Every construction order is derived and
+trusted, not validated: L's Hasse edges come from its one-part covers
+(ConstructedSpace._lens_covers).  Points are sorted by extent
 so identical expressions always rebuild identical spaces.  Powers keeps
 the constructions of one subject, each built once and named by its word
 (pw.AK is A(K(X))).
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property, wraps
+from functools import cache, cached_property, wraps
 from itertools import chain, islice
 from typing import Iterable, Sequence
 
@@ -74,8 +75,9 @@ class ConstructedSpace:
 
     The order of A, K and O is extent inclusion (subset for A and O,
     superset for K), folded here along the base's open_covers and
-    trusted, as _derived_order argues.  The lens order of L is read off the members
-    index, one row per lens, and validated by FiniteSpace.
+    trusted, as _derived_order argues.  The lens order of L is read off
+    the members index, one row per lens, with its Hasse edges derived by
+    _lens_covers and trusted as well.
     """
 
     base: FiniteSpace
@@ -99,7 +101,7 @@ class ConstructedSpace:
             containing = {a: self.containing(a) for a in closed}
             box = {k: self.box(k) for k in saturated}
             up = tuple(containing[a] & box[k] for a, k in self.extents)
-            space, steps = FiniteSpace(names, up), None
+            space, steps = FiniteSpace._trusted(names, up, self._lens_covers()), None
         else:
             if names is None:
                 names = tuple(set_label(base_names, e) for e in self.extents)
@@ -148,6 +150,57 @@ class ConstructedSpace:
             pairs = sorted(zip(lo, hi))
         return tuple(up), array("I", chain.from_iterable(pairs)), (prev, step)
 
+    def _lens_covers(self) -> array:
+        """The Hasse edges of the lens order of L, as FiniteSpace._trusted
+        takes them.
+
+        A lens (A, K) has max(A) in K and min(K) in A, and lies below
+        (A', K') when A is inside A' and K holds K'.  A cover changes
+        exactly one part: if (A, K) < (A', K'), then (A', K) is a lens,
+        as max(A') lies in K', inside K, and min(K) in A, inside A', and
+        it lies between the two, so a pair that changes both parts is no
+        cover, and one that changes a single part covers exactly when no
+        lens sharing that other part lies between.
+        With K fixed, the lenses correspond, by A = down(D), to the
+        down-sets D = A & K of the subposet K that hold min(K), and two
+        such down-sets cover each other when they differ by one point
+        (Birkhoff; Davey and Priestley, ch. 5): the covers above (A, K)
+        are (A | down(p), K), p minimal in K - A, so A may grow by
+        several points.
+        With A fixed, dually, the lenses correspond, by K = up(U), to the
+        up-sets U = A & K of the subposet A that hold max(A), and min(U)
+        is min(K): the covers above (A, K) are (A, up(A & K - q)), q in
+        min(K) and not maximal in A.
+        The empty lens is comparable only to itself and gets no edge.
+        Each target is one lookup in a dict local to this call, and the
+        targets of a lens are sorted, so the edges come by i then j.  Many
+        lenses share K - A and A & K - q, so minimal points and
+        saturations are memoized for the call.
+        """
+        base = self.base
+        down, up = base.down, base.up
+        minimal, saturation = cache(base.minimal_points), cache(base.saturation_mask)
+        index = {e: i for i, e in enumerate(self.extents)}
+        edges = array("I")
+        for i, (a, k) in enumerate(self.extents):
+            above = []
+            q = minimal(k)
+            while q:
+                low = q & -q
+                q ^= low
+                if up[low.bit_length() - 1] & a != low:
+                    above.append(index[a, saturation(a & k ^ low)])
+            p = minimal(k & ~a)
+            while p:
+                low = p & -p
+                p ^= low
+                above.append(index[a | down[low.bit_length() - 1], k])
+            above.sort()
+            for j in above:
+                edges.append(i)
+                edges.append(j)
+        return edges
+
     def diamond(self, m: int) -> int:
         """Points whose extent, or closed part for L, meets the base set m."""
         return union_of(self.members, m)
@@ -192,7 +245,7 @@ class ConstructedSpace:
         """prev and piv of the folds below, filled in by _derived_order;
         slot 0, the empty extent, is unused."""
         if self._steps is None:
-            raise ValueError(f"no one-point steps on {self.label}: a lens step may change either part")
+            raise ValueError(f"no one-point steps on {self.label}: a lens cover changes one part, but possibly by several base points")
         return self._steps
 
     def unions(self, parts: Sequence[int]) -> list[int]:

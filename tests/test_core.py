@@ -26,6 +26,7 @@ from powerspace.core import (
     mask_of,
     neighborhoods,
     saturation,
+    set_label,
     sierpinski,
     space_from_json,
     space_from_opens,
@@ -120,6 +121,13 @@ def test_hull_operators_extremal(space, raw):
     assert cl == min((c for c in lowers if not (mask & ~c)), key=lambda c: c.bit_count())
     assert sat == min((u for u in uppers if not (mask & ~u)), key=lambda u: u.bit_count())
     assert intr == max((u for u in uppers if not (u & ~mask)), key=lambda u: u.bit_count())
+
+
+def test_set_label_matches_the_literal_join():
+    for sp in enumerate_spaces(4, up_to_iso=False):
+        for m in range(sp.full_mask + 1):
+            literal = "{" + ",".join(sp.names[i] for i in range(sp.n) if m >> i & 1) + "}"
+            assert set_label(sp.names, m) == literal, (sp, m)
 
 
 @given(small_spaces())

@@ -39,7 +39,7 @@ from powerspace.powerspaces import (
     upper_powerspace,
 )
 
-from oracles import literal_associativity, literal_intersections, literal_rows, literal_unions
+from oracles import literal_associativity, literal_intersections, literal_rows, literal_unions, row_union_covers
 
 S = sierpinski()
 D2 = antichain(2, names=("a", "b"))
@@ -221,18 +221,40 @@ def test_derived_orders_skip_the_walk_and_parsed_input_does_not(monkeypatch):
     monkeypatch.setattr(FiniteSpace, "__post_init__", counted)
     for word in HOMEO_WORDS:
         getattr(pw, word)
+    # a lens cover changes one part, so L's order is derived and trusted too
+    pw.LK
     assert walked == []
-    # a lens cover may change either part, so L's order is validated
-    lens = pw.LK
-    assert walked == [lens.space.n]
     space_from_json({"points": ["a", "b"], "order": [["a", "b"]]})
-    assert walked == [lens.space.n, 2]
+    assert walked == [2]
     with pytest.raises(CycleDetected):
         space_from_poset(["a", "b"], [("a", "b"), ("b", "a")])
     with pytest.raises(NotT0):
         space_from_opens(["a", "b"], [])
     with pytest.raises(ValueError, match="order must be transitive"):
         FiniteSpace(("a", "b", "c"), (0b011, 0b110, 0b100))
+
+
+def test_lens_order_matches_the_walk_the_row_union_and_egli_milner():
+    # the derived Hasse edges of L against the validating walk and the
+    # row-union oracle, which share no code with the derivation; each
+    # edge changes one part, and each row is the literal Egli-Milner
+    # comparison of the extents
+    tower = Powers(antichain(3))
+    bases = (*enumerate_spaces(4, up_to_iso=False), tower.K.space, tower.A.space, tower.O.space)
+    lk = Powers(antichain(4)).LK
+    for cs in (*map(convex_powerspace, bases), lk):
+        space = cs.space
+        covers = space.covers()
+        assert covers == FiniteSpace(space.names, space.up).covers() == row_union_covers(space.up), cs
+        for i, j in covers:
+            (a, k), (b, m) = cs.extents[i], cs.extents[j]
+            assert (a == b) != (k == m), (cs, i, j)
+        # the rows by closed and by saturated part, lenses sharing their parts
+        closed, saturated = map(set, zip(*cs.extents))
+        above = {a: mask_of(j for j, (b, _) in enumerate(cs.extents) if not a & ~b) for a in closed}
+        inside = {k: mask_of(j for j, (_, m) in enumerate(cs.extents) if not m & ~k) for k in saturated}
+        assert space.up == tuple(above[a] & inside[k] for a, k in cs.extents), cs
+    assert len(lk.space.covers()) == 17144
 
 
 def test_homeo_words_enumerate_once_per_space(monkeypatch):
