@@ -25,6 +25,9 @@ SPACES = {
 
 def main() -> int:
     name = sys.argv[1] if len(sys.argv) > 1 else "sierpinski"
+    if name not in SPACES:
+        print(f"usage: export_diagrams.py [{'|'.join(SPACES)}] [outdir]", file=sys.stderr)
+        return 2
     outdir = pathlib.Path(sys.argv[2] if len(sys.argv) > 2 else "diagrams")
     outdir.mkdir(parents=True, exist_ok=True)
     base = SPACES[name]()

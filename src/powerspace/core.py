@@ -112,40 +112,20 @@ class FiniteSpace:
     over all rows: masks in range and reflexive, then transitive, then
     antisymmetric.  That covers every parsed or user-given order.  The
     constructions A, K, L and O derive their rows and Hasse edges instead
-    and enter through _trusted, with no walk: A, K and O fold extent
+    and enter through _trusted, unvalidated: A, K and O fold extent
     inclusion along their base's open_covers, and L lists the one-part
     covers of its lens order.
 
-    Transitivity is checked by walking a linear extension by row size.
-    The points are grouped into levels by |up[j]|.  For each point i, rest
-    starts as up[i] without i, and the levels below |up[i]| are walked
-    largest first: in each, the lowest j still in rest is picked, up[j]
-    must lie inside up[i], and up[j] is cleared from rest.  Whatever rest
-    holds after the levels must have the union of its rows inside up[i].
-
-    This decides transitivity, by induction on row size.  Each j in up[i]
-    other than i was picked and checked, or left in rest and checked, or
-    cleared by the row of a picked k, whose row is smaller than up[i] and
-    so transitive: up[j] lies inside up[k] and with it inside up[i].
-
-    On a partial order the picks are exactly the covers of i.  A cover j
-    of i lies in the row of no point strictly between i and j, as there is
-    none, so it is never cleared and is picked at its level.  Any other j
-    above i has some i < k < j; k's row is larger than j's, so k's level
-    comes first, and there k is picked or was cleared with the row of an
-    earlier pick that holds it.  Either way j is cleared with k.  The
-    covers are kept in one flat array for covers() and is_monotone.  The
-    walk costs one pick per edge and one AND per row and level below it,
-    not one OR per order pair.
-
-    Once the order is reflexive and transitive, i <= j <= i holds exactly
-    when up[i] == up[j], so it is antisymmetric exactly when the rows are
-    pairwise distinct.
+    Transitivity is one union per row: a reflexive order is transitive
+    exactly when each row up[i] is an upper set, that is, holds the rows
+    of its own points.  Once the order is reflexive and transitive,
+    i <= j <= i holds exactly when up[i] == up[j], so it is antisymmetric
+    exactly when the rows are pairwise distinct.  A validated space
+    derives its Hasse edges on first use (_edges), one union per row.
     """
 
     names: tuple[str, ...]
     up: tuple[int, ...]
-    _edges: array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, up = len(self.names), self.up
@@ -159,32 +139,8 @@ class FiniteSpace:
                 raise ValueError("up mask out of range")
             if not (m >> i) & 1:
                 raise ValueError("order must be reflexive")
-        by_size: dict[int, int] = {}
-        for i, m in enumerate(up):
-            k = m.bit_count()
-            by_size[k] = by_size.get(k, 0) | 1 << i
-        level_of = {k: t for t, k in enumerate(sorted(by_size))}
-        levels = [by_size[k] for k in level_of]
-        edges = array("I")
-        for i, m in enumerate(up):
-            rest, picked, t = m & ~(1 << i), 0, level_of[m.bit_count()]
-            while rest and t:
-                t -= 1
-                c = rest & levels[t]
-                while c:
-                    low = c & -c
-                    row = up[low.bit_length() - 1]
-                    if row | m != m:
-                        raise ValueError("order must be transitive")
-                    picked |= low
-                    rest &= ~row
-                    c &= rest
-            if rest and union_of(up, rest) | m != m:
-                raise ValueError("order must be transitive")
-            while picked:
-                edges.extend((i, (picked & -picked).bit_length() - 1))
-                picked &= picked - 1
-        object.__setattr__(self, "_edges", edges)
+        if not all(map(self.is_upper, up)):
+            raise ValueError("order must be transitive")
         if len(set(up)) != n:
             raise ValueError("order must be antisymmetric")
 
@@ -192,8 +148,9 @@ class FiniteSpace:
     def _trusted(cls, names: tuple[str, ...], up: tuple[int, ...], edges: array) -> FiniteSpace:
         """A space on an order its caller derived and answers for: the
         rows up and the Hasse edges, a flat array of (i, j) pairs by i then
-        j as covers() lists them, are taken as given, with no validating
-        walk.  Only the constructions A, K, L and O call it."""
+        j as covers() lists them, are taken as given, with no row pass and
+        no _edges derivation.  Only the constructions A, K, L and O call
+        it."""
         space = cls.__new__(cls)
         space.__dict__.update(names=names, up=up, _edges=edges)
         return space
@@ -251,6 +208,16 @@ class FiniteSpace:
         return mask & ~union_of(self._strict_up, mask)
 
     @cached_property
+    def _edges(self) -> array:
+        """The Hasse edges as a flat array of (i, j) pairs by i, then j: the
+        covers of i are the minimal points of up[i] without i."""
+        edges = array("I")
+        for i, strict in enumerate(self._strict_up):
+            for j in bits(self.minimal_points(strict)):
+                edges.extend((i, j))
+        return edges
+
+    @cached_property
     def _upper_set_count(self) -> int:
         return count_upper_sets(self)
 
@@ -305,10 +272,10 @@ class FiniteSpace:
         return hi, lo, piv
 
     def covers(self) -> list[tuple[int, int]]:
-        """Pairs (i, j) with j covering i in the order, by i then j: the
-        points the validating walk picked in i's row (see the class
-        docstring), or for a construction the edges it derived: for A, K
-        and O its base's open_covers, the pairs of extents one base point
+        """Pairs (i, j) with j covering i in the order, by i then j: for a
+        validated space the edges _edges derives on first use, one union
+        per row, or for a construction the edges it derived: for A, K and
+        O its base's open_covers, the pairs of extents one base point
         apart, and for L the lens pairs one part apart.  Listing them is
         O(edges).
         """
@@ -742,7 +709,7 @@ def space_to_json(space: FiniteSpace) -> dict:
 
 
 def space_from_json(data: dict | str) -> FiniteSpace:
-    """Accepts either the covers form or the explicit opens form.
+    """Accepts either the covers form or the explicit opens form, not both.
 
     Points must be distinct strings.  Order pairs name two points, by name
     or index; opens list point indices.  Anything else raises ValueError.
@@ -764,6 +731,8 @@ def space_from_json(data: dict | str) -> FiniteSpace:
             raise ValueError(f"'{key}' must be a list of lists")
         return value
 
+    if "order" in data and "opens" in data:
+        raise ValueError("space JSON takes either 'order' or 'opens', not both")
     if "order" in data:
         pairs = entries("order")
         if any(len(p) != 2 for p in pairs):

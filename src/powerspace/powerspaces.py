@@ -16,9 +16,11 @@ base point once; ConstructedSpace reads the modal sets off that index.
 All four read the covers of the base's lattice of opens, found once per
 space (FiniteSpace.open_covers): A, K and O fold their order along them,
 and L its extremal points.  Every construction order is derived and
-trusted, not validated: L's Hasse edges come from its one-part covers
-(ConstructedSpace._lens_covers).  Points are sorted by extent
-so identical expressions always rebuild identical spaces.  Powers keeps
+trusted: it enters through FiniteSpace._trusted with its Hasse edges,
+skipping the row pass that validates parsed orders and the edges derived
+from it, and L's edges come from its one-part covers
+(ConstructedSpace._lens_covers).  Points are sorted by extent so
+identical expressions always rebuild identical spaces.  Powers keeps
 the constructions of one subject, each built once and named by its word
 (pw.AK is A(K(X))).
 
@@ -663,7 +665,7 @@ def to_dot(x: ConstructedSpace | FiniteSpace) -> str:
         '  node [shape=box, fontname="monospace"];',
     ]
     for i, name in enumerate(space.names):
-        safe = name.replace('"', '\\"')
+        safe = name.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{i} [label="{safe}"];')
     for i, j in space.covers():
         lines.append(f"  n{i} -> n{j};")

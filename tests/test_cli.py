@@ -225,6 +225,7 @@ def test_build_bad_expression(d2_file, capsys):
 @pytest.mark.parametrize("doc", [
     {"points": ["a", "b"], "opens": [["a"]]},  # opens must list indices
     {"points": [1, 2], "order": []},  # points must be strings
+    {"points": ["a", "b"], "order": [["a", "b"]], "opens": [[0]]},  # not both forms
 ])
 def test_build_malformed_space_file(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"

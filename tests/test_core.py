@@ -336,6 +336,12 @@ def test_json_round_trip():
     assert s.up == (0b01, 0b11)
 
 
+def test_space_json_with_both_order_and_opens_is_refused():
+    doc = {"points": ["a", "b"], "order": [["a", "b"]], "opens": [[0]]}
+    with pytest.raises(ValueError, match=r"^space JSON takes either 'order' or 'opens', not both$"):
+        space_from_json(doc)
+
+
 def test_compose_and_identity():
     s = sierpinski()
     d = antichain(2)
@@ -553,7 +559,7 @@ def test_covers_match_relabel_oracle_on_large_constructions():
         sp = build(k).space
         got = sp.covers()
         assert (sp.n, len(got)) == (points, edges)
-        assert got == _relabel_covers(sp)
+        assert got == _relabel_covers(sp) == FiniteSpace(sp.names, sp.up).covers()
         assert _assert_matches_row_union(sp.up) is None
 
 

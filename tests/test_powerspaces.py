@@ -454,6 +454,22 @@ def test_serialization_and_dot():
     assert lens_json["points"][0]["extent"] == {"closed": [], "saturated": []}
 
 
+def test_dot_labels_escape_backslashes_and_quotes():
+    # a backslash is escaped before a quote, so neither ends the DOT string
+    x = antichain(2, names=("a\\", 'b"'))
+
+    def labels(dot):
+        return [line for line in dot.splitlines() if "[label=" in line]
+
+    assert labels(to_dot(x)) == [r'  n0 [label="a\\"];', r'  n1 [label="b\""];']
+    assert labels(to_dot(upper_powerspace(x))) == [
+        r'  n0 [label="{}"];',
+        r'  n1 [label="{a\\}"];',
+        r'  n2 [label="{b\"}"];',
+        r'  n3 [label="{a\\,b\"}"];',
+    ]
+
+
 def test_powers_builds_each_word_once_from_its_tail():
     pw = Powers(S)
     assert pw.AK is pw.AK and pw.AK.label == "A(K(X))"

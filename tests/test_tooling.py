@@ -133,6 +133,17 @@ def test_run_suites_rejects_a_job_count_below_one(monkeypatch, capsys, jobs):
     assert f"must be at least 1, got {jobs}" in capsys.readouterr().err
 
 
+def test_export_diagrams_checks_the_space_name_before_writing(monkeypatch, capsys, tmp_path):
+    spec = importlib.util.spec_from_file_location("export_diagrams", ROOT / "scripts" / "export_diagrams.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["export_diagrams.py", "torus"])
+    assert script.main() == 2
+    assert capsys.readouterr().err == "usage: export_diagrams.py [sierpinski|pair|chain3] [outdir]\n"
+    assert not any(tmp_path.iterdir())
+
+
 def _unused_imports(path: Path) -> list[str]:
     """Names an import in the file binds that no name in the file reads.
     `from __future__` imports bind no such name."""
