@@ -17,7 +17,7 @@ import json
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import compress, count, permutations, product, repeat
+from itertools import combinations, compress, count, permutations, product, repeat
 from operator import and_, itemgetter, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -116,12 +116,15 @@ class FiniteSpace:
     inclusion along their base's open_covers, and L lists the one-part
     covers of its lens order.
 
-    Transitivity is one union per row: a reflexive order is transitive
-    exactly when each row up[i] is an upper set, that is, holds the rows
-    of its own points.  Once the order is reflexive and transitive,
-    i <= j <= i holds exactly when up[i] == up[j], so it is antisymmetric
-    exactly when the rows are pairwise distinct.  A validated space
-    derives its Hasse edges on first use (_edges), one union per row.
+    Transitivity is one union per row.  With strict[i] the row up[i]
+    without i, let above be the union of the strict rows of strict[i]'s
+    points.  Reflexivity puts those points in up[i], so the order is
+    transitive exactly when above lies inside up[i] for every i.  The same
+    union yields the row's Hasse edges: j covers i exactly when j is in
+    strict[i] but not in above.  A validated space keeps those edges, as
+    _trusted keeps a construction's.  Once the order is reflexive and
+    transitive, i <= j <= i holds exactly when up[i] == up[j], so it is
+    antisymmetric exactly when the rows are pairwise distinct.
     """
 
     names: tuple[str, ...]
@@ -139,18 +142,24 @@ class FiniteSpace:
                 raise ValueError("up mask out of range")
             if not (m >> i) & 1:
                 raise ValueError("order must be reflexive")
-        if not all(map(self.is_upper, up)):
-            raise ValueError("order must be transitive")
+        strict = tuple(m & ~(1 << i) for i, m in enumerate(up))
+        edges = array("I")
+        for i, (m, s) in enumerate(zip(up, strict)):
+            above = union_of(strict, s)
+            if above & ~m:
+                raise ValueError("order must be transitive")
+            for j in bits(s & ~above):
+                edges.extend((i, j))
         if len(set(up)) != n:
             raise ValueError("order must be antisymmetric")
+        self.__dict__.update(_strict_up=strict, _edges=edges)
 
     @classmethod
     def _trusted(cls, names: tuple[str, ...], up: tuple[int, ...], edges: array) -> FiniteSpace:
         """A space on an order its caller derived and answers for: the
         rows up and the Hasse edges, a flat array of (i, j) pairs by i then
-        j as covers() lists them, are taken as given, with no row pass and
-        no _edges derivation.  Only the constructions A, K, L and O call
-        it."""
+        j as covers() lists them, are taken as given, with no row pass.
+        Only the constructions A, K, L and O call it."""
         space = cls.__new__(cls)
         space.__dict__.update(names=names, up=up, _edges=edges)
         return space
@@ -208,16 +217,6 @@ class FiniteSpace:
         return mask & ~union_of(self._strict_up, mask)
 
     @cached_property
-    def _edges(self) -> array:
-        """The Hasse edges as a flat array of (i, j) pairs by i, then j: the
-        covers of i are the minimal points of up[i] without i."""
-        edges = array("I")
-        for i, strict in enumerate(self._strict_up):
-            for j in bits(self.minimal_points(strict)):
-                edges.extend((i, j))
-        return edges
-
-    @cached_property
     def _upper_set_count(self) -> int:
         return count_upper_sets(self)
 
@@ -273,8 +272,8 @@ class FiniteSpace:
 
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (i, j) with j covering i in the order, by i then j: for a
-        validated space the edges _edges derives on first use, one union
-        per row, or for a construction the edges it derived: for A, K and
+        validated space the edges its row pass found, or for a
+        construction the edges it derived: for A, K and
         O its base's open_covers, the pairs of extents one base point
         apart, and for L the lens pairs one part apart.  Listing them is
         O(edges).
@@ -423,6 +422,88 @@ def iter_continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> Iterator[SpaceMa
         f = SpaceMap(dom, cod, table)
         if is_monotone(f):
             yield f
+
+
+def generating_maps(spaces: Sequence[FiniteSpace]) -> list[SpaceMap]:
+    """Continuous maps between the given spaces that generate every
+    continuous map between them under composition.
+
+    spaces are the representatives enumerate_spaces(n) lists for some n,
+    with or without the empty space.  For each representative R, in the
+    order of spaces:
+
+    - every automorphism of R, the identity first;
+    - per point p, the inclusion rep(R - p) -> R of R without p;
+    - per cover pair or incomparable pair {a, b}, the merge
+      R -> rep(R/{a,b}) that identifies a and b;
+    - per ordered incomparable pair (a, b), the extension R -> rep(R + a<=b),
+      the identity on points onto R's order with down(a) x up(b) added,
+      again a partial order.
+
+    rep(S) is the representative of S's class, and each step reaches it
+    by the fixed isomorphism canonical_relabeling finds for S's rows.  A
+    deletion into the empty space is listed only when the empty space is.
+
+    They generate.  Let f: R -> R' be monotone between representatives;
+    induct on |R| + |R'|, then down on the number of pairs in R's order
+    (Davey and Priestley, Introduction to Lattices and Order, ch. 1).
+    Below, c is the fixed isomorphism of each step.
+
+    - f misses a point p: it corestricts to f': R -> R' - p, so f is the
+      deletion at p after c o f', whose codomain is smaller.
+    - f is onto but not one-to-one: some fibre holds x < y or two
+      incomparable points, and with x < y every point of a maximal chain
+      from x to y lies in that fibre (f(x) <= f(z) <= f(y) = f(x)), so
+      some fibre holds a cover pair or an incomparable pair {a, b}.
+      Identifying one such pair closes no cycle, so R/{a,b} is a partial
+      order, and f, constant on {a, b}, is g o q for a monotone g on it.
+      So f is (g o c^-1) after the merge c o q, whose codomain is smaller
+      than R.
+    - f is one-to-one and onto but not an isomorphism: some a, b have
+      f(a) <= f(b) with a not below b; b < a would force f(a) = f(b), so
+      a and b are incomparable.  f stays monotone on R with a <= b added,
+      so f is (f o c^-1) after the extension c o e, whose codomain has
+      the points of R and more order pairs.
+    - f is an isomorphism: R and R' are one class, so R = R' and f is
+      one of R's automorphisms.
+
+    Each case ends at a generator or a smaller case, so every continuous
+    map between the spaces is a composite of these.
+    """
+    reps = {s.up: s for s in spaces}
+
+    def onto_rep(r: FiniteSpace, rows: list[int], table) -> SpaceMap:
+        """r -> rep(rows), x going to point table[x] of rows."""
+        key, perm = canonical_relabeling(tuple(rows))
+        return SpaceMap(r, reps[key], tuple(perm[t] for t in table))
+
+    out = []
+    for r in spaces:
+        n, up = r.n, r.up
+        out += (SpaceMap(r, r, perm) for t, perm in _relabelings(up) if t == up)
+        # R - p is empty only for a one-point R, and listed only with the empty space
+        for p in range(n if n > 1 or () in reps else 0):
+            sub, inclusion = subspace(r, r.full_mask ^ 1 << p)
+            key, perm = canonical_relabeling(sub.up)
+            table = [0] * sub.n
+            for k, v in enumerate(perm):
+                table[v] = inclusion.table[k]
+            out.append(SpaceMap(reps[key], r, tuple(table)))
+        apart = [(a, b) for a, b in permutations(range(n), 2) if not (up[a] >> b & 1 or up[b] >> a & 1)]
+        mergeable = set(apart).union(r.covers())
+        for a, b in combinations(range(n), 2):
+            if (a, b) in mergeable or (b, a) in mergeable:
+                pair, hull, low = 1 << a | 1 << b, up[a] | up[b], (1 << b) - 1
+
+                def squeeze(m: int) -> int:
+                    # drop point b, whose bit goes to a, and close the gap
+                    return m & low | (m >> b + 1) << b | (m >> b & 1) << a
+
+                rows = [squeeze(m | hull if m & pair else m) for x, m in enumerate(up) if x != b]
+                out.append(onto_rep(r, rows, [a if x == b else x - (x > b) for x in range(n)]))
+        for a, b in apart:
+            out.append(onto_rep(r, [m | up[b] if m >> a & 1 else m for m in up], range(n)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -605,19 +686,28 @@ def _count_split(p: int, up, down, memo: dict) -> int:
 # enumeration of all finite T0 spaces
 
 
-def _relabelings(up: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """The order under every point permutation, point i renamed perm[i]."""
+def _relabelings(up: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Pairs (relabeled, perm): the order under every point permutation
+    perm, point i renamed perm[i], the identity first."""
     n = len(up)
     for perm in permutations(range(n)):
         relabeled = [0] * n
         for i in range(n):
             relabeled[perm[i]] = mask_of(perm[j] for j in bits(up[i]))
-        yield tuple(relabeled)
+        yield tuple(relabeled), perm
+
+
+def canonical_relabeling(up: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The least relabeling of the order under all point permutations,
+    with the least permutation that gives it: point i of up is point
+    perm[i] of the canonical order, so perm is the table of an
+    isomorphism onto it."""
+    return min(_relabelings(up))
 
 
 def canonical_order_key(up: tuple[int, ...]) -> tuple[int, ...]:
     """Least relabeling of the order under all point permutations."""
-    return min(_relabelings(up))
+    return canonical_relabeling(up)[0]
 
 
 _POSET_CACHE: dict[int, list[tuple[int, ...]]] = {}
@@ -667,7 +757,7 @@ def enumerate_spaces(n: int, up_to_iso: bool = True) -> tuple[FiniteSpace, ...]:
         if up_to_iso:
             ups: list[tuple[int, ...]] = reps
         else:
-            ups = sorted({t for up in reps for t in _relabelings(up)})
+            ups = sorted({t for up in reps for t, _ in _relabelings(up)})
         names = tuple(f"p{i}" for i in range(k))
         spaces.extend(FiniteSpace(names, up) for up in ups)
     result = tuple(spaces)

@@ -17,8 +17,8 @@ All four read the covers of the base's lattice of opens, found once per
 space (FiniteSpace.open_covers): A, K and O fold their order along them,
 and L its extremal points.  Every construction order is derived and
 trusted: it enters through FiniteSpace._trusted with its Hasse edges,
-skipping the row pass that validates parsed orders and the edges derived
-from it, and L's edges come from its one-part covers
+skipping the row pass that validates parsed orders and lists their
+edges, and L's edges come from its one-part covers
 (ConstructedSpace._lens_covers).  Points are sorted by extent so
 identical expressions always rebuild identical spaces.  Powers keeps
 the constructions of one subject, each built once and named by its word
@@ -497,6 +497,24 @@ def lift_table(table: tuple[int, ...], dom_ps: ConstructedSpace, cod_ps: Constru
     along dom_ps's cover edges: for A and K the closure or saturation of
     each point's image, so the union is that of the image; for O, an open
     of Y, the fiber over each point, so the union is the open's preimage.
+
+    The lifts preserve composition and identities, so the naturality
+    squares paste along composites and may be decided on generating maps
+    (core.generating_maps).  For continuous f: X -> Y and g: Y -> Z:
+
+    - A: g(cl S) lies inside cl g(S), as g is continuous, so
+      cl g(cl f(C)) = cl g(f(C)), the closure of the image under g o f;
+    - K: g(up S) lies inside up g(S), as g is monotone, so
+      up g(up f(K)) = up g(f(K));
+    - O: (g o f)^-1(U) = f^-1(g^-1(U)), the composite taken the other
+      way round;
+    - a closed, saturated or open set is its own hull or preimage under
+      the identity.
+
+    By induction on a word, its lift is T applied to the lift of its
+    tail, and that lift is again continuous (the naturality squares check
+    it before lifting it further), so every word's lift is a functor,
+    contravariant for an odd number of O's.
     """
     if dom_ps.kind == KIND_OPENS:
         parts = transpose([1 << y for y in table], dom_ps.base.n)

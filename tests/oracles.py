@@ -1,6 +1,7 @@
 """Literal quantifiers kept as test oracles for the library's shortcuts."""
 
 from functools import reduce
+from itertools import product
 from operator import or_
 
 from powerspace.canonical import _SQUARES, alpha_beta, gamma_delta, phi_psi, sigma_tau
@@ -9,13 +10,15 @@ from powerspace.core import (
     Verdict,
     bits,
     compose,
+    enumerate_spaces,
     enumerate_upper_sets,
+    iter_continuous_maps,
     intersection_of,
     set_label,
     union_of,
 )
 from powerspace.errors import PreconditionViolated
-from powerspace.powerspaces import KIND_LOWER, KIND_OPENS, KIND_UPPER, functor_map
+from powerspace.powerspaces import KIND_LOWER, KIND_OPENS, KIND_UPPER, Powers, functor_map
 
 
 def row_union_covers(up) -> list[tuple[int, int]]:
@@ -379,3 +382,27 @@ def literal_naturality_square(f, which, px, py) -> Verdict:
                        "left": left.codomain.names[a], "right": left.codomain.names[b]}
             return Verdict(False, witness=witness)
     return Verdict(True, info={"checker": "check_naturality", "square": which, "points": left.domain.n})
+
+
+def literal_naturality_records(max_points, include_empty, limits=DEFAULT_LIMITS) -> list[tuple]:
+    """(name, subject, passed, witness) per ordered pair of spaces of at
+    most max_points, as suites._naturality_records lists its records:
+    every continuous map between the two and every square, in _SQUARES
+    order, composed literally, the witness naming the first failing map
+    and square."""
+    spaces = [s for s in enumerate_spaces(max_points) if include_empty or s.n]
+    towers = [Powers(s, limits) for s in spaces]
+    out = []
+    for px, py in product(towers, repeat=2):
+        witness = None
+        for f in iter_continuous_maps(px.base, py.base):
+            for which in _SQUARES:
+                v = literal_naturality_square(f, which, px, py)
+                if not v.holds:
+                    witness = {"map": list(f.table), "square": which, "detail": v.witness}
+                    break
+            if witness is not None:
+                break
+        subject = f"n{px.base.n}-{px.base.fingerprint}->n{py.base.n}-{py.base.fingerprint}"
+        out.append(("naturality", subject, witness is None, witness))
+    return out

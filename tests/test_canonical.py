@@ -28,6 +28,7 @@ from powerspace.core import (
     check_continuous,
     empty_space,
     enumerate_spaces,
+    generating_maps,
     identity_map,
     iter_continuous_maps,
     set_label,
@@ -35,7 +36,7 @@ from powerspace.core import (
 )
 from powerspace.errors import NotContinuous, PowerspaceTooLarge, ShapeMismatch
 
-from oracles import literal_naturality_square, literal_preimage_identities
+from oracles import literal_naturality_records, literal_naturality_square, literal_preimage_identities
 
 S = sierpinski()
 D2 = antichain(2, names=("a", "b"))
@@ -485,9 +486,8 @@ def test_naturality_squares_reject_discontinuous():
         check_naturality(identity_map(S), "sigma", Powers(D2), Powers(S))
 
 
-def _naturality_maps(max_points):
-    spaces = [sp for sp in enumerate_spaces(max_points) if sp.n]
-    return sum(len(list(iter_continuous_maps(dom, cod))) for dom in spaces for cod in spaces)
+def _naturality_generators(max_points):
+    return len(generating_maps([sp for sp in enumerate_spaces(max_points) if sp.n]))
 
 
 def test_naturality_lifts_each_map_once(monkeypatch):
@@ -500,11 +500,48 @@ def test_naturality_lifts_each_map_once(monkeypatch):
     real_lift_table = canonical.lift_table
     monkeypatch.setattr(canonical, "lift_table", counting_lift_table)
     records = suites._naturality_records(2, False, DEFAULT_LIMITS)
-    maps = _naturality_maps(2)
+    maps = _naturality_generators(2)
+    assert maps == 12
     assert all(r.passed for r in records)
-    # K, A, O, AK, KA, OO, OK, AO, OA and KO of each map, no more
+    # K, A, O, AK, KA, OO, OK, AO, OA and KO of each generator, no more
     assert len(lifted) == 10 * maps
     assert sorted(lifted) == sorted("KAOAKOOAOK" * maps)
+
+
+def _as_tuples(records):
+    return [(r.name, r.subject, r.passed, r.witness) for r in records]
+
+
+@pytest.mark.parametrize("include_empty", [False, True])
+def test_naturality_records_match_the_literal_sweep(include_empty):
+    records = suites._naturality_records(3, include_empty, DEFAULT_LIMITS)
+    assert len(records) == (9 if include_empty else 8) ** 2
+    assert _as_tuples(records) == literal_naturality_records(3, include_empty)
+
+
+@pytest.mark.parametrize("max_points, which", [(2, w) for w in SQUARES] + [(3, "beta")])
+def test_naturality_records_match_the_literal_sweep_on_a_corrupted_table(max_points, which, monkeypatch):
+    # one wrong entry in one table, in every tower over one space (the
+    # 2-chain, or the 3-antichain with its six automorphisms), the suite's
+    # and the oracle's: the generator pass must see it and hand every pair
+    # to the literal sweep
+    builder, direction, _ = SQUARES[which]
+    n = max_points
+    target = next(sp for sp in enumerate_spaces(n) if sp.n == n and len(sp.covers()) == (1 if n == 2 else 0))
+    real_init = Powers.__init__
+
+    def corrupting_init(self, base, limits=DEFAULT_LIMITS):
+        real_init(self, base, limits)
+        if base == target:
+            good = builder(self)
+            m = getattr(good, direction)
+            table = ((m.table[0] + 1) % m.codomain.n,) + m.table[1:]
+            self.pairs[builder.__name__] = replace(good, **{direction: SpaceMap(m.domain, m.codomain, table)})
+
+    monkeypatch.setattr(Powers, "__init__", corrupting_init)
+    records = suites._naturality_records(n, False, DEFAULT_LIMITS)
+    assert _as_tuples(records) == literal_naturality_records(n, False)
+    assert not all(r.passed for r in records)
 
 
 def test_naturality_names_the_pair_of_spaces_on_a_cap_hit():
@@ -525,8 +562,8 @@ def test_naturality_checks_each_lifted_map_once(monkeypatch):
     monkeypatch.setattr(powerspaces, "check_continuous", counting_check_continuous)
     records = suites._naturality_records(2, False, DEFAULT_LIMITS)
     assert all(r.passed for r in records)
-    # f, A(f), K(f) and O(f) of each map, the lifts of which the squares lift again
-    assert len(checked) == 4 * _naturality_maps(2)
+    # f, A(f), K(f) and O(f) of each generator, the lifts of which the squares lift again
+    assert len(checked) == 4 * _naturality_generators(2)
 
 
 def test_naturality_checks_the_lifted_maps(monkeypatch):

@@ -18,6 +18,7 @@ from powerspace.core import (
     empty_space,
     enumerate_spaces,
     enumerate_upper_sets,
+    generating_maps,
     identity_map,
     interior,
     intersection_of,
@@ -377,6 +378,38 @@ def test_iter_continuous_maps_counts():
     e = empty_space()
     assert len(list(iter_continuous_maps(e, s))) == 1
     assert len(list(iter_continuous_maps(s, e))) == 0
+
+
+def _closure_under_compose(maps) -> set:
+    """Every composite of the maps, as (domain rows, codomain rows,
+    table): each new map extended on the left by every map out of its
+    codomain, until nothing new appears."""
+    out_of: dict = {}
+    for g in maps:
+        out_of.setdefault(g.domain.up, []).append(g)
+    seen = {(g.domain.up, g.codomain.up, g.table) for g in maps}
+    todo = list(maps)
+    while todo:
+        f = todo.pop()
+        for g in out_of.get(f.codomain.up, ()):
+            gf = compose(g, f)
+            key = (gf.domain.up, gf.codomain.up, gf.table)
+            if key not in seen:
+                seen.add(key)
+                todo.append(gf)
+    return seen
+
+
+@pytest.mark.parametrize("include_empty, generators, maps", [(False, 67, 476), (True, 69, 485)])
+def test_generating_maps_compose_to_every_continuous_map(include_empty, generators, maps):
+    spaces = [sp for sp in enumerate_spaces(3) if include_empty or sp.n]
+    gens = generating_maps(spaces)
+    assert len(gens) == generators
+    assert all(g.domain in spaces and g.codomain in spaces for g in gens)
+    assert gens[0] == identity_map(spaces[0])
+    every = {(f.domain.up, f.codomain.up, f.table) for x in spaces for y in spaces for f in iter_continuous_maps(x, y)}
+    assert len(every) == maps
+    assert _closure_under_compose(gens) == every
 
 
 @given(small_spaces())

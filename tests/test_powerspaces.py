@@ -1,5 +1,6 @@
 import random
 import re
+from itertools import product
 
 import pytest
 
@@ -10,6 +11,7 @@ from powerspace.core import (
     antichain,
     chain,
     check_continuous,
+    compose,
     empty_space,
     enumerate_spaces,
     iter_continuous_maps,
@@ -591,6 +593,37 @@ def test_lift_tables_match_hulls_of_images_and_preimages():
                 preimages = list(map(f.preimage_mask, py.O.extents))
                 assert [px.O.extents[v] for v in lift_table(f.table, py.O, px.O)] == preimages
     assert lifted == 4842
+
+
+def _lift(word, table, px, py):
+    """The table of the lift along word of the map px.base -> py.base with
+    the given table, by lift_table from the lift along word's tail."""
+    if not word:
+        return tuple(table)
+    src, dst = (py, px) if word.count("O") % 2 else (px, py)
+    return lift_table(_lift(word[1:], table, px, py), getattr(src, word), getattr(dst, word))
+
+
+def test_lifts_preserve_composition_and_identities():
+    # the naturality squares are decided on generating maps, which is
+    # sound only if every lift the squares read is a functor
+    words = ("K", "A", "O", "AK", "KA", "OO", "OK", "AO", "OA", "KO")
+    towers = [Powers(sp) for sp in enumerate_spaces(2)]
+    pairs = 0
+    for px, py, pz in product(towers, repeat=3):
+        for f in iter_continuous_maps(px.base, py.base):
+            for g in iter_continuous_maps(py.base, pz.base):
+                pairs += 1
+                gf = compose(g, f).table
+                for word in words:
+                    lf, lg = _lift(word, f.table, px, py), _lift(word, g.table, py, pz)
+                    # an odd number of O's turns the arrows, and the order of composition, around
+                    after = tuple(lf[v] for v in lg) if word.count("O") % 2 else tuple(lg[v] for v in lf)
+                    assert _lift(word, gf, px, pz) == after
+    assert pairs == 165  # the sum over Y of the maps into Y times the maps out of Y
+    for pw in towers:
+        for word in words:
+            assert _lift(word, range(pw.base.n), pw, pw) == tuple(range(getattr(pw, word).space.n))
 
 
 def test_maps_reject_constructions_they_do_not_run_between():
