@@ -15,8 +15,9 @@ the verifications below re-derive that instead of assuming it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 
-from .config import DEFAULT_LIMITS, Limits
+from .config import Limits
 from .core import (
     PtSet,
     SpaceMap,
@@ -37,7 +38,6 @@ from .powerspaces import (
     ConstructedSpace,
     Powers,
     _kept_on_powers,
-    _powers,
     functor_map,
     lift_table,
     monad_mult,
@@ -74,6 +74,21 @@ def _pair(pw: Powers, name: str, fwd: list[int], bwd: list[int]) -> CanonicalMap
     return CanonicalMapPair(name, forward, SpaceMap(cod.space, dom.space, dom.points_of(bwd)), dom, cod)
 
 
+def _takes_tower_limits(check):
+    """check(pw), also callable as check(pw, limits), as
+    perfbench/worker.py calls it.  The caps are pw.limits: any other
+    Limits raises ValueError rather than being dropped."""
+
+    @wraps(check)
+    def checked(pw: Powers, limits: Limits | None = None):
+        if limits is not None and limits != pw.limits:
+            raise ValueError(f"{limits} is not the tower's {pw.limits}; cap a check with Powers(space, limits)")
+        return check(pw)
+
+    return checked
+
+
+@_takes_tower_limits
 @_kept_on_powers
 def sigma_tau(pw: Powers) -> CanonicalMapPair:
     """sigma sends a closed family of compacts to the closed sets meeting
@@ -86,6 +101,7 @@ def sigma_tau(pw: Powers) -> CanonicalMapPair:
     return _pair(pw, "sigma/tau", fwd, bwd)
 
 
+@_takes_tower_limits
 @_kept_on_powers
 def phi_psi(pw: Powers) -> CanonicalMapPair:
     """phi reads off which opens a compact family of closed sets hits
@@ -96,6 +112,7 @@ def phi_psi(pw: Powers) -> CanonicalMapPair:
     return _pair(pw, "phi/psi", fwd, bwd)
 
 
+@_takes_tower_limits
 @_kept_on_powers
 def alpha_beta(pw: Powers) -> CanonicalMapPair:
     """alpha unions the boxes of a closed family of opens; beta collects
@@ -109,6 +126,7 @@ def alpha_beta(pw: Powers) -> CanonicalMapPair:
     return _pair(pw, "alpha/beta", fwd, bwd)
 
 
+@_takes_tower_limits
 @_kept_on_powers
 def gamma_delta(pw: Powers) -> CanonicalMapPair:
     """gamma intersects the diamonds of a compact family of opens; delta
@@ -209,7 +227,8 @@ def modal_set(space: ConstructedSpace, gen: ModalGenerator) -> PtSet:
 # the eight subbasic preimage identities
 
 
-def check_preimage_identities(x, limits: Limits = DEFAULT_LIMITS) -> Verdict:
+@_takes_tower_limits
+def check_preimage_identities(pw: Powers) -> Verdict:
     """Verify the preimage identity of each canonical map on every
     generator it quantifies over.
 
@@ -262,7 +281,6 @@ def check_preimage_identities(x, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     counts the instances the verdict covers: one per family and identity,
     four per open.  info["generators"] counts the preimages taken.
     """
-    pw = _powers(x, limits)
     st = sigma_tau(pw)
     pp = phi_psi(pw)
     ab = alpha_beta(pw)
@@ -465,7 +483,7 @@ def _beck_diagrams(pw: Powers, f: str, s: str, lam_of) -> list[str]:
     return failures
 
 
-def check_distributive_law(x, limits: Limits = DEFAULT_LIMITS) -> Verdict:
+def check_distributive_law(pw: Powers) -> Verdict:
     """Beck compatibility of sigma as a law A(K(X)) => K(A(X)).
 
     Triple-nested constructions blow up fast; the tower's Limits cap
@@ -474,7 +492,6 @@ def check_distributive_law(x, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     the verdict states which orientation satisfies the diagrams instead of
     presuming one.
     """
-    pw = _powers(x, limits)
     sigma_fail = _beck_diagrams(pw, KIND_LOWER, KIND_UPPER, lambda p: sigma_tau(p).forward)
     tau_fail = _beck_diagrams(pw, KIND_UPPER, KIND_LOWER, lambda p: sigma_tau(p).backward)
     info = {

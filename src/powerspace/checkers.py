@@ -37,7 +37,7 @@ from .core import (
     neighborhoods,
     set_label,
 )
-from .powerspaces import ConstructedSpace, Powers, _kept_on_powers, _powers
+from .powerspaces import ConstructedSpace, Powers, _kept_on_powers
 from .canonical import sigma_tau
 
 
@@ -46,8 +46,7 @@ def is_consonant(pw: Powers) -> Verdict:
     """Every Scott-open family of opens is a union of compact filters,
     decided at each open U on its principal filter.  The candidate is the
     filter of the compact up(min U), the opens containing the minimal
-    points of U.  Takes a base space or a Powers, on which the verdict is
-    kept."""
+    points of U.  The verdict is kept on the tower."""
     lattice = pw.O
     candidates = [lattice.containing(pw.base.minimal_points(u)) for u in lattice.extents]
     bad = _first_failing_open(lattice, candidates)
@@ -61,8 +60,7 @@ def is_co_consonant(pw: Powers) -> Verdict:
     """Every Scott-open family of opens is a union of finite intersections
     of sets (triangle A), decided at each open U on its principal filter.
     The candidate intersects the triangles of the point closures of the
-    minimal points of U.  Takes a base space or a Powers, on which the
-    verdict is kept."""
+    minimal points of U.  The verdict is kept on the tower."""
     x, lattice = pw.base, pw.O
     opens = lattice.extents
     tri = [lattice.diamond(closure) for closure in x.down]
@@ -91,13 +89,12 @@ def _co_consonance_candidates(x: FiniteSpace, opens, tri) -> list[int]:
     return [intersection_of(tri, x.minimal_points(u), everything) for u in opens]
 
 
-def is_wilker(x: FiniteSpace | Powers, limits: Limits = DEFAULT_LIMITS) -> Verdict:
+def is_wilker(pw: Powers) -> Verdict:
     """Compacts under a two-open cover split into compacts under each
     open, decided on K(X) for every pair (U1, U2): K1 = U1 and K2 = U2 are
     points in box(U1) and box(U2), and every compact under the cover, each
     point of box(U1 | U2), lies inside K1 | K2, above the point
-    K = U1 | U2 in K(X)'s order.  Takes a base space or a Powers."""
-    pw = _powers(x, limits)
+    K = U1 | U2 in K(X)'s order."""
     upper, lattice, boxes = pw.K, pw.O, pw.boxes
     opens = lattice.extents
 
@@ -154,11 +151,10 @@ def is_sober(x: FiniteSpace, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     )
 
 
-def consonance_equivalence(x: FiniteSpace | Powers, limits: Limits = DEFAULT_LIMITS) -> Verdict:
+def consonance_equivalence(pw: Powers) -> Verdict:
     """Three renderings of consonance, evaluated independently:
     the filter definition, bijectivity of sigma, and the subbasic preimage
     equality for tau.  Holds when all three agree."""
-    pw = _powers(x, limits)
     definitional = is_consonant(pw).holds
     pair = sigma_tau(pw)
     bijective = len(set(pair.forward.table)) == pw.KA.space.n == pw.AK.space.n
@@ -176,12 +172,11 @@ def consonance_equivalence(x: FiniteSpace | Powers, limits: Limits = DEFAULT_LIM
     return Verdict(False, witness={"disagreement": info}, info=info)
 
 
-def strong_compactness_implications(x: FiniteSpace | Powers, limits: Limits = DEFAULT_LIMITS) -> Verdict:
+def strong_compactness_implications(pw: Powers) -> Verdict:
     """Consonance plus every saturated set strongly compact forces
     co-consonance.  Every saturated set of a finite space is strongly
     compact (its own finite witness), so this is consonant implies
     co-consonant, read off the two verdicts kept on the tower."""
-    pw = _powers(x, limits)
     cocons = is_co_consonant(pw).holds
     cons = is_consonant(pw).holds
     if cons and not cocons:
@@ -192,7 +187,7 @@ def strong_compactness_implications(x: FiniteSpace | Powers, limits: Limits = DE
     )
 
 
-def topology_coincidence(space: ConstructedSpace, against: str, limits: Limits = DEFAULT_LIMITS) -> Verdict:
+def topology_coincidence(space: ConstructedSpace, against: str) -> Verdict:
     """Compare the topology generated by a construction's subbasis with the
     weak or the Scott topology of its specialization order.  On a finite
     order both give p the least neighborhood up(p): the Scott opens are
@@ -205,7 +200,7 @@ def topology_coincidence(space: ConstructedSpace, against: str, limits: Limits =
         raise ValueError(f"unknown reference topology {against!r}")
     cs_space = space.space
     up = cs_space.up
-    generated = neighborhoods(space.subbasis(limits), cs_space.n)
+    generated = neighborhoods(space.subbasis(), cs_space.n)
     info = {"checker": "topology_coincidence", "against": against}
     if generated == list(up):
         return Verdict(True, info=info)

@@ -23,7 +23,7 @@ from .core import (
     space_product,
 )
 from .errors import NotEmbedding, PresentationMismatch
-from .powerspaces import KIND_LOWER, KIND_UPPER, ConstructedSpace, Powers, _powers, functor_map, monad_unit
+from .powerspaces import KIND_LOWER, KIND_UPPER, ConstructedSpace, Powers, functor_map, monad_unit
 
 
 @dataclass(frozen=True)
@@ -113,14 +113,14 @@ def lower_embedding_range(
 
 def upper_embedding_range(
     e: SpaceMap, p: Pi02Presentation, dom_ps: ConstructedSpace, cod_ps: ConstructedSpace,
-    limits: Limits = DEFAULT_LIMITS,
 ) -> Verdict:
     """Dual of lower_embedding_range with boxes over unions, over K of
     e's domain and of the ambient space.  Here b runs over the full open
     family: a box implication that holds for two opens need not hold for
-    their union, so the up-sets alone do not decide it."""
+    their union, so the up-sets alone do not decide it.  The ambient's
+    opens are K's points, in the same order, so cod_ps.extents lists them."""
     lifted = _lift_embedding(e, p, KIND_UPPER, dom_ps, cod_ps)
-    basis = e.codomain.opens(limits)
+    basis = cod_ps.extents
     sel = 0
     for i, k in enumerate(cod_ps.extents):
         if all((k & ~(b | u) or not (k & ~(b | v))) for b in basis for u, v in p.pairs):
@@ -162,11 +162,10 @@ def _first_unembedded(f: SpaceMap) -> int | None:
     return next((i for i, v in enumerate(f.table) if f.preimage_mask(cod_up[v]) != dom_up[i]), None)
 
 
-def lens_pi02(x: FiniteSpace | Powers, limits: Limits = DEFAULT_LIMITS) -> Verdict:
+def lens_pi02(pw: Powers) -> Verdict:
     """The lens pairs inside the product of the lower and upper
     constructions are exactly the pairs passing the two mixed-modality
     implications, and the subspace they span is the convex construction."""
-    pw = _powers(x, limits)
     x, a_ps, k_ps, lens = pw.base, pw.A, pw.K, pw.L
     prod, pairs = space_product(a_ps.space, k_ps.space)
     basis = x.opens(pw.limits)
@@ -207,11 +206,10 @@ def lens_pi02(x: FiniteSpace | Powers, limits: Limits = DEFAULT_LIMITS) -> Verdi
     return Verdict(True, info=info)
 
 
-def eta_image_characterizations(x: FiniteSpace | Powers, limits: Limits = DEFAULT_LIMITS) -> Verdict:
+def eta_image_characterizations(pw: Powers) -> Verdict:
     """The unit images inside the two constructions match their
     presentations: irreducibility for the lower one (the base is sober, as
     every finite T0 space is), non-empty box-splitting for the upper."""
-    pw = _powers(x, limits)
     x, a_ps, k_ps = pw.base, pw.A, pw.K
     eta_a = monad_unit(a_ps)
     eta_k = monad_unit(k_ps)

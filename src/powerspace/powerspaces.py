@@ -215,12 +215,12 @@ class ConstructedSpace:
         """Points whose extent, or closed part for L, contains the base set m."""
         return intersection_of(self.members, m, (1 << len(self.extents)) - 1)
 
-    def subbasis(self, limits: Limits = DEFAULT_LIMITS) -> list[int]:
+    def subbasis(self) -> list[int]:
         """The generating opens listed in the module docstring, U running
-        over the opens of the base.  Built on demand for the topology
-        audits, which compare the least neighborhoods it generates with
-        those of the order."""
-        opens = self.base.opens(limits)
+        over the opens of the base, as enumerated for this construction.
+        Built on demand for the topology audits, which compare the least
+        neighborhoods it generates with those of the order."""
+        opens = self.base._opens
         if self.kind == KIND_OPENS:
             return [mask_of(j for j, v in enumerate(self.extents) if not (u & ~v)) for u in opens]
         dia = [self.diamond(u) for u in opens] if self.kind in (KIND_LOWER, KIND_CONVEX) else []
@@ -434,24 +434,15 @@ class Powers:
         return tuple(map(self.O.containing, self.K.extents))
 
 
-def _powers(x, limits: Limits) -> Powers:
-    if isinstance(x, Powers):
-        return x
-    return Powers(x, limits)
-
-
 def _kept_on_powers(compute):
-    """Turn compute(pw) into a function of a base space or a Powers.
-    Over a Powers the result is computed once and kept in pw.pairs, so
-    every later check on the same tower reuses it."""
+    """compute(pw), computed once per tower and kept in pw.pairs, so every
+    later check on the same tower reuses it."""
 
     @wraps(compute)
-    def kept(x, limits: Limits = DEFAULT_LIMITS):
-        if not isinstance(x, Powers):
-            return compute(Powers(x, limits))
-        got = x.pairs.get(compute.__name__)
+    def kept(pw: Powers):
+        got = pw.pairs.get(compute.__name__)
         if got is None:
-            got = x.pairs[compute.__name__] = compute(x)
+            got = pw.pairs[compute.__name__] = compute(pw)
         return got
 
     return kept
@@ -566,11 +557,10 @@ def _joins(t: ConstructedSpace) -> list[int]:
 # law checks used by the suites; their caps are those of the tower
 
 
-def monad_laws(kind: str, x, limits: Limits = DEFAULT_LIMITS) -> Verdict:
-    """Unit and associativity laws of the chosen monad on x.  The square
+def monad_laws(kind: str, pw: Powers) -> Verdict:
+    """Unit and associativity laws of the chosen monad on pw's subject.  The square
     over T(T(T(x))) is decided on the points of T(T(x)), as
     _first_point_apart argues; the triple level is never enumerated."""
-    pw = _powers(x, limits)
     t1, t2 = getattr(pw, kind), getattr(pw, kind * 2)
     eta, mult = monad_unit(t1), monad_mult(t2)
     eta_t = monad_unit(t2)
@@ -588,13 +578,12 @@ def monad_laws(kind: str, x, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     return Verdict(True, info={"checker": "monad_laws", "kind": kind, "checks": 2 * t1.space.n + t2.space.n})
 
 
-def monad_preimage_identities(kind: str, x, limits: Limits = DEFAULT_LIMITS) -> Verdict:
+def monad_preimage_identities(kind: str, pw: Powers) -> Verdict:
     """Subbasic preimages of the unit and multiplication.
 
     For A: unit pulls diamond(U) back to U and mult pulls it back to
     diamond(diamond(U)); dually for K with box.
     """
-    pw = _powers(x, limits)
     modal = ConstructedSpace.diamond if kind == KIND_LOWER else ConstructedSpace.box
     base, t1, t2 = pw.base, getattr(pw, kind), getattr(pw, kind * 2)
     eta, mult = monad_unit(t1), monad_mult(t2)
@@ -607,9 +596,8 @@ def monad_preimage_identities(kind: str, x, limits: Limits = DEFAULT_LIMITS) -> 
     return Verdict(True, info={"checker": "monad_preimage_identities", "kind": kind, "opens": len(base.opens(pw.limits))})
 
 
-def algebra_laws(kind: str, x, limits: Limits = DEFAULT_LIMITS) -> Verdict:
+def algebra_laws(kind: str, pw: Powers) -> Verdict:
     """Eilenberg-Moore laws for union on A(O(X)) or intersection on K(O(X))."""
-    pw = _powers(x, limits)
     lattice, t1 = pw.O, getattr(pw, kind + KIND_OPENS)
     struct, eta = structure_map(t1), monad_unit(t1)
     for i in range(lattice.space.n):

@@ -171,15 +171,15 @@ def consonance_space_job(pw: Powers):
     yield "is_co_consonant[X]", lambda: checkers.is_co_consonant(pw)
     yield "is_wilker[X]", lambda: checkers.is_wilker(pw)
     yield "is_sober[X]", lambda: checkers.is_sober(space, limits)
-    yield "lower_weak_coincidence", lambda: checkers.topology_coincidence(pw.A, "weak", limits)
-    yield "upper_scott_coincidence", lambda: checkers.topology_coincidence(pw.K, "scott", limits)
+    yield "lower_weak_coincidence", lambda: checkers.topology_coincidence(pw.A, "weak")
+    yield "upper_scott_coincidence", lambda: checkers.topology_coincidence(pw.K, "scott")
     yield "is_sober[A(X)]", lambda: checkers.is_sober(pw.A.space, limits)
     yield "is_sober[O(X)]", lambda: checkers.is_sober(pw.O.space, limits)
     yield "is_consonant[O(X)]", lambda: checkers.is_consonant(pw.over("O"))
     yield "is_co_consonant[O(X)]", lambda: checkers.is_co_consonant(pw.over("O"))
     yield "strong_compactness_implications", lambda: checkers.strong_compactness_implications(pw)
     if space.n <= 2:
-        yield "double_weak_coincidence", lambda: checkers.topology_coincidence(pw.KA, "weak", limits)
+        yield "double_weak_coincidence", lambda: checkers.topology_coincidence(pw.KA, "weak")
     yield "is_consonant[K(X)]", lambda: checkers.is_consonant(pw.over("K"))
     yield "is_co_consonant[K(X)]", lambda: checkers.is_co_consonant(pw.over("K"))
     if space.n <= 3:
@@ -196,7 +196,7 @@ def pi02_space_job(pw: Powers):
         # the subset's constructions are built inside the check that first uses them
         sub_pw = Powers(sub, limits)
         yield f"lower_range[{mask}]", lambda: pi02.lower_embedding_range(embedding, pres, sub_pw.A, pw.A)
-        yield f"upper_range[{mask}]", lambda: pi02.upper_embedding_range(embedding, pres, sub_pw.K, pw.K, limits)
+        yield f"upper_range[{mask}]", lambda: pi02.upper_embedding_range(embedding, pres, sub_pw.K, pw.K)
     yield "lens_identification", lambda: pi02.lens_pi02(pw)
     yield "unit_image_characterizations", lambda: pi02.eta_image_characterizations(pw)
 

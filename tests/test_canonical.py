@@ -1,8 +1,11 @@
+import json
 from dataclasses import replace
+from functools import partial
+from pathlib import Path
 
 import pytest
 
-from powerspace import canonical, powerspaces, suites
+from powerspace import canonical, checkers, pi02, powerspaces, suites
 from powerspace.canonical import (
     PAIR_BUILDERS,
     ModalGenerator,
@@ -18,7 +21,7 @@ from powerspace.canonical import (
     sigma_tau,
     verify_pair,
 )
-from powerspace.config import DEFAULT_LIMITS
+from powerspace.config import DEFAULT_LIMITS, Limits
 from powerspace.core import (
     FiniteSpace,
     PtSet,
@@ -90,24 +93,58 @@ def test_pair_builders_keep_one_pair_per_powers():
     for builder in PAIR_BUILDERS.values():
         pair = builder(pw)
         assert builder(pw) is pair
-        fresh = builder(D2)  # a bare space builds a new pair each time
-        assert fresh is not pair and fresh is not builder(D2)
-        assert (fresh.forward.table, fresh.backward.table) == (pair.forward.table, pair.backward.table)
     assert set(pw.pairs) == {"sigma_tau", "phi_psi", "alpha_beta", "gamma_delta"}
 
 
+# the sixteen checks that take a tower, each as a function of the tower alone
+TOWER_CHECKS = {
+    **{f.__name__: f for f in (sigma_tau, phi_psi, alpha_beta, gamma_delta, check_preimage_identities,
+                                check_distributive_law)},
+    **{f.__name__: f for f in (checkers.is_consonant, checkers.is_co_consonant, checkers.is_wilker,
+                                checkers.consonance_equivalence, checkers.strong_compactness_implications,
+                                pi02.lens_pi02, pi02.eta_image_characterizations)},
+    **{f.__name__: partial(f, "A") for f in (powerspaces.monad_laws, powerspaces.monad_preimage_identities,
+                                              powerspaces.algebra_laws)},
+}
+# the checks the benchmark harness calls as check(pw, limits)
+HARNESS_CHECKS = [*PAIR_BUILDERS.values(), check_preimage_identities]
+
+
+@pytest.mark.parametrize("check", list(TOWER_CHECKS.values()), ids=list(TOWER_CHECKS))
+def test_checks_read_their_caps_off_the_tower(check):
+    # O(X) of the 2-point antichain has 4 points, and every check builds
+    # at least one construction of that size
+    with pytest.raises(PowerspaceTooLarge):
+        check(Powers(antichain(2), Limits(max_construction_points=1)))
+
+
+@pytest.mark.parametrize("check", HARNESS_CHECKS, ids=lambda f: f.__name__)
+def test_harness_checks_take_only_the_towers_own_limits(check):
+    pw = Powers(D2, DEFAULT_LIMITS.with_cap(100))
+    assert check(pw, pw.limits) == check(pw) == check(pw, Limits(max_construction_points=100))
+    for foreign in (DEFAULT_LIMITS, pw.limits.with_cap(99), replace(pw.limits, seed=1)):
+        with pytest.raises(ValueError, match="is not the tower's"):
+            check(pw, foreign)
+
+
 def test_five_point_subject():
-    # the 4-point antichain with p4 below p0; every iterated construction
-    # has 887 points, more than any other subject in these tests
-    pw = Powers(FiniteSpace(("p0", "p1", "p2", "p3", "p4"), up=(1, 2, 4, 8, 17)))
-    for name in ("AK", "KA", "OO", "AO", "OK", "KO", "OA"):
-        assert getattr(pw, name).space.n == 887, name
-    for name, builder in PAIR_BUILDERS.items():
-        v = verify_pair(builder(pw))
-        assert v.holds, (name, v.witness)
-    v = check_preimage_identities(pw)
-    assert v.holds, v.witness
-    assert v.info["instances"] == 3644
+    """The 4-point antichain with p4 below p0, whose iterated constructions
+    have 887 points each, more than any other subject in these tests.  The
+    checks are called as the benchmark's homeo-large workload calls them,
+    with the tower's limits passed again, and the sizes, instances and
+    verdicts are the outputs that workload pins, read from its expected
+    outputs, never written."""
+    expected = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+    pins = json.loads(expected.read_text())["homeo-large"]["outputs"]
+    limits = DEFAULT_LIMITS
+    pw = Powers(FiniteSpace(("p0", "p1", "p2", "p3", "p4"), up=(1, 2, 4, 8, 17)), limits)
+    assert {name: getattr(pw, name).space.n for name in pins["sizes"]} == pins["sizes"]
+    verdicts = {name: verify_pair(builder(pw, limits)) for name, builder in PAIR_BUILDERS.items()}
+    witnesses = {name: v.witness for name, v in verdicts.items()}
+    assert {name: v.holds for name, v in verdicts.items()} == pins["verify_pair"], witnesses
+    v = check_preimage_identities(pw, limits)
+    assert v.holds == pins["preimage_identities"], v.witness
+    assert v.info["instances"] == pins["preimage_instances"]
 
 
 def test_sigma_example_on_discrete_pair():
@@ -260,12 +297,12 @@ def test_modal_set_shape_mismatches():
 
 def test_preimage_identities_small():
     for sp in enumerate_spaces(3):
-        v = check_preimage_identities(sp)
+        v = check_preimage_identities(Powers(sp))
         assert v.holds, v.witness
 
 
 def test_preimage_identities_empty_space():
-    assert check_preimage_identities(empty_space()).holds
+    assert check_preimage_identities(Powers(empty_space())).holds
 
 
 # square -> (pair builder, direction it checks, whether it runs against the arrows)
@@ -313,7 +350,7 @@ def _with_wrong_entry(space, which, point):
 def test_preimage_identities_fail_on_one_wrong_table_entry(which):
     for space in (D2, antichain(3)):
         builder, direction, _ = SQUARES[which]
-        n = getattr(builder(space), direction).domain.n
+        n = getattr(builder(Powers(space)), direction).domain.n
         for point in range(n):
             pw = _with_wrong_entry(space, which, point)
             v = check_preimage_identities(pw)
@@ -585,8 +622,8 @@ def test_distributive_law_small_and_guard():
     # no size guard of its own: every space of at most 3 points passes,
     # and the Limits cap bounds the triple-nested builds as everywhere
     for sp in enumerate_spaces(3):
-        v = check_distributive_law(sp)
+        v = check_distributive_law(Powers(sp))
         assert v.holds
         assert v.info["tau_orientation_holds"]
     with pytest.raises(PowerspaceTooLarge):  # A(K(K(X))) has 84 points
-        check_distributive_law(antichain(3), DEFAULT_LIMITS.with_cap(83))
+        check_distributive_law(Powers(antichain(3), DEFAULT_LIMITS.with_cap(83)))

@@ -12,7 +12,6 @@ from powerspace.checkers import (
     strong_compactness_implications,
     topology_coincidence,
 )
-from powerspace.config import DEFAULT_LIMITS
 from powerspace.core import (
     FiniteSpace,
     antichain,
@@ -32,18 +31,18 @@ D2 = antichain(2, names=("a", "b"))
 
 
 def test_consonance_on_small_spaces():
-    assert is_consonant(S).holds
-    assert is_consonant(empty_space()).holds
+    assert is_consonant(Powers(S)).holds
+    assert is_consonant(Powers(empty_space())).holds
     for sp in enumerate_spaces(4):
-        v = is_consonant(sp)
+        v = is_consonant(Powers(sp))
         assert v.holds and v.info["opens"] == len(sp.opens())
 
 
 def test_co_consonance_on_small_spaces():
-    assert is_co_consonant(S).holds
-    assert is_co_consonant(D2).holds
+    assert is_co_consonant(Powers(S)).holds
+    assert is_co_consonant(Powers(D2)).holds
     for sp in enumerate_spaces(4):
-        assert is_co_consonant(sp).holds
+        assert is_co_consonant(Powers(sp)).holds
 
 
 def _labelled_subjects(*constructions):
@@ -59,7 +58,7 @@ def _labelled_subjects(*constructions):
 
 def test_consonance_matches_literal_quantifier():
     for x in _labelled_subjects("K", "O"):
-        v = is_consonant(x)
+        v = is_consonant(Powers(x))
         assert v.holds == (literal_consonance(x) is None)
         assert v.info["opens"] == len(x.opens())
 
@@ -72,7 +71,7 @@ def test_co_consonance_matches_per_pair_candidates():
         lattice = open_lattice(x)
         tri = [lattice.diamond(d) for d in x.down]
         assert checkers._co_consonance_candidates(x, opens, tri) == least_triangle_intersections(x)
-        v = is_co_consonant(x)
+        v = is_co_consonant(Powers(x))
         assert v.holds == (literal_co_consonance(x) is None)
         assert v.info["opens"] == len(opens)
 
@@ -94,7 +93,7 @@ def test_co_consonance_fails_without_its_candidates(monkeypatch):
     # only the candidate, an empty intersection for the open {}, contains {}
     monkeypatch.setattr(checkers, "_co_consonance_candidates", lambda x, opens, tri: [0] * len(opens))
     for x in (S, antichain(3), chain(3)):
-        v = is_co_consonant(x)
+        v = is_co_consonant(Powers(x))
         assert not v.holds and v.witness["open"] == "{}"
         assert literal_co_consonance(x, candidates=[0] * len(x.opens())) is not None
 
@@ -105,36 +104,36 @@ def test_co_consonance_fails_on_a_coarser_candidate(monkeypatch):
     # no scan of triangle pairs rescues it
     monkeypatch.setattr(checkers, "_co_consonance_candidates", lambda x, opens, tri: [(1 << len(opens)) - 1] * len(opens))
     spaces = enumerate_spaces(4, up_to_iso=False)
-    failing = [x for x in spaces if not is_co_consonant(x).holds]
+    failing = [x for x in spaces if not is_co_consonant(Powers(x)).holds]
     assert failing == [x for x in spaces if x.n > 0] and len(failing) == 242
-    assert all(is_co_consonant(x).witness["open"] == Powers(x).O.space.names[1] for x in failing)
+    assert all(is_co_consonant(Powers(x)).witness["open"] == Powers(x).O.space.names[1] for x in failing)
 
 
 def test_upper_space_co_consonant():
     for sp in enumerate_spaces(3):
         pw = Powers(sp)
-        assert is_co_consonant(pw.K.space).holds
+        assert is_co_consonant(pw.over("K")).holds
 
 
 def test_checkers_exhaustive_on_large_lattices():
     # O(X) has 16 points and 168 opens; the literal quantifier would range
     # over the 1.4 billion upper families of its open-set lattice
-    x = Powers(antichain(4)).O.space
+    pw = Powers(antichain(4)).over("O")
     for checker in (is_consonant, is_co_consonant):
-        v = checker(x)
+        v = checker(pw)
         assert v.holds and v.info["opens"] == 168
 
 
 def test_wilker():
-    assert is_wilker(D2).holds
-    assert is_wilker(empty_space()).holds
+    assert is_wilker(Powers(D2)).holds
+    assert is_wilker(Powers(empty_space())).holds
     for sp in enumerate_spaces(4):
-        assert is_wilker(sp).holds
+        assert is_wilker(Powers(sp)).holds
 
 
 def test_wilker_matches_literal_triple_quantifier():
     for sp in enumerate_spaces(4, up_to_iso=False):
-        v = is_wilker(sp)
+        v = is_wilker(Powers(sp))
         assert v.holds == (literal_wilker(sp) is None)
         assert v.info["pairs"] == len(sp.opens()) ** 2
 
@@ -172,14 +171,14 @@ def test_irreducible_closed_sets_match_literal_quantifier():
 
 def test_consonance_equivalence_agreement():
     for sp in enumerate_spaces(4):
-        v = consonance_equivalence(sp)
+        v = consonance_equivalence(Powers(sp))
         assert v.holds
         assert v.info["definitional"] and v.info["sigma_bijective"] and v.info["tau_preimage_equality"]
 
 
 def test_strong_compactness_implications():
     for sp in enumerate_spaces(4):
-        v = strong_compactness_implications(sp)
+        v = strong_compactness_implications(Powers(sp))
         assert v.holds and v.info["consonant"] and v.info["co_consonant"]
 
 
@@ -196,7 +195,7 @@ def _with_discrete_open_lattice(x):
 def test_consonance_fails_on_a_discrete_open_lattice(x):
     # the compact filter of {} is every open, which the discrete order
     # does not put above {}
-    assert is_consonant(x).holds and consonance_equivalence(x).holds
+    assert is_consonant(Powers(x)).holds and consonance_equivalence(Powers(x)).holds
     v = is_consonant(_with_discrete_open_lattice(x))
     assert not v.holds and v.witness == {"family": "{{}}", "open": "{}"}
     v = consonance_equivalence(_with_discrete_open_lattice(x))
@@ -233,7 +232,7 @@ def test_wilker_fails_on_a_missing_point():
 def test_strong_compactness_implications_fail_without_co_consonance(monkeypatch):
     monkeypatch.setattr(checkers, "_co_consonance_candidates", lambda x, opens, tri: [0] * len(opens))
     for x in (S, antichain(3), chain(3)):
-        v = strong_compactness_implications(x)
+        v = strong_compactness_implications(Powers(x))
         assert not v.holds and v.witness == {"direction": "consonant but not co-consonant"}
 
 
@@ -270,7 +269,7 @@ def test_topology_coincidence_names_the_point_a_lost_generator_changes(monkeypat
     # dropping the generator for the open {top} leaves {bot,top} with a
     # larger least neighborhood than the order gives it
     subbasis = ConstructedSpace.subbasis
-    monkeypatch.setattr(ConstructedSpace, "subbasis", lambda cs, limits=DEFAULT_LIMITS: subbasis(cs, limits)[::2])
+    monkeypatch.setattr(ConstructedSpace, "subbasis", lambda cs: subbasis(cs)[::2])
     pw = Powers(S)
     v = topology_coincidence(pw.A, "weak")
     assert not v.holds

@@ -176,15 +176,15 @@ def test_embedding_ranges_on_labelled_spaces():
 
 def test_lens_identification():
     for sp in enumerate_spaces(3):
-        v = lens_pi02(sp)
+        v = lens_pi02(Powers(sp))
         assert v.holds
-    assert lens_pi02(S).info["lens_pairs"] == 4
-    assert lens_pi02(D2).info["lens_pairs"] == 4
+    assert lens_pi02(Powers(S)).info["lens_pairs"] == 4
+    assert lens_pi02(Powers(D2)).info["lens_pairs"] == 4
 
 
 def test_eta_image_characterizations():
     for sp in enumerate_spaces(4):
-        assert eta_image_characterizations(sp).holds
+        assert eta_image_characterizations(Powers(sp)).holds
 
 
 def test_presentation_serialization():

@@ -19,7 +19,7 @@ from powerspace.core import PtSet, sierpinski
 from powerspace.suites import SUITES, CheckRecord, SuiteReport
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = [ROOT / "perfbench" / "worker.py", *sorted((ROOT / "scripts").glob("*.py"))]
+FILES = [ROOT / "perfbench" / "worker.py", ROOT / "perfbench" / "record.py", *sorted((ROOT / "scripts").glob("*.py"))]
 # __init__.py files import names to re-export them, not to use them
 MODULES = sorted(p for d in ("src", "scripts", "tests") for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py")
 
