@@ -28,6 +28,13 @@ there.  K is in the key because the cover depends on it; the key packs
 the state into one int, (K << 2m) | (F << m) | G for m opens, a quarter
 of the memory of a tuple key.  The indices are the relation's own, so
 the memo dies with the relation.
+
+The suite's wilker_splits enters each walk at level 1: the level-0
+candidates, the refiners of U1 and of U2, are listed once per cover
+pair, and each K is covered from them before the memo is asked.  So
+the suite's memo holds the states walked from level 1 on; wilker_split,
+for one triple, walks from the level-0 state (K, {U1}, {U2}), whose
+split is its successor's.
 """
 
 from __future__ import annotations
@@ -234,16 +241,14 @@ def _open_walk(r: ApproxRelation, limits: Limits) -> _OpenWalk:
     return r._walk_tables
 
 
-def _step(w: _OpenWalk, k: int, f: int, g: int) -> tuple[int, int, int]:
-    """One level: (f', g', chosen).  The greedy cover keeps an open
-    exactly when it covers something still uncovered."""
-    fr = union_of(w.refiners, f)
-    gr = union_of(w.refiners, g)
+def _cover(w: _OpenWalk, k: int, candidates) -> int:
+    """The greedy cover of K from the (index, open) candidates, in their
+    order, as an index mask: it keeps an open exactly when it covers
+    something still uncovered."""
     chosen, remaining = 0, k
-    for i in bits(fr | gr):
+    for i, v in candidates:
         if not remaining:
             break
-        v = w.opens[i]
         if v & remaining:
             chosen |= 1 << i
             remaining &= ~v
@@ -252,6 +257,15 @@ def _step(w: _OpenWalk, k: int, f: int, g: int) -> tuple[int, int, int]:
             "the refinement relation cannot cover the compact set "
             f"(missing {set_label(w.names, remaining)})"
         )
+    return chosen
+
+
+def _step(w: _OpenWalk, k: int, f: int, g: int) -> tuple[int, int, int]:
+    """One level: (f', g', chosen), covering K from the refiners of F and
+    of G by index."""
+    fr = union_of(w.refiners, f)
+    gr = union_of(w.refiners, g)
+    chosen = _cover(w, k, ((i, w.opens[i]) for i in bits(fr | gr)))
     return chosen & fr, chosen & gr, chosen
 
 
@@ -306,6 +320,31 @@ def wilker_split(r: ApproxRelation, k: int, u1: int, u2: int, limits: Limits = D
     return k1, k2
 
 
+def wilker_splits(r: ApproxRelation, limits: Limits = DEFAULT_LIMITS):
+    """(U1, U2, K, split) for every triple of opens in product order with
+    K inside U1 | U2, on masks and with no input checks, as wilker_split;
+    split is (K1, K2), or None when it misses the postconditions.  The
+    cap is decided once, before the first triple, and each walk entered
+    at level 1 (module docstring)."""
+    w = _open_walk(r, limits)
+    opens, refiners, memo = w.opens, w.refiners, w.memo
+    m = len(opens)
+    indexed = tuple(enumerate(opens))
+    for (i1, u1), (i2, u2) in product(indexed, repeat=2):
+        fr, gr = refiners[i1], refiners[i2]
+        candidates = [indexed[i] for i in bits(fr | gr)]
+        for k in opens:
+            if k & ~(u1 | u2):
+                continue
+            chosen = _cover(w, k, candidates)
+            f, g = chosen & fr, chosen & gr
+            split = memo.get((k << 2 * m) | (f << m) | g)
+            if split is None:
+                *_, split = _walk(w, k, f, g, memo)
+            k1, k2 = split
+            yield u1, u2, k, None if k1 & ~u1 or k2 & ~u2 or k & ~(k1 | k2) else split
+
+
 def wilker_decompose(
     x: FiniteSpace,
     r: ApproxRelation,
@@ -316,6 +355,8 @@ def wilker_decompose(
 ) -> tuple[PtSet, PtSet]:
     """Split a compact set under a two-open cover along the refinement
     trees.  Returns saturated K1 inside U1 and K2 inside U2 covering K."""
+    if r.space != x:
+        raise PreconditionViolated("the relation must live on the given space")
     for s in (k, u1, u2):
         if s.space != x:
             raise PreconditionViolated("all sets must live in the given space")
@@ -340,6 +381,8 @@ def wilker_decomposition_trace(
 ) -> dict:
     """Same walk as wilker_decompose, with no memo, exported level by
     level for audit."""
+    if r.space != x:
+        raise PreconditionViolated("the relation must live on the given space")
     w = _open_walk(r, limits)
     if u1.mask not in w.index or u2.mask not in w.index:
         raise PreconditionViolated("U1 and U2 must be open")

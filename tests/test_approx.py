@@ -14,6 +14,7 @@ from powerspace.approx import (
     wilker_decompose,
     wilker_decomposition_trace,
     wilker_split,
+    wilker_splits,
 )
 from powerspace.config import DEFAULT_LIMITS
 from powerspace.core import PtSet, antichain, chain, empty_space, enumerate_spaces, set_label, sierpinski
@@ -248,6 +249,78 @@ def test_memoised_split_matches_literal_walk():
             want = literal_wilker_walk(sp, r, k, u1, u2)
             k1, k2 = wilker_split(r, k, u1, u2)
             assert (set_label(sp.names, k1), set_label(sp.names, k2)) == (want["k1"], want["k2"]), (sp, k, u1, u2)
+
+
+def _with_strict_pairs(sp, rng, p):
+    """The canonical relation plus random strict pairs (U, V) of opens,
+    each closed upward in V; it passes the axioms, since no strict pair
+    refines itself and the canonical pairs already cover every open.
+
+    Every valid relation holds the canonical one: the refiners of up(p)
+    must cover p, so up(p) refines itself and, upward, every open above
+    it.  An added refiner U is never chosen, though: each point p of U
+    still to cover meets up(p) first, a smaller mask that refines
+    whatever U refines.  So these relations read other refiner tables
+    but take the canonical walks."""
+    opens = sp.opens()
+    pairs = set(canonical_approx_relation(sp).pairs)
+    for u, v in product(opens, repeat=2):
+        if u != v and not u & ~v and rng.random() < p:
+            pairs.update((u, w) for w in opens if not v & ~w)
+    return ApproxRelation(sp, frozenset(pairs))
+
+
+def test_generated_splits_match_single_triples_and_literal_walk():
+    """wilker_splits against wilker_split, on a second relation with the
+    same pairs and so its own memo, and against the literal walk: every
+    covered triple in product order, on every labelled space of at most 3
+    points and the 24 spaces of at most 4 points, all in one process,
+    under the canonical relation and under two valid relations with
+    strict pairs added, which walk as the canonical one does."""
+    rng = random.Random(31)
+    spaces = [sp for sp in (*enumerate_spaces(3, up_to_iso=False), *enumerate_spaces(4)) if sp.n]
+    triples = extended = 0
+    for sp in spaces:
+        canonical = canonical_approx_relation(sp)
+        canonical_levels = {}
+        for r in (canonical, _with_strict_pairs(sp, rng, 0.25), _with_strict_pairs(sp, rng, 0.5)):
+            require_valid_relation(r)
+            extended += r.pairs != canonical.pairs
+            single = ApproxRelation(sp, r.pairs)
+            got = list(wilker_splits(r))
+            covered = [(u1, u2, k) for u1, u2, k in product(sp.opens(), repeat=3) if not k & ~(u1 | u2)]
+            assert [t[:3] for t in got] == covered
+            for u1, u2, k, split in got:
+                assert split == wilker_split(single, k, u1, u2), (sp, r, k, u1, u2)
+                want = literal_wilker_walk(sp, r, k, u1, u2)
+                assert (set_label(sp.names, split[0]), set_label(sp.names, split[1])) == (want["k1"], want["k2"])
+                assert canonical_levels.setdefault((u1, u2, k), want["levels"]) == want["levels"]
+            triples += len(got)
+    assert triples == 33819 and extended > 60
+
+
+def test_generated_splits_decide_the_cap_before_yielding():
+    # below the 8 opens of antichain(3), as for the kept walk below
+    x = antichain(3)
+    r = canonical_approx_relation(x)
+    full = x.full_mask
+    assert next(wilker_splits(r, DEFAULT_LIMITS)) == (0, 0, 0, (0, 0))
+    assert (full, full, full, (full, full)) in wilker_splits(r, DEFAULT_LIMITS)
+    with pytest.raises(PowerspaceTooLarge):
+        next(wilker_splits(r, DEFAULT_LIMITS.with_cap(7)))
+
+
+def test_decompose_rejects_a_relation_on_another_space():
+    # K, U1 and U2 live in x, the relation on the Sierpinski space: its
+    # open family would be read for x's, or lack x's opens altogether
+    x = antichain(2)
+    r = canonical_approx_relation(S)
+    both, a0, none = PtSet(x, 0b11), PtSet(x, 0b01), PtSet(x, 0)
+    for k, u1, u2 in ((both, both, both), (a0, a0, none)):
+        with pytest.raises(PreconditionViolated, match="relation"):
+            wilker_decompose(x, r, k, u1, u2)
+        with pytest.raises(PreconditionViolated, match="relation"):
+            wilker_decomposition_trace(x, r, k, u1, u2)
 
 
 def test_kept_verdict_and_walk_do_not_pass_a_smaller_cap():

@@ -33,6 +33,11 @@ GOLDEN = {
 CONSONANCE_AT_5 = ("200ce471105f932edb8ca958a57c15d41e6e58ed0971b5a73caec29bb3da8680",
                    "0970bb629e29752169ed6c27b21ea390bf2590f80c58065bb5c74fc8a384b6f7")
 
+# and for the wilker suite at --max-points 5: 108,614 covered triples over
+# 87 subjects, where default scope reaches 9,048
+WILKER_AT_5 = ("8c83397dc3c0750d0b836cde8766b02367999ef550b7d8c3386e80c66823261e",
+               "90117cb677f2071a6a01f450d18fc80aadb5210e2cf85aa934ba8e75934e802b")
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -126,6 +131,12 @@ def test_golden_consonance_body_at_five_points():
     assert (_sha256(body), _sha256("\n".join(report.lines()))) == CONSONANCE_AT_5
 
 
+def test_golden_wilker_body_at_five_points():
+    report = run_suite("wilker", max_points=5)
+    body = json.dumps(report.to_json(include_timings=False), sort_keys=True)
+    assert (_sha256(body), _sha256("\n".join(report.lines()))) == WILKER_AT_5
+
+
 @pytest.mark.parametrize("job", [monad_space_job, consonance_space_job])
 def test_jobs_build_each_construction_once(job, builds):
     for space in enumerate_spaces(3):
@@ -160,14 +171,18 @@ def test_consonance_job_runs_each_checker_once_per_tower(monkeypatch):
 
 def test_decompose_all_triples_fails_on_an_unsaturated_split(monkeypatch):
     # on the Sierpinski space {bot} is not saturated, yet with {top} it
-    # covers K = {bot,top} under U1 = {bot,top} and U2 = {top}
+    # covers K = {bot,top} under U1 = {bot,top} and U2 = {top}; the walk
+    # for that triple is entered at level 1, where the greedy cover chose
+    # {top} and {bot,top}, both alive on the U1 side and {top} on the U2
+    # side, a state no earlier triple walks
     x = sierpinski()
     bot, top, full = 0b01, 0b10, 0b11
     walk = approx._walk
 
     def unsaturated(w, k, f, g, memo=None):
         *trace, split = walk(w, k, f, g, memo)
-        return (*trace, (bot, top)) if (k, f, g) == (full, 1 << w.index[full], 1 << w.index[top]) else (*trace, split)
+        level_1 = (full, 1 << w.index[top] | 1 << w.index[full], 1 << w.index[top])
+        return (*trace, (bot, top)) if (k, f, g) == level_1 else (*trace, split)
 
     monkeypatch.setattr(approx, "_walk", unsaturated)
     [relation_valid, triples] = _space_job("wilker", x, DEFAULT_LIMITS)
@@ -177,8 +192,8 @@ def test_decompose_all_triples_fails_on_an_unsaturated_split(monkeypatch):
 
 
 def test_decompose_all_triples_steps_each_state_once(monkeypatch):
-    # 2,641 distinct walk states on antichain(4); walking every triple
-    # from scratch took 4,786 level steps
+    # 256 distinct walk states on antichain(4), each walk entered at
+    # level 1
     steps = []
     step = approx._step
 
@@ -189,4 +204,4 @@ def test_decompose_all_triples_steps_each_state_once(monkeypatch):
     monkeypatch.setattr(approx, "_step", counting)
     [relation_valid, triples] = _space_job("wilker", antichain(4), DEFAULT_LIMITS)
     assert relation_valid.passed and triples.passed
-    assert len(steps) == len(set(steps)) <= 2641
+    assert len(steps) == len(set(steps)) <= 256
