@@ -10,6 +10,15 @@ can fan them out to a process pool, each worker making its own records;
 results are merged back in canonical order regardless of worker
 scheduling.  Timings live in their own section of the report and are
 the only non-deterministic part.
+
+Within one run_suite call, jobs share one tower per subject: _tower
+keeps the towers by (space, limits), so every suite of "all", the
+naturality records and pi02's subspaces read one Powers per subject and
+build each construction once.  A tower is a cache of pure functions of
+its subject, so sharing it changes no record, only which check a
+build's time is charged to.  The memo lives for the outermost call and
+is dropped when it returns or raises; each pool worker keeps its own
+for the life of the pool.
 """
 
 from __future__ import annotations
@@ -193,8 +202,9 @@ def pi02_space_job(pw: Powers):
         sub, embedding = subspace(space, mask)
         pres = pi02.presentation_for_subset(space, mask)
         yield f"presentation_roundtrip[{mask}]", lambda: _presentation_roundtrip(pres, mask)
-        # the subset's constructions are built inside the check that first uses them
-        sub_pw = Powers(sub, limits)
+        # the subset's constructions are built inside the check that first
+        # uses them, once per call for equal subspaces of different subjects
+        sub_pw = _tower(sub, limits)
         yield f"lower_range[{mask}]", lambda: pi02.lower_embedding_range(embedding, pres, sub_pw.A, pw.A)
         yield f"upper_range[{mask}]", lambda: pi02.upper_embedding_range(embedding, pres, sub_pw.K, pw.K)
     yield "lens_identification", lambda: pi02.lens_pi02(pw)
@@ -253,14 +263,36 @@ JOBS = {
 DEFAULT_SCOPE = {"homeo": 4, "monad": 3, "consonance": 4, "pi02": 3, "wilker": 4}
 
 
+_towers: dict | None = None  # (space, limits) -> Powers, while a run_suite call is open
+
+
+def _tower(space: FiniteSpace, limits: Limits) -> Powers:
+    """The tower of space under limits: the one kept for this run_suite
+    call, or a fresh one outside a call."""
+    if _towers is None:
+        return Powers(space, limits)
+    pw = _towers.get((space, limits))
+    if pw is None:
+        pw = _towers[space, limits] = Powers(space, limits)
+    return pw
+
+
+def _open_towers() -> None:
+    """Start a pool worker's memo; a forked worker keeps the one it
+    inherited."""
+    global _towers
+    if _towers is None:
+        _towers = {}
+
+
 def _space_job(suite: str, space: FiniteSpace, limits: Limits) -> list[CheckRecord]:
-    return _timed(_label(space), JOBS[suite](Powers(space, limits)))
+    return _timed(_label(space), JOBS[suite](_tower(space, limits)))
 
 
 def _run_spaces(suite: str, spaces, limits: Limits, jobs: int) -> list[CheckRecord]:
     args = (repeat(suite), spaces, repeat(limits))
     if jobs > 1 and len(spaces) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_open_towers) as pool:
             chunks = list(pool.map(_space_job, *args))
     else:
         chunks = list(map(_space_job, *args))
@@ -274,6 +306,20 @@ def run_suite(
     jobs: int = 1,
     limits: Limits = DEFAULT_LIMITS,
 ) -> SuiteReport:
+    """The report of suite, or of every suite for "all".  The outermost
+    call keeps one tower per subject for its whole run, nested calls
+    share it, and it is dropped when the outermost call ends."""
+    global _towers
+    if _towers is not None:
+        return _run_suite(suite, max_points, include_empty, jobs, limits)
+    _towers = {}
+    try:
+        return _run_suite(suite, max_points, include_empty, jobs, limits)
+    finally:
+        _towers = None
+
+
+def _run_suite(suite: str, max_points, include_empty: bool, jobs: int, limits: Limits) -> SuiteReport:
     if suite == "all":
         parts = [run_suite(s, max_points, include_empty, jobs, limits) for s in SUITES]
         subjects = sorted({s for part in parts for s in part.subjects})
@@ -304,9 +350,13 @@ def _naturality_records(max_points: int, include_empty: bool, limits: Limits) ->
     hits.  If they all hold, every pair passes.  If one fails, every pair
     runs the literal sweep of _naturality over all its maps, which names
     the first failing map and square.
+
+    Inside a run_suite call the towers are the call's, so the homeo jobs'
+    builds and kept pairs serve here too; called outside one, it makes
+    its own.
     """
     spaces = _spaces(max_points, include_empty)
-    towers = {s: Powers(s, limits) for s in spaces}
+    towers = {s: _tower(s, limits) for s in spaces}
 
     @cache
     def generators_hold() -> bool:

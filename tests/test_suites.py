@@ -8,6 +8,7 @@ import pytest
 from powerspace import approx, checkers, powerspaces, suites
 from powerspace.config import DEFAULT_LIMITS
 from powerspace.core import PtSet, Verdict, antichain, enumerate_spaces, sierpinski
+from powerspace.errors import PowerspaceTooLarge
 from powerspace.powerspaces import Powers
 from powerspace.suites import SUITES, _space_job, _timed, consonance_space_job, monad_space_job, run_suite
 
@@ -86,6 +87,13 @@ def test_parallel_jobs_match_serial():
         assert serial == parallel, suite
 
 
+def test_parallel_all_matches_serial():
+    # each pool worker keeps its own towers, the parent those of the
+    # naturality records and of the one-subject suites
+    serial = run_suite("all", max_points=2, jobs=1).to_json(include_timings=False)
+    assert run_suite("all", max_points=2, jobs=2).to_json(include_timings=False) == serial
+
+
 def test_run_all_merges(monkeypatch):
     # the benchmark's traced verify-all patches suites.run_suite the same
     # way and reads each suite's part from the call run_suite("all") makes
@@ -146,10 +154,27 @@ def test_jobs_build_each_construction_once(job, builds):
         assert not twice, (space, twice)
 
 
-@pytest.mark.parametrize("suite, most", [("monad", 80), ("consonance", 192), ("pi02", 124)])
+@pytest.mark.parametrize("suite, most", [("homeo", 240), ("monad", 80), ("consonance", 192), ("pi02", 38)])
 def test_default_scope_build_counts(suite, most, builds):
     run_suite(suite)
     assert len(builds) <= most
+
+
+def test_all_builds_each_construction_once(builds):
+    # every suite, the naturality records and pi02's subspaces read one
+    # tower per subject for the whole call
+    run_suite("all")
+    assert (len(builds), len(builds) - len(set(builds))) == (306, 0)
+
+
+def test_no_tower_outlives_a_call(builds):
+    # a cap exit drops the call's towers too: the 1-point space's, built
+    # before A(K(X)) refused, would otherwise serve the next call
+    with pytest.raises(PowerspaceTooLarge, match=r"^n1-526084feaa6a: A\(K\(X\)\) would have more than 2 points$"):
+        run_suite("homeo", 2, limits=DEFAULT_LIMITS.with_cap(2))
+    builds.clear()
+    run_suite("monad")
+    assert len(builds) == 80
 
 
 def test_consonance_job_runs_each_checker_once_per_tower(monkeypatch):
