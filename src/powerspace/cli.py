@@ -101,7 +101,7 @@ def _emit(payload: str, out: str | None):
 
 
 def _cmd_enumerate(args) -> int:
-    spaces = enumerate_spaces(args.n, up_to_iso=True)
+    spaces = enumerate_spaces(args.n)
     if not args.include_empty:
         spaces = [s for s in spaces if s.n > 0]
     lines = [json.dumps(space_to_json(s), sort_keys=True) for s in spaces]

@@ -16,8 +16,8 @@ import hashlib
 import json
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
-from itertools import combinations, compress, count, permutations, product, repeat
+from functools import cache, cached_property, reduce
+from itertools import compress, count, permutations, product, repeat
 from operator import and_, itemgetter, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -434,8 +434,8 @@ def generating_maps(spaces: Sequence[FiniteSpace]) -> list[SpaceMap]:
 
     - every automorphism of R, the identity first;
     - per point p, the inclusion rep(R - p) -> R of R without p;
-    - per cover pair or incomparable pair {a, b}, the merge
-      R -> rep(R/{a,b}) that identifies a and b;
+    - per cover pair a < b, the merge R -> rep(R/{a,b}) that identifies
+      a and b;
     - per ordered incomparable pair (a, b), the extension R -> rep(R + a<=b),
       the identity on points onto R's order with down(a) x up(b) added,
       again a partial order.
@@ -451,19 +451,20 @@ def generating_maps(spaces: Sequence[FiniteSpace]) -> list[SpaceMap]:
 
     - f misses a point p: it corestricts to f': R -> R' - p, so f is the
       deletion at p after c o f', whose codomain is smaller.
-    - f is onto but not one-to-one: some fibre holds x < y or two
-      incomparable points, and with x < y every point of a maximal chain
-      from x to y lies in that fibre (f(x) <= f(z) <= f(y) = f(x)), so
-      some fibre holds a cover pair or an incomparable pair {a, b}.
-      Identifying one such pair closes no cycle, so R/{a,b} is a partial
+    - f is onto but not one-to-one, and some fibre holds x < y: every
+      point of a maximal chain from x to y lies in that fibre
+      (f(x) <= f(z) <= f(y) = f(x)), so it holds a cover pair a < b.
+      Identifying a cover pair closes no cycle, so R/{a,b} is a partial
       order, and f, constant on {a, b}, is g o q for a monotone g on it.
       So f is (g o c^-1) after the merge c o q, whose codomain is smaller
       than R.
-    - f is one-to-one and onto but not an isomorphism: some a, b have
-      f(a) <= f(b) with a not below b; b < a would force f(a) = f(b), so
-      a and b are incomparable.  f stays monotone on R with a <= b added,
-      so f is (f o c^-1) after the extension c o e, whose codomain has
-      the points of R and more order pairs.
+    - f is onto, no fibre holds x < y, and f is not an isomorphism: some
+      a not below b has f(a) <= f(b), two points of one fibre or, with f
+      one-to-one, a pair its inverse does not keep in order.  b < a
+      would put a and b in one fibre (f(b) <= f(a) <= f(b)), so a and b
+      are incomparable.  f stays monotone on R with a <= b added, so f
+      is (f o c^-1) after the extension c o e at (a, b), whose codomain
+      has the points of R and more order pairs.
     - f is an isomorphism: R and R' are one class, so R = R' and f is
       one of R's automorphisms.
 
@@ -489,20 +490,18 @@ def generating_maps(spaces: Sequence[FiniteSpace]) -> list[SpaceMap]:
             for k, v in enumerate(perm):
                 table[v] = inclusion.table[k]
             out.append(SpaceMap(reps[key], r, tuple(table)))
-        apart = [(a, b) for a, b in permutations(range(n), 2) if not (up[a] >> b & 1 or up[b] >> a & 1)]
-        mergeable = set(apart).union(r.covers())
-        for a, b in combinations(range(n), 2):
-            if (a, b) in mergeable or (b, a) in mergeable:
-                pair, hull, low = 1 << a | 1 << b, up[a] | up[b], (1 << b) - 1
+        for a, b in map(sorted, r.covers()):
+            pair, hull, low = 1 << a | 1 << b, up[a] | up[b], (1 << b) - 1
 
-                def squeeze(m: int) -> int:
-                    # drop point b, whose bit goes to a, and close the gap
-                    return m & low | (m >> b + 1) << b | (m >> b & 1) << a
+            def squeeze(m: int) -> int:
+                # drop point b, whose bit goes to a, and close the gap
+                return m & low | (m >> b + 1) << b | (m >> b & 1) << a
 
-                rows = [squeeze(m | hull if m & pair else m) for x, m in enumerate(up) if x != b]
-                out.append(onto_rep(r, rows, [a if x == b else x - (x > b) for x in range(n)]))
-        for a, b in apart:
-            out.append(onto_rep(r, [m | up[b] if m >> a & 1 else m for m in up], range(n)))
+            rows = [squeeze(m | hull if m & pair else m) for x, m in enumerate(up) if x != b]
+            out.append(onto_rep(r, rows, [a if x == b else x - (x > b) for x in range(n)]))
+        for a, b in permutations(range(n), 2):
+            if not (up[a] >> b & 1 or up[b] >> a & 1):
+                out.append(onto_rep(r, [m | up[b] if m >> a & 1 else m for m in up], range(n)))
     return out
 
 
@@ -705,14 +704,7 @@ def canonical_relabeling(up: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[in
     return min(_relabelings(up))
 
 
-def canonical_order_key(up: tuple[int, ...]) -> tuple[int, ...]:
-    """Least relabeling of the order under all point permutations."""
-    return canonical_relabeling(up)[0]
-
-
-_POSET_CACHE: dict[int, list[tuple[int, ...]]] = {}
-
-
+@cache
 def _canonical_posets_exact(k: int) -> list[tuple[int, ...]]:
     """All posets on exactly k points, one canonical representative each.
 
@@ -721,48 +713,27 @@ def _canonical_posets_exact(k: int) -> list[tuple[int, ...]]:
     """
     if k == 0:
         return [()]
-    got = _POSET_CACHE.get(k)
-    if got is not None:
-        return got
     out: set[tuple[int, ...]] = set()
     for smaller in _canonical_posets_exact(k - 1):
         for low in enumerate_upper_sets(transpose(smaller, k - 1)):
             up = [m | (1 << (k - 1)) if (low >> i) & 1 else m for i, m in enumerate(smaller)]
             up.append(1 << (k - 1))
-            out.add(canonical_order_key(tuple(up)))
-    result = sorted(out)
-    _POSET_CACHE[k] = result
-    return result
+            out.add(canonical_relabeling(tuple(up))[0])
+    return sorted(out)
 
 
-_SPACE_CACHE: dict[tuple[int, bool], tuple[FiniteSpace, ...]] = {}
 MAX_ENUMERATION_POINTS = 6  # largest n accepted by enumerate_spaces
 
 
-def enumerate_spaces(n: int, up_to_iso: bool = True) -> tuple[FiniteSpace, ...]:
-    """All finite T0 spaces on at most n points, the empty space included.
-
-    With up_to_iso the list carries one representative per poset
-    isomorphism class; otherwise every labeling appears.
-    """
+@cache
+def enumerate_spaces(n: int) -> tuple[FiniteSpace, ...]:
+    """All finite T0 spaces on at most n points, the empty space included,
+    one representative per poset isomorphism class."""
     if n > MAX_ENUMERATION_POINTS:
         raise LimitExceeded(f"enumeration capped at {MAX_ENUMERATION_POINTS} points")
-    key = (n, up_to_iso)
-    got = _SPACE_CACHE.get(key)
-    if got is not None:
-        return got
-    spaces: list[FiniteSpace] = []
-    for k in range(n + 1):
-        reps = _canonical_posets_exact(k)
-        if up_to_iso:
-            ups: list[tuple[int, ...]] = reps
-        else:
-            ups = sorted({t for up in reps for t, _ in _relabelings(up)})
-        names = tuple(f"p{i}" for i in range(k))
-        spaces.extend(FiniteSpace(names, up) for up in ups)
-    result = tuple(spaces)
-    _SPACE_CACHE[key] = result
-    return result
+    return tuple(
+        FiniteSpace(tuple(f"p{i}" for i in range(k)), up) for k in range(n + 1) for up in _canonical_posets_exact(k)
+    )
 
 
 # ---------------------------------------------------------------------------

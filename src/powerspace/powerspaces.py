@@ -50,7 +50,6 @@ from .core import (
     Verdict,
     check_continuous,
     intersection_of,
-    mask_of,
     set_label,
     transpose,
     union_of,
@@ -222,7 +221,7 @@ class ConstructedSpace:
         neighborhoods it generates with those of the order."""
         opens = self.base._opens
         if self.kind == KIND_OPENS:
-            return [mask_of(j for j, v in enumerate(self.extents) if not (u & ~v)) for u in opens]
+            return [self.containing(u) for u in opens]
         dia = [self.diamond(u) for u in opens] if self.kind in (KIND_LOWER, KIND_CONVEX) else []
         box = [self.box(u) for u in opens] if self.kind in (KIND_UPPER, KIND_CONVEX) else []
         return dia + box

@@ -131,7 +131,7 @@ def _label(space: FiniteSpace) -> str:
 
 
 def _spaces(max_points: int, include_empty: bool):
-    spaces = enumerate_spaces(max_points, up_to_iso=True)
+    spaces = enumerate_spaces(max_points)
     return [s for s in spaces if include_empty or s.n > 0]
 
 

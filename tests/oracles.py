@@ -1,12 +1,13 @@
 """Literal quantifiers kept as test oracles for the library's shortcuts."""
 
-from functools import reduce
-from itertools import product
+from functools import cache, reduce
+from itertools import permutations, product
 from operator import or_
 
 from powerspace.canonical import _SQUARES, alpha_beta, gamma_delta, phi_psi, sigma_tau
 from powerspace.config import DEFAULT_LIMITS
 from powerspace.core import (
+    FiniteSpace,
     Verdict,
     bits,
     compose,
@@ -50,6 +51,24 @@ def row_union_covers(up) -> list[tuple[int, int]]:
     if len(set(up)) != n:
         raise ValueError("order must be antisymmetric")
     return edges
+
+
+@cache
+def labelled_spaces(n: int) -> tuple[FiniteSpace, ...]:
+    """Every labelling of every T0 space on at most n points, by size,
+    then by rows: each representative of enumerate_spaces(n) under all
+    k! point permutations, point i renamed perm[i], duplicates dropped."""
+    out = []
+    for k in range(n + 1):
+        labelled = set()
+        for rep in (s for s in enumerate_spaces(n) if s.n == k):
+            for perm in permutations(range(k)):
+                rows = [0] * k
+                for i, m in enumerate(rep.up):
+                    rows[perm[i]] = sum(1 << perm[j] for j in bits(m))
+                labelled.add(tuple(rows))
+        out += (FiniteSpace(tuple(f"p{i}" for i in range(k)), up) for up in sorted(labelled))
+    return tuple(out)
 
 
 def literal_rows(cs) -> tuple[int, ...]:

@@ -20,7 +20,7 @@ from powerspace.config import DEFAULT_LIMITS
 from powerspace.core import PtSet, antichain, chain, empty_space, enumerate_spaces, set_label, sierpinski
 from powerspace.errors import EmptySpace, NoUniquePoint, PowerspaceTooLarge, PreconditionViolated
 
-from oracles import literal_approx_axioms, literal_wilker_walk
+from oracles import labelled_spaces, literal_approx_axioms, literal_wilker_walk
 
 S = sierpinski()
 D2 = antichain(2, names=("a", "b"))
@@ -110,7 +110,7 @@ def test_axioms_match_literal_oracle():
     rng = random.Random(16)
     named = {}
     relations = 0
-    for sp in enumerate_spaces(3, up_to_iso=False):
+    for sp in labelled_spaces(3):
         opens = sp.opens()
         masks = range(sp.full_mask + 1)
         subset_pairs = [(u, v) for u in opens for v in opens if not (u & ~v)]
@@ -215,7 +215,7 @@ def test_trace_matches_reference_walk():
     whose walks may find no cover."""
     rng = random.Random(5)
     outcomes = {"covered": 0, "no cover": 0}
-    for sp in enumerate_spaces(3, up_to_iso=False):
+    for sp in labelled_spaces(3):
         opens = sp.opens()
         masks = range(sp.full_mask + 1)
         subset_pairs = sorted((u, v) for u in masks for v in masks if not (u & ~v))
@@ -238,7 +238,7 @@ def test_memoised_split_matches_literal_walk():
     labelled space of at most 3 points, then the 24 spaces of at most 4
     points up to isomorphism, all in one process, so that a memo keyed
     without K or shared across spaces gives a wrong split."""
-    spaces = [sp for sp in (*enumerate_spaces(3, up_to_iso=False), *enumerate_spaces(4)) if sp.n]
+    spaces = [sp for sp in (*labelled_spaces(3), *enumerate_spaces(4)) if sp.n]
     assert len(spaces) == 23 + 24
     for sp in spaces:
         r = canonical_approx_relation(sp)
@@ -278,7 +278,7 @@ def test_generated_splits_match_single_triples_and_literal_walk():
     under the canonical relation and under two valid relations with
     strict pairs added, which walk as the canonical one does."""
     rng = random.Random(31)
-    spaces = [sp for sp in (*enumerate_spaces(3, up_to_iso=False), *enumerate_spaces(4)) if sp.n]
+    spaces = [sp for sp in (*labelled_spaces(3), *enumerate_spaces(4)) if sp.n]
     triples = extended = 0
     for sp in spaces:
         canonical = canonical_approx_relation(sp)

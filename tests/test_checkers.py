@@ -24,7 +24,13 @@ from powerspace.core import (
 )
 from powerspace.powerspaces import ConstructedSpace, open_lattice
 
-from oracles import least_triangle_intersections, literal_co_consonance, literal_consonance, literal_wilker
+from oracles import (
+    labelled_spaces,
+    least_triangle_intersections,
+    literal_co_consonance,
+    literal_consonance,
+    literal_wilker,
+)
 
 S = sierpinski()
 D2 = antichain(2, names=("a", "b"))
@@ -48,8 +54,8 @@ def test_co_consonance_on_small_spaces():
 def _labelled_subjects(*constructions):
     """Every labelled space of at most 4 points, then the named
     constructions of every labelled space of at most 3 points."""
-    subjects = list(enumerate_spaces(4, up_to_iso=False))
-    for sp in enumerate_spaces(3, up_to_iso=False):
+    subjects = list(labelled_spaces(4))
+    for sp in labelled_spaces(3):
         pw = Powers(sp)
         subjects += [getattr(pw, c).space for c in constructions]
     assert len(subjects) == 243 + len(constructions) * 24
@@ -103,7 +109,7 @@ def test_co_consonance_fails_on_a_coarser_candidate(monkeypatch):
     # open but {}, so it fails on exactly the labelled spaces with a point;
     # no scan of triangle pairs rescues it
     monkeypatch.setattr(checkers, "_co_consonance_candidates", lambda x, opens, tri: [(1 << len(opens)) - 1] * len(opens))
-    spaces = enumerate_spaces(4, up_to_iso=False)
+    spaces = labelled_spaces(4)
     failing = [x for x in spaces if not is_co_consonant(Powers(x)).holds]
     assert failing == [x for x in spaces if x.n > 0] and len(failing) == 242
     assert all(is_co_consonant(Powers(x)).witness["open"] == Powers(x).O.space.names[1] for x in failing)
@@ -132,7 +138,7 @@ def test_wilker():
 
 
 def test_wilker_matches_literal_triple_quantifier():
-    for sp in enumerate_spaces(4, up_to_iso=False):
+    for sp in labelled_spaces(4):
         v = is_wilker(Powers(sp))
         assert v.holds == (literal_wilker(sp) is None)
         assert v.info["pairs"] == len(sp.opens()) ** 2
@@ -155,8 +161,8 @@ def test_sobriety_fails_on_a_wrong_closure_index():
 
 
 def test_irreducible_closed_sets_match_literal_quantifier():
-    subjects = list(enumerate_spaces(4, up_to_iso=False))
-    for sp in enumerate_spaces(3, up_to_iso=False):
+    subjects = list(labelled_spaces(4))
+    for sp in labelled_spaces(3):
         pw = Powers(sp)
         subjects += [pw.A.space, pw.O.space]
     for sp in subjects:
@@ -257,7 +263,7 @@ def test_weak_and_scott_neighborhoods_are_up():
 
     bases = list(enumerate_spaces(5))
     assert len(bases) == 88
-    for sp in (*bases, *enumerate_spaces(3, up_to_iso=False)):
+    for sp in (*bases, *labelled_spaces(3)):
         check(sp)
     for sp in enumerate_spaces(3):
         pw = Powers(sp)

@@ -38,7 +38,7 @@ from powerspace.core import (
     transpose,
     union_of,
 )
-from oracles import close_family, literal_transpose, row_union_covers
+from oracles import close_family, labelled_spaces, literal_transpose, row_union_covers
 from powerspace.errors import CycleDetected, LimitExceeded, NotT0
 from powerspace.powerspaces import Powers, convex_powerspace, lower_powerspace, open_lattice, upper_powerspace
 
@@ -125,7 +125,7 @@ def test_hull_operators_extremal(space, raw):
 
 
 def test_set_label_matches_the_literal_join():
-    for sp in enumerate_spaces(4, up_to_iso=False):
+    for sp in labelled_spaces(4):
         for m in range(sp.full_mask + 1):
             literal = "{" + ",".join(sp.names[i] for i in range(sp.n) if m >> i & 1) + "}"
             assert set_label(sp.names, m) == literal, (sp, m)
@@ -181,7 +181,7 @@ def _step_tables(rng, dom, cod, count):
 def test_edge_monotonicity_matches_literal_on_constructions():
     rng = random.Random(11)
     outcomes = {True: 0, False: 0}
-    bases = [sp for sp in enumerate_spaces(3, up_to_iso=False) if sp.n == 3]
+    bases = [sp for sp in labelled_spaces(3) if sp.n == 3]
     assert len(bases) == 19
     for base in bases:
         spaces = [build(base).space for build in CONSTRUCTIONS]
@@ -230,7 +230,7 @@ def test_preimage_mask_matches_literal_preimage():
 
 def test_discontinuity_witness_is_first_bad_subbasic_open():
     # oracle: the literal subbasic scan, the first y whose up(y) has a non-open preimage
-    spaces = enumerate_spaces(3, up_to_iso=False)
+    spaces = labelled_spaces(3)
     failing = 0
     for dom in spaces:
         for cod in spaces:
@@ -262,9 +262,9 @@ def brute_force_posets(n):
         if not ok:
             continue
         up = tuple(mask_of(j for j in range(n) if (i, j) in rel) for i in range(n))
-        from powerspace.core import canonical_order_key
+        from powerspace.core import canonical_relabeling
 
-        seen.add(canonical_order_key(up))
+        seen.add(canonical_relabeling(up)[0])
     return seen
 
 
@@ -296,7 +296,7 @@ def test_count_upper_sets_on_a_chain_longer_than_the_recursion_limit():
 
 
 def test_enumerate_spaces_labeled_counts():
-    labeled = [s for s in enumerate_spaces(3, up_to_iso=False) if s.n == 3]
+    labeled = [s for s in labelled_spaces(3) if s.n == 3]
     assert len(labeled) == 19  # labeled posets on 3 points
 
 
@@ -400,9 +400,11 @@ def _closure_under_compose(maps) -> set:
     return seen
 
 
-@pytest.mark.parametrize("include_empty, generators, maps", [(False, 67, 476), (True, 69, 485)])
-def test_generating_maps_compose_to_every_continuous_map(include_empty, generators, maps):
-    spaces = [sp for sp in enumerate_spaces(3) if include_empty or sp.n]
+@pytest.mark.parametrize(
+    "max_points, include_empty, generators, maps", [(3, False, 59, 476), (3, True, 61, 485), (4, False, 311, 19702)]
+)
+def test_generating_maps_compose_to_every_continuous_map(max_points, include_empty, generators, maps):
+    spaces = [sp for sp in enumerate_spaces(max_points) if include_empty or sp.n]
     gens = generating_maps(spaces)
     assert len(gens) == generators
     assert all(g.domain in spaces and g.codomain in spaces for g in gens)
@@ -411,6 +413,20 @@ def test_generating_maps_compose_to_every_continuous_map(include_empty, generato
     assert len(every) == maps
     assert _closure_under_compose(gens) == every
 
+
+def test_generating_maps_merge_only_comparable_points():
+    kinds = {"automorphism": 0, "deletion": 0, "merge": 0, "extension": 0}
+    for g in generating_maps([sp for sp in enumerate_spaces(3) if sp.n]):
+        dom, cod, t = g.domain, g.codomain, g.table
+        if dom.n > cod.n:
+            kinds["merge"] += 1
+            a, b = (x for x in range(dom.n) if t.count(t[x]) == 2)
+            assert dom.up[a] >> b & 1 or dom.up[b] >> a & 1
+        elif dom.n < cod.n:
+            kinds["deletion"] += 1
+        else:
+            kinds["automorphism" if dom == cod else "extension"] += 1
+    assert kinds == {"automorphism": 16, "deletion": 19, "merge": 8, "extension": 16}
 
 @given(small_spaces())
 @settings(max_examples=80, deadline=None)
@@ -517,7 +533,7 @@ def test_validation_matches_row_union_oracle_on_single_bit_flips():
 
 
 def test_minimal_points_match_literal_loop():
-    for sp in enumerate_spaces(4, up_to_iso=False):
+    for sp in labelled_spaces(4):
         for mask in range(sp.full_mask + 1):
             literal = mask_of(
                 i for i in bits(mask) if not any(j != i and sp.leq(j, i) for j in bits(mask))
@@ -528,7 +544,7 @@ def test_minimal_points_match_literal_loop():
 def test_open_covers_are_the_pairs_of_opens_one_point_apart():
     # every pair of opens one point apart, listed once with that point as
     # piv, by hi then lo; spaces' own opens are the literal side
-    for sp in (*enumerate_spaces(4, up_to_iso=False), antichain(5)):
+    for sp in (*labelled_spaces(4), antichain(5)):
         opens = sp.opens()
         literal = [
             (h, lo, (u ^ v).bit_length() - 1)
@@ -551,8 +567,8 @@ def _literal_covers(space: FiniteSpace) -> list[tuple[int, int]]:
 
 
 def test_covers_match_literal_definition():
-    spaces = list(enumerate_spaces(4, up_to_iso=False))
-    for sp in enumerate_spaces(3, up_to_iso=False):
+    spaces = list(labelled_spaces(4))
+    for sp in labelled_spaces(3):
         for builder in CONSTRUCTIONS:
             spaces.append(builder(sp).space)
     assert len(spaces) == 243 + 4 * 24
@@ -637,7 +653,7 @@ def test_transpose_matches_literal_loop():
 
 
 def test_down_matches_literal_transpose():
-    for sp in enumerate_spaces(4, up_to_iso=False):
+    for sp in labelled_spaces(4):
         assert sp.down == literal_transpose(sp.up, sp.n), sp
     pw = Powers(FiniteSpace(tuple(f"p{i}" for i in range(5)), (1, 2, 4, 8, 17)))
     for word in ("A", "K", "O", "AK", "KA", "OO", "AO", "OK", "KO", "OA"):
@@ -650,7 +666,7 @@ def test_neighborhoods_decide_generated_family_equality():
     # intersections exactly when their least neighborhoods agree
     rng = random.Random(20170)
     outcomes = {True: 0, False: 0}
-    for sp in enumerate_spaces(4, up_to_iso=False):
+    for sp in labelled_spaces(4):
         opens = sp.opens()
         for _ in range(20):
             s1, s2 = (rng.sample(opens, rng.randint(0, len(opens))) for _ in range(2))

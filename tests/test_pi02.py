@@ -28,6 +28,8 @@ from powerspace.pi02 import (
     validate_embedding,
 )
 
+from oracles import labelled_spaces
+
 S = sierpinski()
 D2 = antichain(2, names=("a", "b"))
 
@@ -98,7 +100,7 @@ def _is_embedding_literally(f: SpaceMap) -> bool:
 
 
 def test_validate_embedding_matches_the_literal_scan():
-    spaces = enumerate_spaces(3, up_to_iso=False)
+    spaces = labelled_spaces(3)
     checked = embeddings = 0
     for dom in spaces:
         for cod in spaces:
@@ -164,7 +166,7 @@ def test_embedding_ranges_exhaustive():
 def test_embedding_ranges_on_labelled_spaces():
     # every position of a subspace inside its ambient order, for the
     # lower range quantified over the ambient up-sets
-    for ambient in enumerate_spaces(3, up_to_iso=False):
+    for ambient in labelled_spaces(3):
         pw = Powers(ambient)
         for mask in range(1 << ambient.n):
             sub, emb = subspace(ambient, mask)
@@ -225,7 +227,7 @@ def _first_order_mismatch(f: SpaceMap):
 
 
 def test_row_test_matches_the_double_loop_on_every_small_map():
-    spaces = enumerate_spaces(3, up_to_iso=False)
+    spaces = labelled_spaces(3)
     checked = 0
     for dom in spaces:
         for cod in spaces:

@@ -41,7 +41,14 @@ from powerspace.powerspaces import (
     upper_powerspace,
 )
 
-from oracles import literal_associativity, literal_intersections, literal_rows, literal_unions, row_union_covers
+from oracles import (
+    labelled_spaces,
+    literal_associativity,
+    literal_intersections,
+    literal_rows,
+    literal_unions,
+    row_union_covers,
+)
 
 S = sierpinski()
 D2 = antichain(2, names=("a", "b"))
@@ -80,7 +87,7 @@ WIDE_BASES = (upper_powerspace(antichain(3)).space,)
 def test_convex_count_matches_pair_oracle():
     # the literal lens definition over every closed and saturated pair,
     # against the extremal-point filter, order included
-    for sp in (*enumerate_spaces(4), *enumerate_spaces(3, up_to_iso=False), *WIDE_BASES):
+    for sp in (*enumerate_spaces(4), *labelled_spaces(3), *WIDE_BASES):
         subsets = range(sp.full_mask + 1)
         closed = [a for a in subsets if sp.is_lower(a)]
         saturated = [k for k in subsets if sp.is_upper(k)]
@@ -157,6 +164,13 @@ def test_generated_topology_is_upper_family():
             assert generated == set(enumerate_upper_sets(ps.space.up))
 
 
+def test_open_lattice_subbasis_matches_the_per_open_scan():
+    # the generators of O(X)'s topology, one per open U: the opens of X containing U
+    for sp in labelled_spaces(3):
+        ps = open_lattice(sp)
+        scan = [mask_of(j for j, v in enumerate(ps.extents) if not u & ~v) for u in sp.opens()]
+        assert ps.subbasis() == scan
+
 def test_size_cap():
     # a cap hit while enumerating extents names the construction, not the
     # kind of set enumerated: L(X) enumerates closed and saturated sets
@@ -176,7 +190,7 @@ def test_extents_are_the_upper_sets_of_the_base_and_their_complements():
     # the lists read straight off the base's order, and for L the pairs
     # of them that pass the lens definition Cl(A&K) = A, up(A&K) = K
     subject = FiniteSpace(tuple(f"p{i}" for i in range(5)), (1, 2, 4, 8, 17))
-    for sp in (*enumerate_spaces(4, up_to_iso=False), subject):
+    for sp in (*labelled_spaces(4), subject):
         lower, upper = core.enumerate_upper_sets(sp.down), core.enumerate_upper_sets(sp.up)
         pw = Powers(sp)
         assert list(pw.A.extents) == lower
@@ -196,7 +210,7 @@ def test_derived_orders_match_the_row_pass_and_the_walk():
     # base point
     subject = FiniteSpace(tuple(f"p{i}" for i in range(5)), (1, 2, 4, 8, 17))
     checked = 0
-    for sp in (*enumerate_spaces(4, up_to_iso=False), subject):
+    for sp in (*labelled_spaces(4), subject):
         pw = Powers(sp)
         for word in HOMEO_WORDS:
             cs = getattr(pw, word)
@@ -242,7 +256,7 @@ def test_lens_order_matches_the_walk_the_row_union_and_egli_milner():
     # edge changes one part, and each row is the literal Egli-Milner
     # comparison of the extents
     tower = Powers(antichain(3))
-    bases = (*enumerate_spaces(4, up_to_iso=False), tower.K.space, tower.A.space, tower.O.space)
+    bases = (*labelled_spaces(4), tower.K.space, tower.A.space, tower.O.space)
     lk = Powers(antichain(4)).LK
     for cs in (*map(convex_powerspace, bases), lk):
         space = cs.space
@@ -543,7 +557,7 @@ def _images(m: SpaceMap, dom, cod):
 
 
 def test_maps_match_their_literal_definitions_on_labelled_spaces():
-    towers = [Powers(sp) for sp in enumerate_spaces(3, up_to_iso=False)]
+    towers = [Powers(sp) for sp in labelled_spaces(3)]
     lifted = 0
     for px in towers:
         x = px.base
@@ -580,7 +594,7 @@ def test_lift_tables_match_hulls_of_images_and_preimages():
     # to the closure of its image, K(f) to the saturation, and O(f) an open
     # to its preimage, which shares no code with the transpose that lift_table
     # reads the fibers from
-    towers = [Powers(sp) for sp in enumerate_spaces(3, up_to_iso=False)]
+    towers = [Powers(sp) for sp in labelled_spaces(3)]
     lifted = 0
     for px in towers:
         for py in towers:
@@ -689,7 +703,7 @@ def test_associativity_pass_matches_literal_square():
     # no changed table passes the unit law, monotonicity and the literal
     # square together, so the overall verdicts agree
     changed = literal_rejects = 0
-    for sp in enumerate_spaces(3, up_to_iso=False):
+    for sp in labelled_spaces(3):
         pw = Powers(sp)
         for t, struct in (
             (pw.AA, monad_mult(pw.AA)),
@@ -718,7 +732,7 @@ def test_associativity_pass_matches_literal_square():
 def test_cover_folds_match_literal_unions_and_intersections():
     # random parts, wider than any base, so a wrong step shows in some bit
     rng = random.Random(20171)
-    subjects = [Powers(sp) for sp in enumerate_spaces(3, up_to_iso=False)]
+    subjects = [Powers(sp) for sp in labelled_spaces(3)]
     subjects.append(Powers(FiniteSpace(tuple(f"p{i}" for i in range(5)), (1, 2, 4, 8, 17))))
     folded = 0
     for pw in subjects:
