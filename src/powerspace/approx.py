@@ -35,13 +35,18 @@ pair, and each K is covered from them before the memo is asked.  So
 the suite's memo holds the states walked from level 1 on; wilker_split,
 for one triple, walks from the level-0 state (K, {U1}, {U2}), whose
 split is its successor's.
+
+The walk is symmetric in its two sides: from (K, G, F) it walks the
+levels of (K, F, G) with the sides swapped, to the split (K2, K1).  So
+wilker_splits decides each unordered cover pair once, at U1 <= U2 by
+open index; the triple (U2, U1, K) fails exactly when (U1, U2, K) does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 from .config import DEFAULT_LIMITS, Limits
 from .core import FiniteSpace, PtSet, Verdict, bits, set_label, union_of
@@ -322,15 +327,29 @@ def wilker_split(r: ApproxRelation, k: int, u1: int, u2: int, limits: Limits = D
 
 def wilker_splits(r: ApproxRelation, limits: Limits = DEFAULT_LIMITS):
     """(U1, U2, K, split) for every triple of opens in product order with
-    K inside U1 | U2, on masks and with no input checks, as wilker_split;
-    split is (K1, K2), or None when it misses the postconditions.  The
-    cap is decided once, before the first triple, and each walk entered
-    at level 1 (module docstring)."""
+    K inside U1 | U2 and U1 at or before U2 in the open family, on masks
+    and with no input checks, as wilker_split; split is (K1, K2), or None
+    when it misses the postconditions.  The cap is decided once, before
+    the first triple, and each walk entered at level 1 (module
+    docstring).
+
+    The triples left out are the mirrors (U2, U1, K), and each has the
+    mirrored split (K2, K1).  _step covers K from one candidate list,
+    the refiners of F and of G in index order, and splits the chosen
+    opens back by side; so from (K, G, F) every level is the level of
+    (K, F, G) with F and G swapped, the same opens chosen, and the cycle
+    is entered at the same level.  The stable masks, an intersection
+    over that cycle, swap with the sides, and so does the split.  The
+    postconditions, K1 inside U1, K2 inside U2 and K inside K1 | K2,
+    read the same after the swap, and so does a saturation test of the
+    split.  So a mirror fails exactly when its triple does, and comes
+    later in product order: the first failing triple, and every verdict
+    read off the first one, is the same as over all ordered triples."""
     w = _open_walk(r, limits)
     opens, refiners, memo = w.opens, w.refiners, w.memo
     m = len(opens)
     indexed = tuple(enumerate(opens))
-    for (i1, u1), (i2, u2) in product(indexed, repeat=2):
+    for (i1, u1), (i2, u2) in combinations_with_replacement(indexed, 2):
         fr, gr = refiners[i1], refiners[i2]
         candidates = [indexed[i] for i in bits(fr | gr)]
         for k in opens:

@@ -12,10 +12,11 @@ the order of O(X), so a wrong order or a wrong index fails it.
 
 Wilker's property (as used by de Brecht and Kawai) is decided on the
 points and boxes of K(X): the split (U1, U2) of U1 | U2 also splits every
-compact under the cover, so each pair of opens is decided once.  Every
-saturated set of a finite space is strongly compact, its own finite
-witness, so the strong-compactness implication is read off the consonance
-and co-consonance verdicts.
+compact under the cover, so each pair of opens is decided by one test.
+The test reads the same with U1 and U2 swapped, so each unordered pair
+is decided once.  Every saturated set of a finite space is strongly
+compact, its own finite witness, so the strong-compactness implication
+is read off the consonance and co-consonance verdicts.
 
 Whether the lower or upper construction preserves consonance cannot be
 probed here: every finite space is consonant, so no finite experiment
@@ -24,7 +25,7 @@ can separate the candidates.  The checkers make no claim either way.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement
 
 from .config import DEFAULT_LIMITS, Limits
 from .core import (
@@ -94,7 +95,14 @@ def is_wilker(pw: Powers) -> Verdict:
     open, decided on K(X) for every pair (U1, U2): K1 = U1 and K2 = U2 are
     points in box(U1) and box(U2), and every compact under the cover, each
     point of box(U1 | U2), lies inside K1 | K2, above the point
-    K = U1 | U2 in K(X)'s order."""
+    K = U1 | U2 in K(X)'s order.
+
+    splits(i, j) is splits(j, i): K and its cover are the same, and the
+    two box tests swap with the points they look up.  So each unordered
+    pair is decided once, at i <= j in product order; a pair (j, i)
+    with j > i fails exactly when (i, j), which comes earlier, does, so
+    the first failing pair is the one an ordered sweep names.  info
+    counts the ordered pairs covered and the pairs decided."""
     upper, lattice, boxes = pw.K, pw.O, pw.boxes
     opens = lattice.extents
 
@@ -107,7 +115,8 @@ def is_wilker(pw: Powers) -> Verdict:
             return False
         return boxes[i] >> k1 & 1 and boxes[j] >> k2 & 1 and not cover & ~upper.space.up[k]
 
-    for i, j in product(range(len(opens)), repeat=2):
+    m = len(opens)
+    for i, j in combinations_with_replacement(range(m), 2):
         if not splits(i, j):
             names = pw.base.names
             return Verdict(
@@ -119,7 +128,7 @@ def is_wilker(pw: Powers) -> Verdict:
                 },
                 info={"checker": "is_wilker"},
             )
-    return Verdict(True, info={"checker": "is_wilker", "pairs": len(opens) ** 2})
+    return Verdict(True, info={"checker": "is_wilker", "pairs": m * m, "decided": m * (m + 1) // 2})
 
 
 def irreducible_closed_sets(x: FiniteSpace, limits: Limits = DEFAULT_LIMITS) -> list[PtSet]:

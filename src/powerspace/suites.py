@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import product, repeat
@@ -231,25 +230,33 @@ def _decompose_all_triples(relation: ApproxRelation, limits: Limits) -> Verdict:
     triple (U1, U2, K) of opens with K inside U1 | U2.  A relation that
     fails its axioms fails here too, named by the axiom it fails.  A
     split missing its cover comes from wilker_splits as None, a plain
-    test, with no exception to catch."""
+    test, with no exception to catch.
+
+    wilker_splits decides each unordered cover pair once, and a mirror
+    fails exactly when its triple does (its docstring), so the witness
+    is the first failing triple in product order.  A pass counts the
+    ordered triples covered, a decided triple with U1 != U2 counting
+    for its mirror too, and the triples decided; a failure counts the
+    triples decided up to the witness."""
     axioms = validate_approx_relation(relation, limits)
     if not axioms.holds:
         return Verdict(False, witness={"relation": axioms.witness})
     space = relation.space
-    triples = 0
+    triples = decided = 0
     checked = set()
     # the saturation of K1 and K2, which wilker_decompose also promises,
     # is checked here, once per distinct split, at the first triple that
     # splits that way
     for u1, u2, k, split in wilker_splits(relation, limits):
-        triples += 1
+        decided += 1
+        triples += 1 if u1 == u2 else 2
         if split in checked:
             continue
         checked.add(split)
         if split is None or any(space.saturation_mask(m) != m for m in split):
             failure = {"K": PtSet(space, k), "U1": PtSet(space, u1), "U2": PtSet(space, u2)}
-            return Verdict(False, witness=failure, info={"triples": triples})
-    return Verdict(True, info={"triples": triples})
+            return Verdict(False, witness=failure, info={"decided": decided})
+    return Verdict(True, info={"triples": triples, "decided": decided})
 
 
 JOBS = {
@@ -292,6 +299,10 @@ def _space_job(suite: str, space: FiniteSpace, limits: Limits) -> list[CheckReco
 def _run_spaces(suite: str, spaces, limits: Limits, jobs: int) -> list[CheckRecord]:
     args = (repeat(suite), spaces, repeat(limits))
     if jobs > 1 and len(spaces) > 1:
+        # imported here: the pool pulls in multiprocessing, which a
+        # single-process run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs, initializer=_open_towers) as pool:
             chunks = list(pool.map(_space_job, *args))
     else:

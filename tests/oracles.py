@@ -54,19 +54,37 @@ def row_union_covers(up) -> list[tuple[int, int]]:
 
 
 @cache
+def relabel(up, perm) -> tuple[int, ...]:
+    """The order rows up with point i renamed perm[i]."""
+    rows = [0] * len(up)
+    for i, m in enumerate(up):
+        rows[perm[i]] = sum(1 << perm[j] for j in bits(m))
+    return tuple(rows)
+
+
+def least_relabeling(up) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """canonical_relabeling by its definition: the least relabeled rows
+    over all n! point permutations, with the least permutation giving
+    them."""
+    above = [tuple(bits(m)) for m in up]
+
+    def relabeled(perm):
+        rows = [0] * len(up)
+        for p, js in zip(perm, above):
+            rows[p] = sum([1 << perm[j] for j in js])
+        return tuple(rows)
+
+    return min((relabeled(perm), perm) for perm in permutations(range(len(up))))
+
+
 def labelled_spaces(n: int) -> tuple[FiniteSpace, ...]:
     """Every labelling of every T0 space on at most n points, by size,
     then by rows: each representative of enumerate_spaces(n) under all
     k! point permutations, point i renamed perm[i], duplicates dropped."""
     out = []
     for k in range(n + 1):
-        labelled = set()
-        for rep in (s for s in enumerate_spaces(n) if s.n == k):
-            for perm in permutations(range(k)):
-                rows = [0] * k
-                for i, m in enumerate(rep.up):
-                    rows[perm[i]] = sum(1 << perm[j] for j in bits(m))
-                labelled.add(tuple(rows))
+        reps = (s for s in enumerate_spaces(n) if s.n == k)
+        labelled = {relabel(rep.up, perm) for rep in reps for perm in permutations(range(k))}
         out += (FiniteSpace(tuple(f"p{i}" for i in range(k)), up) for up in sorted(labelled))
     return tuple(out)
 

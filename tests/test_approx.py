@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -273,30 +273,67 @@ def _with_strict_pairs(sp, rng, p):
 def test_generated_splits_match_single_triples_and_literal_walk():
     """wilker_splits against wilker_split, on a second relation with the
     same pairs and so its own memo, and against the literal walk: every
-    covered triple in product order, on every labelled space of at most 3
-    points and the 24 spaces of at most 4 points, all in one process,
-    under the canonical relation and under two valid relations with
-    strict pairs added, which walk as the canonical one does."""
+    covered triple in product order with U1 at or before U2 among the
+    opens, and the mirror (U2, U1, K) of each with the swapped split, on
+    every labelled space of at most 3 points and the 24 spaces of at most
+    4 points, all in one process, under the canonical relation and under
+    two valid relations with strict pairs added, which walk as the
+    canonical one does."""
     rng = random.Random(31)
     spaces = [sp for sp in (*labelled_spaces(3), *enumerate_spaces(4)) if sp.n]
     triples = extended = 0
     for sp in spaces:
         canonical = canonical_approx_relation(sp)
         canonical_levels = {}
+        opens = sp.opens()
         for r in (canonical, _with_strict_pairs(sp, rng, 0.25), _with_strict_pairs(sp, rng, 0.5)):
             require_valid_relation(r)
             extended += r.pairs != canonical.pairs
             single = ApproxRelation(sp, r.pairs)
             got = list(wilker_splits(r))
-            covered = [(u1, u2, k) for u1, u2, k in product(sp.opens(), repeat=3) if not k & ~(u1 | u2)]
+            covered = [(u1, u2, k) for u1, u2, k in product(opens, repeat=3)
+                       if opens.index(u1) <= opens.index(u2) and not k & ~(u1 | u2)]
             assert [t[:3] for t in got] == covered
             for u1, u2, k, split in got:
                 assert split == wilker_split(single, k, u1, u2), (sp, r, k, u1, u2)
+                assert split[::-1] == wilker_split(single, k, u2, u1), (sp, r, k, u2, u1)
                 want = literal_wilker_walk(sp, r, k, u1, u2)
                 assert (set_label(sp.names, split[0]), set_label(sp.names, split[1])) == (want["k1"], want["k2"])
                 assert canonical_levels.setdefault((u1, u2, k), want["levels"]) == want["levels"]
             triples += len(got)
-    assert triples == 33819 and extended > 60
+    assert triples == 18324 and extended > 60
+
+
+def _mirrored(trace):
+    """A walk's trace with its two sides swapped."""
+    return {
+        "levels": [{"f": level["g"], "g": level["f"], "chosen": level["chosen"]} for level in trace["levels"]],
+        "cycle_start": trace["cycle_start"],
+        "stable_f": trace["stable_g"],
+        "stable_g": trace["stable_f"],
+        "k1": trace["k2"],
+        "k2": trace["k1"],
+    }
+
+
+def test_literal_walk_is_swap_symmetric():
+    """The fact wilker_splits rests on: the walk of (K, U2, U1) is the
+    walk of (K, U1, U2) with its sides swapped, or both find no cover.
+    Every ordered triple of opens, as a walk or as its mirror, on every
+    labelled space of at most 3 points and the spaces of at most 4
+    points up to isomorphism, under the canonical relation and two with
+    strict pairs added."""
+    rng = random.Random(37)
+    outcomes = {"covered": 0, "no cover": 0}
+    for sp in (sp for sp in (*labelled_spaces(3), *enumerate_spaces(4)) if sp.n):
+        opens = sp.opens()
+        for r in (canonical_approx_relation(sp), _with_strict_pairs(sp, rng, 0.25), _with_strict_pairs(sp, rng, 0.5)):
+            for (u1, u2), k in product(combinations_with_replacement(opens, 2), opens):
+                walk = _walk_outcome(literal_wilker_walk, sp, r, k, u1, u2)
+                mirror = _walk_outcome(literal_wilker_walk, sp, r, k, u2, u1)
+                assert mirror == (walk if walk == "no cover" else _mirrored(walk)), (sp, r, k, u1, u2)
+                outcomes["no cover" if walk == "no cover" else "covered"] += 1 + (u1 != u2)
+    assert outcomes == {"covered": 33819, "no cover": 17319}
 
 
 def test_generated_splits_decide_the_cap_before_yielding():

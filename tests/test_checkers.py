@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from powerspace import checkers
@@ -20,6 +22,7 @@ from powerspace.core import (
     enumerate_spaces,
     enumerate_upper_sets,
     neighborhoods,
+    set_label,
     sierpinski,
 )
 from powerspace.powerspaces import ConstructedSpace, open_lattice
@@ -141,7 +144,8 @@ def test_wilker_matches_literal_triple_quantifier():
     for sp in labelled_spaces(4):
         v = is_wilker(Powers(sp))
         assert v.holds == (literal_wilker(sp) is None)
-        assert v.info["pairs"] == len(sp.opens()) ** 2
+        m = len(sp.opens())
+        assert (v.info["pairs"], v.info["decided"]) == (m * m, m * (m + 1) // 2)
 
 
 def test_irreducibles_and_sobriety():
@@ -226,6 +230,39 @@ def test_wilker_fails_on_a_wrong_box_index(point, extent, witness):
     object.__setattr__(upper, "sat_members", tuple(sat_members))
     v = is_wilker(pw)
     assert not v.holds and v.witness == witness
+
+
+def _first_failing_pair(pw: Powers) -> dict | None:
+    """The ordered sweep: the first pair (U1, U2) of opens in product
+    order where box(U1) misses U1, box(U2) misses U2 or box(U1 | U2)
+    leaves the points above U1 | U2 in K(X), read off pw.boxes."""
+    upper, opens, boxes = pw.K, pw.O.extents, pw.boxes
+    label = lambda m: set_label(pw.base.names, m)
+    for (i, u1), (j, u2) in product(enumerate(opens), repeat=2):
+        k = upper.point_of(u1 | u2)
+        if not (boxes[i] >> upper.point_of(u1) & 1 and boxes[j] >> upper.point_of(u2) & 1
+                and not boxes[opens.index(u1 | u2)] & ~upper.space.up[k]):
+            return {"K": label(u1 | u2), "U1": label(u1), "U2": label(u2)}
+    return None
+
+
+def test_wilker_names_the_first_failing_pair_under_a_wrong_box():
+    # one bit of one entry of pw.boxes flipped, every entry and bit, on
+    # every labelled space of at most 3 points: is_wilker decides only
+    # the pairs U1 <= U2 by index, and still names the pair the ordered
+    # sweep names first
+    failures = mixed = 0
+    for sp in labelled_spaces(3):
+        pw = Powers(sp)
+        boxes = pw.boxes
+        assert is_wilker(pw).holds and _first_failing_pair(pw) is None
+        for c, b in product(range(len(boxes)), range(pw.K.space.n)):
+            pw.__dict__["boxes"] = boxes[:c] + (boxes[c] ^ 1 << b,) + boxes[c + 1:]
+            v, want = is_wilker(pw), _first_failing_pair(pw)
+            assert v.holds == (want is None) and v.witness == want, (sp, c, b)
+            failures += not v.holds
+            mixed += not v.holds and v.witness["U1"] != v.witness["U2"]
+    assert (failures, mixed) == (372, 261)
 
 
 def test_wilker_fails_on_a_missing_point():

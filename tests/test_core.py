@@ -10,6 +10,7 @@ from powerspace.core import (
     SpaceMap,
     antichain,
     bits,
+    canonical_relabeling,
     chain,
     check_continuous,
     closure,
@@ -38,7 +39,7 @@ from powerspace.core import (
     transpose,
     union_of,
 )
-from oracles import close_family, labelled_spaces, literal_transpose, row_union_covers
+from oracles import close_family, labelled_spaces, least_relabeling, literal_transpose, relabel, row_union_covers
 from powerspace.errors import CycleDetected, LimitExceeded, NotT0
 from powerspace.powerspaces import Powers, convex_powerspace, lower_powerspace, open_lattice, upper_powerspace
 
@@ -262,10 +263,20 @@ def brute_force_posets(n):
         if not ok:
             continue
         up = tuple(mask_of(j for j in range(n) if (i, j) in rel) for i in range(n))
-        from powerspace.core import canonical_relabeling
-
         seen.add(canonical_relabeling(up)[0])
     return seen
+
+
+def test_canonical_relabeling_is_the_least_of_all_permutations():
+    # the top-down search against the n! minimum, rows and permutation:
+    # every labelled space of at most 5 points, the 406 representatives
+    # of at most 6 and each 6-point one relabelled in reverse
+    reps = enumerate_spaces(6)
+    reversed_six = [relabel(sp.up, range(5, -1, -1)) for sp in reps if sp.n == 6]
+    ups = [sp.up for sp in (*labelled_spaces(5), *reps)] + reversed_six
+    assert len(ups) == 4474 + 406 + 318
+    for up in ups:
+        assert canonical_relabeling(up) == least_relabeling(up), up
 
 
 @pytest.mark.parametrize("n,count", [(0, 1), (1, 1), (2, 2), (3, 5), (4, 16)])

@@ -1,7 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -35,7 +38,8 @@ CONSONANCE_AT_5 = ("200ce471105f932edb8ca958a57c15d41e6e58ed0971b5a73caec29bb3da
                    "0970bb629e29752169ed6c27b21ea390bf2590f80c58065bb5c74fc8a384b6f7")
 
 # and for the wilker suite at --max-points 5: 108,614 covered triples over
-# 87 subjects, where default scope reaches 9,048
+# 87 subjects, 56,642 of them decided (one per unordered cover pair and
+# K), where default scope reaches 9,048 and decides 4,844
 WILKER_AT_5 = ("8c83397dc3c0750d0b836cde8766b02367999ef550b7d8c3386e80c66823261e",
                "90117cb677f2071a6a01f450d18fc80aadb5210e2cf85aa934ba8e75934e802b")
 
@@ -92,6 +96,19 @@ def test_parallel_all_matches_serial():
     # naturality records and of the one-subject suites
     serial = run_suite("all", max_points=2, jobs=1).to_json(include_timings=False)
     assert run_suite("all", max_points=2, jobs=2).to_json(include_timings=False) == serial
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # only jobs > 1 imports the pool; a fresh interpreter importing the
+    # package, the suites and the CLI loads neither module it pulls in
+    code = (
+        "import sys, powerspace, powerspace.suites, powerspace.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_run_all_merges(monkeypatch):
@@ -195,25 +212,27 @@ def test_consonance_job_runs_each_checker_once_per_tower(monkeypatch):
 
 
 def test_decompose_all_triples_fails_on_an_unsaturated_split(monkeypatch):
-    # on the Sierpinski space {bot} is not saturated, yet with {top} it
-    # covers K = {bot,top} under U1 = {bot,top} and U2 = {top}; the walk
-    # for that triple is entered at level 1, where the greedy cover chose
-    # {top} and {bot,top}, both alive on the U1 side and {top} on the U2
-    # side, a state no earlier triple walks
+    # on the Sierpinski space {bot} is not saturated, yet K1 = {top} and
+    # K2 = {bot} cover K = {bot,top} under U1 = {top} and U2 = {bot,top};
+    # the walk for that triple is entered at level 1, where the greedy
+    # cover chose {top} and {bot,top}, {top} alive on the U1 side and
+    # both on the U2 side, a state no earlier triple walks.  U1 comes
+    # before U2 among the opens, so the sweep decides this triple and
+    # never walks its mirror
     x = sierpinski()
     bot, top, full = 0b01, 0b10, 0b11
     walk = approx._walk
 
     def unsaturated(w, k, f, g, memo=None):
         *trace, split = walk(w, k, f, g, memo)
-        level_1 = (full, 1 << w.index[top] | 1 << w.index[full], 1 << w.index[top])
-        return (*trace, (bot, top)) if (k, f, g) == level_1 else (*trace, split)
+        level_1 = (full, 1 << w.index[top], 1 << w.index[top] | 1 << w.index[full])
+        return (*trace, (top, bot)) if (k, f, g) == level_1 else (*trace, split)
 
     monkeypatch.setattr(approx, "_walk", unsaturated)
     [relation_valid, triples] = _space_job("wilker", x, DEFAULT_LIMITS)
     assert relation_valid.passed
     assert triples.name == "decompose_all_triples" and not triples.passed
-    assert triples.witness == {"K": PtSet(x, full), "U1": PtSet(x, full), "U2": PtSet(x, top)}
+    assert triples.witness == {"K": PtSet(x, full), "U1": PtSet(x, top), "U2": PtSet(x, full)}
 
 
 def test_decompose_all_triples_steps_each_state_once(monkeypatch):
