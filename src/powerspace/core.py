@@ -481,7 +481,8 @@ def generating_maps(spaces: Sequence[FiniteSpace]) -> list[SpaceMap]:
     out = []
     for r in spaces:
         n, up = r.n, r.up
-        out += (SpaceMap(r, r, perm) for t, perm in _relabelings(up) if t == up)
+        # r is its own least relabeling, so the permutations giving it are its automorphisms
+        out += (SpaceMap(r, r, perm) for perm in sorted(_least_relabelings(up)[1]))
         # R - p is empty only for a one-point R, and listed only with the empty space
         for p in range(n if n > 1 or () in reps else 0):
             sub, inclusion = subspace(r, r.full_mask ^ 1 << p)
@@ -685,22 +686,9 @@ def _count_split(p: int, up, down, memo: dict) -> int:
 # enumeration of all finite T0 spaces
 
 
-def _relabelings(up: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Pairs (relabeled, perm): the order under every point permutation
-    perm, point i renamed perm[i], the identity first."""
-    n = len(up)
-    for perm in permutations(range(n)):
-        relabeled = [0] * n
-        for i in range(n):
-            relabeled[perm[i]] = mask_of(perm[j] for j in bits(up[i]))
-        yield tuple(relabeled), perm
-
-
-def canonical_relabeling(up: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _least_relabelings(up: tuple[int, ...]) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     """The least relabeling of the order under all point permutations,
-    with the least permutation that gives it: point i of up is point
-    perm[i] of the canonical order, so perm is the table of an
-    isomorphism onto it.
+    and every permutation perm giving it, point i renamed perm[i].
 
     Found top-down, labelling 0, 1, ... in turn, not by trying all n!
     permutations.  Row k of a relabeling holds bit k.  If the point
@@ -714,8 +702,7 @@ def canonical_relabeling(up: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[in
     search therefore branches only over the maximal points left that
     tie on the least row k, and drops a branch whose rows so far exceed
     the best complete relabeling's.  Every permutation giving the least
-    relabeling ties at every level, so each one is reached, and the
-    least of them is kept: the same pair as min over all n!.  This is
+    relabeling ties at every level, so each one is reached.  This is
     the branch-and-prune scheme of canonical labelling (McKay and
     Piperno, Practical graph isomorphism, II, 2014), without their
     refinement and automorphism pruning.
@@ -723,14 +710,16 @@ def canonical_relabeling(up: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[in
     n = len(up)
     perm = [0] * n
     rows: list[int] = []
-    best = None
+    best, perms = None, []
 
     def extend(left: int) -> None:
-        nonlocal best
+        nonlocal best, perms
         k = len(rows)
         if not left:
-            found = (tuple(rows), tuple(perm))
-            best = found if best is None or found < best else best
+            # the pruning leaves only leaves at or below the best
+            if best is None or tuple(rows) < best:
+                best, perms = tuple(rows), []
+            perms.append(tuple(perm))
             return
         # the maximal points left, each with its row as point k
         tops = [
@@ -740,7 +729,7 @@ def canonical_relabeling(up: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[in
         ]
         least = min(tops)[0]
         rows.append(least)
-        if best is None or tuple(rows) <= best[0][: k + 1]:
+        if best is None or tuple(rows) <= best[: k + 1]:
             for row, q in tops:
                 if row == least:
                     perm[q] = k
@@ -748,7 +737,16 @@ def canonical_relabeling(up: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[in
         rows.pop()
 
     extend((1 << n) - 1)
-    return best
+    return best, perms
+
+
+def canonical_relabeling(up: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The least relabeling of the order under all point permutations,
+    with the least permutation that gives it: point i of up is point
+    perm[i] of the canonical order, so perm is the table of an
+    isomorphism onto it."""
+    rows, perms = _least_relabelings(up)
+    return rows, min(perms)
 
 
 @cache
