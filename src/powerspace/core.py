@@ -688,25 +688,8 @@ def _count_split(p: int, up, down, memo: dict) -> int:
 
 def _least_relabelings(up: tuple[int, ...]) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     """The least relabeling of the order under all point permutations,
-    and every permutation perm giving it, point i renamed perm[i].
-
-    Found top-down, labelling 0, 1, ... in turn, not by trying all n!
-    permutations.  Row k of a relabeling holds bit k.  If the point
-    labelled k lies below a point not yet labelled, that point's label
-    is above k and row k is at least 2^(k+1); a point maximal among
-    those left has row k below 2^(k+1), and one always exists.  So a
-    least relabeling labels each point after every point above it, and
-    row k is read off the labels already given.  Given the rows before
-    k, the least row k is the least over the maximal points left, and a
-    relabeling with a larger row k is larger however it goes on.  The
-    search therefore branches only over the maximal points left that
-    tie on the least row k, and drops a branch whose rows so far exceed
-    the best complete relabeling's.  Every permutation giving the least
-    relabeling ties at every level, so each one is reached.  This is
-    the branch-and-prune scheme of canonical labelling (McKay and
-    Piperno, Practical graph isomorphism, II, 2014), without their
-    refinement and automorphism pruning.
-    """
+    and every permutation perm giving it, point i renamed perm[i], found
+    by the top-down search canonical_relabeling argues."""
     n = len(up)
     perm = [0] * n
     rows: list[int] = []
@@ -716,7 +699,7 @@ def _least_relabelings(up: tuple[int, ...]) -> tuple[tuple[int, ...], list[tuple
         nonlocal best, perms
         k = len(rows)
         if not left:
-            # the pruning leaves only leaves at or below the best
+            # pruning lets through only leaves at or below the best
             if best is None or tuple(rows) < best:
                 best, perms = tuple(rows), []
             perms.append(tuple(perm))
@@ -744,7 +727,26 @@ def canonical_relabeling(up: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[in
     """The least relabeling of the order under all point permutations,
     with the least permutation that gives it: point i of up is point
     perm[i] of the canonical order, so perm is the table of an
-    isomorphism onto it."""
+    isomorphism onto it.
+
+    Found top-down, labelling 0, 1, ... in turn, not by trying all n!
+    permutations.  Row k of a relabeling holds bit k.  If the point
+    labelled k lies below a point not yet labelled, that point's label
+    is above k and row k is at least 2^(k+1); a point maximal among
+    those left has row k below 2^(k+1), and one always exists.  So a
+    least relabeling labels each point after every point above it, and
+    row k is read off the labels already given.  Given the rows before
+    k, the least row k is the least over the maximal points left, and a
+    relabeling with a larger row k is larger however it goes on.  The
+    search therefore branches only over the maximal points left that
+    tie on the least row k, and drops a branch whose rows so far exceed
+    the best complete relabeling's.  Every permutation giving the least
+    relabeling ties at every level, so each one is reached, and the
+    least of them is kept: the same pair as min over all n!.  This is
+    the branch-and-prune scheme of canonical labelling (McKay and
+    Piperno, Practical graph isomorphism, II, 2014), without their
+    refinement and automorphism pruning.
+    """
     rows, perms = _least_relabelings(up)
     return rows, min(perms)
 

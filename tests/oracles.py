@@ -53,7 +53,6 @@ def row_union_covers(up) -> list[tuple[int, int]]:
     return edges
 
 
-@cache
 def relabel(up, perm) -> tuple[int, ...]:
     """The order rows up with point i renamed perm[i]."""
     rows = [0] * len(up)
@@ -77,6 +76,7 @@ def least_relabeling(up) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return min((relabeled(perm), perm) for perm in permutations(range(len(up))))
 
 
+@cache
 def labelled_spaces(n: int) -> tuple[FiniteSpace, ...]:
     """Every labelling of every T0 space on at most n points, by size,
     then by rows: each representative of enumerate_spaces(n) under all
