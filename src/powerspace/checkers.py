@@ -33,7 +33,6 @@ from .core import (
     PtSet,
     Verdict,
     bits,
-    enumerate_upper_sets,
     intersection_of,
     neighborhoods,
     set_label,
@@ -135,13 +134,14 @@ def irreducible_closed_sets(x: FiniteSpace, limits: Limits = DEFAULT_LIMITS) -> 
     """Non-empty closed sets that meet the intersection of any two opens
     they meet.  An open meeting a at p contains the open up(p), so a is
     kept when a & up(p) & up(q) is non-empty for all p, q in a (p = q
-    holds by p itself).  A space with more closed sets than the cap is
-    refused before they are enumerated."""
-    x.refuse_over_cap(limits)
-    up = x.up
+    holds by p itself).  The closed sets are the complements of the
+    space's one enumeration of opens, taken in reverse so that they
+    ascend; a space with more of them than the cap is refused before
+    they are enumerated."""
+    full, up = x.full_mask, x.up
     return [
         PtSet(x, a)
-        for a in enumerate_upper_sets(x.down)
+        for a in (full ^ u for u in reversed(x.opens(limits)))
         if a and all(a & up[p] & up[q] for p, q in combinations(bits(a), 2))
     ]
 

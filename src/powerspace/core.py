@@ -584,21 +584,6 @@ def subspace(space: FiniteSpace, mask: int) -> tuple[FiniteSpace, SpaceMap]:
     return sub, SpaceMap(sub, space, tuple(chosen))
 
 
-def space_product(s: FiniteSpace, t: FiniteSpace) -> tuple[FiniteSpace, list[tuple[int, int]]]:
-    """Topological product; for finite spaces this is the product order."""
-    pairs = [(i, j) for i in range(s.n) for j in range(t.n)]
-    pos = {p: k for k, p in enumerate(pairs)}
-    names = tuple(f"({s.names[i]},{t.names[j]})" for i, j in pairs)
-    up = []
-    for i, j in pairs:
-        m = 0
-        for a in bits(s.up[i]):
-            for b in bits(t.up[j]):
-                m |= 1 << pos[(a, b)]
-        up.append(m)
-    return FiniteSpace(names, tuple(up)), pairs
-
-
 # ---------------------------------------------------------------------------
 # point-set operations
 

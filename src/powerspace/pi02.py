@@ -9,6 +9,7 @@ pair (up(x), up(x) minus x).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .config import DEFAULT_LIMITS, Limits
 from .core import (
@@ -20,7 +21,8 @@ from .core import (
     check_continuous,
     mask_of,
     set_label,
-    space_product,
+    transpose,
+    union_of,
 )
 from .errors import NotEmbedding, PresentationMismatch
 from .powerspaces import KIND_LOWER, KIND_UPPER, ConstructedSpace, Powers, functor_map, monad_unit
@@ -165,42 +167,38 @@ def _first_unembedded(f: SpaceMap) -> int | None:
 def lens_pi02(pw: Powers) -> Verdict:
     """The lens pairs inside the product of the lower and upper
     constructions are exactly the pairs passing the two mixed-modality
-    implications, and the subspace they span is the convex construction."""
+    implications, and the subspace they span is the convex construction.
+
+    The product of finite spaces carries the product order, so on the
+    lens pairs the subspace order puts (A', K') above (A, K) exactly when
+    A' lies above A in A(X) and K' above K in K(X).  Lens i's row is then
+    the lenses over a point of up(A_i) and over a point of up(K_i), read
+    off one mask of lenses per point of A(X) and of K(X); the first lens
+    whose row in L(X) differs is the first that does not embed."""
     x, a_ps, k_ps, lens = pw.base, pw.A, pw.K, pw.L
-    prod, pairs = space_product(a_ps.space, k_ps.space)
     basis = x.opens(pw.limits)
-    by_condition = []
-    for ai, ki in pairs:
-        a, k = a_ps.extents[ai], k_ps.extents[ki]
-        ok = True
-        for u in basis:
-            for v in basis:
-                if a & u and not (k & ~v) and not (a & (u & v)):
-                    ok = False
-                    break
-                if not (k & ~(u | v)) and not (a & u) and k & ~v:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            by_condition.append((a, k))
-    by_definition = [
+    # both extent lists ascend, so the pairs come sorted
+    pairs = list(product(a_ps.extents, k_ps.extents))
+    by_condition = [
         (a, k)
-        for a, k in ((a_ps.extents[ai], k_ps.extents[ki]) for ai, ki in pairs)
-        if x.closure_mask(a & k) == a and x.saturation_mask(a & k) == k
+        for a, k in pairs
+        if all((not a & u or k & ~v or a & u & v) and (k & ~(u | v) or a & u or not k & ~v)
+               for u, v in product(basis, basis))
     ]
+    by_definition = [(a, k) for a, k in pairs if x.closure_mask(a & k) == a and x.saturation_mask(a & k) == k]
     info = {"checker": "lens_pi02", "condition_pairs": len(by_condition), "lens_pairs": len(by_definition)}
-    if sorted(by_condition) != sorted(by_definition):
-        sym = set(by_condition).symmetric_difference(by_definition)
-        a, k = sorted(sym)[0]
+    if by_condition != by_definition:
+        a, k = min(set(by_condition).symmetric_difference(by_definition))
         return Verdict(False, witness={"pair": (set_label(x.names, a), set_label(x.names, k))}, info=info)
-    if sorted(by_condition) != list(lens.extents):
+    if tuple(by_condition) != lens.extents:
         return Verdict(False, witness={"failure": "condition set differs from the convex construction"}, info=info)
-    # subspace topology of the product on the lens pairs vs the construction
-    pair_pos = {pq: i for i, pq in enumerate(pairs)}
-    chosen = tuple(pair_pos[(a_ps.point_of(a), k_ps.point_of(k))] for a, k in lens.extents)
-    li = _first_unembedded(SpaceMap(lens.space, prod, chosen))
+    # lens i lies over the points at_a[i] of A(X) and at_k[i] of K(X)
+    at_a = a_ps.points_of(a for a, _ in lens.extents)
+    at_k = k_ps.points_of(k for _, k in lens.extents)
+    over_a = transpose([1 << p for p in at_a], a_ps.space.n)
+    over_k = transpose([1 << q for q in at_k], k_ps.space.n)
+    li = next((i for i, (p, q, row) in enumerate(zip(at_a, at_k, lens.space.up))
+               if union_of(over_a, a_ps.space.up[p]) & union_of(over_k, k_ps.space.up[q]) != row), None)
     if li is not None:
         return Verdict(False, witness={"failure": "subspace order differs", "pair": lens.space.names[li]}, info=info)
     return Verdict(True, info=info)
@@ -209,27 +207,29 @@ def lens_pi02(pw: Powers) -> Verdict:
 def eta_image_characterizations(pw: Powers) -> Verdict:
     """The unit images inside the two constructions match their
     presentations: irreducibility for the lower one (the base is sober, as
-    every finite T0 space is), non-empty box-splitting for the upper."""
-    x, a_ps, k_ps = pw.base, pw.A, pw.K
+    every finite T0 space is), non-empty box-splitting for the upper.
+
+    The presentations run over the pairs (U, V) of opens.  K's points are
+    the opens, in order, so U & V and U | V are found among them, and
+    each open's diamond over A(X) and box over K(X) are computed once."""
+    a_ps, k_ps = pw.A, pw.K
     eta_a = monad_unit(a_ps)
     eta_k = monad_unit(k_ps)
-    basis = x.opens(pw.limits)
+    opens = k_ps.extents  # opens[0] is the empty set, opens[-1] the whole base
 
     a_space = a_ps.space
-    a_pairs = [(a_space.full_mask, a_ps.diamond(x.full_mask))]
-    for u in basis:
-        for v in basis:
-            a_pairs.append((a_ps.diamond(u) & a_ps.diamond(v), a_ps.diamond(u & v)))
+    dia = [a_ps.diamond(u) for u in opens]
+    meets = k_ps.points_of(u & v for u, v in product(opens, repeat=2))
+    a_pairs = [(a_space.full_mask, dia[-1])] + [(du & dv, dia[m]) for (du, dv), m in zip(product(dia, repeat=2), meets)]
     a_set = pi02_eval(Pi02Presentation(a_space, tuple(a_pairs))).mask
     if a_set != mask_of(eta_a.table):
         return Verdict(False, witness={"side": "lower", "condition_set": set_label(a_space.names, a_set)},
                        info={"checker": "eta_image_characterizations"})
 
     k_space = k_ps.space
-    k_pairs = [(k_ps.box(0), 0)]
-    for u in basis:
-        for v in basis:
-            k_pairs.append((k_ps.box(u | v), k_ps.box(u) | k_ps.box(v)))
+    box = [k_ps.box(u) for u in opens]
+    joins = k_ps.points_of(u | v for u, v in product(opens, repeat=2))
+    k_pairs = [(box[0], 0)] + [(box[j], bu | bv) for (bu, bv), j in zip(product(box, repeat=2), joins)]
     k_set = pi02_eval(Pi02Presentation(k_space, tuple(k_pairs))).mask
     if k_set != mask_of(eta_k.table):
         return Verdict(False, witness={"side": "upper", "condition_set": set_label(k_space.names, k_set)},

@@ -156,12 +156,13 @@ def test_irreducibles_and_sobriety():
 
 
 def test_sobriety_fails_on_a_wrong_closure_index():
-    # with the discrete rows as point closures, {bot,top} is an
-    # irreducible closed set that is no point's closure
+    # the closed sets come from the opens, so the discrete rows show up
+    # only as point closures: {top} is taken for top's closure, though
+    # it is not closed, let alone irreducible
     x = sierpinski()
     object.__setattr__(x, "down", (0b01, 0b10))
     v = is_sober(x)
-    assert not v.holds and v.witness == {"set": "{bot,top}", "irreducible": True}
+    assert not v.holds and v.witness == {"set": "{top}", "irreducible": False}
 
 
 def test_irreducible_closed_sets_match_literal_quantifier():

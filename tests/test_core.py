@@ -35,7 +35,6 @@ from powerspace.core import (
     space_from_poset,
     space_to_json,
     subspace,
-    space_product,
     transpose,
     union_of,
 )
@@ -323,15 +322,11 @@ def test_empty_space_everywhere():
     assert enumerate_spaces(0) == (e,)
 
 
-def test_subspace_and_product():
+def test_subspace_and_its_inclusion():
     s = sierpinski()
     sub, emb = subspace(s, 0b10)
     assert sub.n == 1 and emb.table == (1,)
     assert check_continuous(emb).holds
-    prod, pairs = space_product(s, s)
-    assert prod.n == 4
-    assert prod.leq(pairs.index((0, 0)), pairs.index((1, 1)))
-    assert not prod.leq(pairs.index((1, 0)), pairs.index((0, 1)))
 
 
 @pytest.mark.parametrize("mask", [0b100, -1])

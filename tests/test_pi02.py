@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from powerspace.core import (
+    FiniteSpace,
     SpaceMap,
     antichain,
     bits,
     enumerate_spaces,
     mask_of,
+    set_label,
     sierpinski,
     space_from_poset,
     subspace,
@@ -182,6 +184,62 @@ def test_lens_identification():
         assert v.holds
     assert lens_pi02(Powers(S)).info["lens_pairs"] == 4
     assert lens_pi02(Powers(D2)).info["lens_pairs"] == 4
+
+
+def test_lens_pi02_names_each_lens_whose_order_row_is_wrong():
+    # every single-bit corruption of every row of L(X)'s order: the first
+    # lens whose row is not its product-order row is the flipped one
+    flips = 0
+    for sp in labelled_spaces(3):
+        pw = Powers(sp)
+        space = pw.L.space
+        up = space.up
+        for i, j in product(range(space.n), repeat=2):
+            object.__setattr__(space, "up", up[:i] + (up[i] ^ 1 << j,) + up[i + 1:])
+            v = lens_pi02(pw)
+            assert not v.holds and v.witness == {"failure": "subspace order differs", "pair": space.names[i]}
+            flips += 1
+        object.__setattr__(space, "up", up)
+        assert lens_pi02(pw).holds
+    assert flips == 1179
+
+
+def test_lens_pi02_fails_when_a_lens_is_missing():
+    for sp in labelled_spaces(3):
+        pw = Powers(sp)
+        object.__setattr__(pw.L, "extents", pw.L.extents[:-1])
+        v = lens_pi02(pw)
+        assert not v.holds and v.witness == {"failure": "condition set differs from the convex construction"}
+
+
+def test_lens_pi02_names_the_least_pair_a_wrong_closure_moves():
+    # with a closure that adds the first point to every non-empty set,
+    # the lens pairs by definition differ from those by the two
+    # implications, which are the lenses, unless that point lies below
+    # every other; the witness is the least pair of the difference,
+    # computed here from the definition
+    failures = 0
+    for sp in labelled_spaces(3):
+        x = FiniteSpace(sp.names, sp.up)  # a copy: the labelled spaces are shared
+        pw = Powers(x)
+        lenses = set(pw.L.extents)
+        closure = x.closure_mask
+        object.__setattr__(x, "closure_mask", lambda m: closure(m) | 1 if m else 0)
+        closed = [x.full_mask ^ u for u in x.opens()]
+        defined = {
+            (a, k)
+            for a in closed
+            for k in x.opens()
+            if x.closure_mask(a & k) == a and x.saturation_mask(a & k) == k
+        }
+        v = lens_pi02(pw)
+        if defined == lenses:
+            assert v.holds
+            continue
+        a, k = min(defined ^ lenses)
+        assert not v.holds and v.witness == {"pair": (set_label(x.names, a), set_label(x.names, k))}
+        failures += 1
+    assert failures == 18
 
 
 def test_eta_image_characterizations():

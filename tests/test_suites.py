@@ -43,6 +43,12 @@ CONSONANCE_AT_5 = ("200ce471105f932edb8ca958a57c15d41e6e58ed0971b5a73caec29bb3da
 WILKER_AT_5 = ("8c83397dc3c0750d0b836cde8766b02367999ef550b7d8c3386e80c66823261e",
                "90117cb677f2071a6a01f450d18fc80aadb5210e2cf85aa934ba8e75934e802b")
 
+# and for the pi02 suite at --max-points 5, where A(X) and K(X) of the
+# 5-point antichain have 32 points each and its lens check weighs 1,024
+# candidate pairs (default scope stops at 3 points)
+PI02_AT_5 = ("9d3af1a2ae88b2745f33b8cf1373636cfdcee39a989244283bd04bb4438fa92f",
+             "bef18313ef6416e70a44aa5561342edf4166f16cc1a0afb69f291e8b6016e1f4")
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -160,6 +166,12 @@ def test_golden_wilker_body_at_five_points():
     report = run_suite("wilker", max_points=5)
     body = json.dumps(report.to_json(include_timings=False), sort_keys=True)
     assert (_sha256(body), _sha256("\n".join(report.lines()))) == WILKER_AT_5
+
+
+def test_golden_pi02_body_at_five_points():
+    report = run_suite("pi02", max_points=5)
+    body = json.dumps(report.to_json(include_timings=False), sort_keys=True)
+    assert (_sha256(body), _sha256("\n".join(report.lines()))) == PI02_AT_5
 
 
 @pytest.mark.parametrize("job", [monad_space_job, consonance_space_job])
