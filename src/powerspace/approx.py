@@ -364,6 +364,21 @@ def wilker_splits(r: ApproxRelation, limits: Limits = DEFAULT_LIMITS):
             yield u1, u2, k, None if k1 & ~u1 or k2 & ~u2 or k & ~(k1 | k2) else split
 
 
+def _require_triple(x: FiniteSpace, r: ApproxRelation, k: PtSet, u1: PtSet, u2: PtSet) -> None:
+    """The input checks of wilker_decompose and its trace: r, K, U1 and
+    U2 on x, U1 and U2 open, and K saturated inside U1 | U2."""
+    if r.space != x:
+        raise PreconditionViolated("the relation must live on the given space")
+    if any(s.space != x for s in (k, u1, u2)):
+        raise PreconditionViolated("all sets must live in the given space")
+    if not x.is_open(u1.mask) or not x.is_open(u2.mask):
+        raise PreconditionViolated("U1 and U2 must be open")
+    if x.saturation_mask(k.mask) != k.mask:
+        raise PreconditionViolated("K must be saturated")
+    if k.mask & ~(u1.mask | u2.mask):
+        raise PreconditionViolated("K must be covered by U1 and U2")
+
+
 def wilker_decompose(
     x: FiniteSpace,
     r: ApproxRelation,
@@ -374,17 +389,7 @@ def wilker_decompose(
 ) -> tuple[PtSet, PtSet]:
     """Split a compact set under a two-open cover along the refinement
     trees.  Returns saturated K1 inside U1 and K2 inside U2 covering K."""
-    if r.space != x:
-        raise PreconditionViolated("the relation must live on the given space")
-    for s in (k, u1, u2):
-        if s.space != x:
-            raise PreconditionViolated("all sets must live in the given space")
-    if not x.is_open(u1.mask) or not x.is_open(u2.mask):
-        raise PreconditionViolated("U1 and U2 must be open")
-    if x.saturation_mask(k.mask) != k.mask:
-        raise PreconditionViolated("K must be saturated")
-    if k.mask & ~(u1.mask | u2.mask):
-        raise PreconditionViolated("K must be covered by U1 and U2")
+    _require_triple(x, r, k, u1, u2)
     require_valid_relation(r, limits)
     k1, k2 = wilker_split(r, k.mask, u1.mask, u2.mask, limits)
     return PtSet(x, k1), PtSet(x, k2)
@@ -399,12 +404,10 @@ def wilker_decomposition_trace(
     limits: Limits = DEFAULT_LIMITS,
 ) -> dict:
     """Same walk as wilker_decompose, with no memo, exported level by
-    level for audit."""
-    if r.space != x:
-        raise PreconditionViolated("the relation must live on the given space")
+    level for audit.  It takes the inputs wilker_decompose takes, but
+    walks a relation that fails its axioms too."""
+    _require_triple(x, r, k, u1, u2)
     w = _open_walk(r, limits)
-    if u1.mask not in w.index or u2.mask not in w.index:
-        raise PreconditionViolated("U1 and U2 must be open")
     levels, start, stable_f, stable_g, (k1, k2) = _walk(w, k.mask, 1 << w.index[u1.mask], 1 << w.index[u2.mask])
     lbl = lambda m: set_label(x.names, m)
     labels = lambda sel: [lbl(w.opens[i]) for i in bits(sel)]

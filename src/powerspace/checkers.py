@@ -34,10 +34,10 @@ from .core import (
     Verdict,
     bits,
     intersection_of,
-    neighborhoods,
     set_label,
+    transpose,
 )
-from .powerspaces import ConstructedSpace, Powers, _kept_on_powers
+from .powerspaces import KIND_LOWER, KIND_OPENS, KIND_UPPER, ConstructedSpace, Powers, _kept_on_powers
 from .canonical import sigma_tau
 
 
@@ -204,22 +204,43 @@ def topology_coincidence(space: ConstructedSpace, against: str) -> Verdict:
     point closures down(q), q not in up(p), which generate the weak
     topology.  A family closed under finite unions and intersections is
     the unions of its least neighborhoods, so comparing those with up
-    decides."""
+    decides.
+
+    The generated side takes one principal subbasic set per point and
+    part (Gierz et al., Continuous Lattices and Domains, ch. II-1).
+    With col the transpose of members, or of sat_members for the boxes
+    of L, point i lies in diamond(U) when U meets col[i], in box(U) when
+    U holds col[i], and in containing(U) when U lies inside col[i].
+    diamond and box grow with U and containing shrinks, for any members
+    table.  So each subbasic set holding i holds one that also holds i:
+    diamond(up(p)) for some p in col[i], box(saturation of col[i]) or
+    containing(interior of col[i]).  Their intersection, over p for A,
+    the one box for K, both parts for L and the one containing set for
+    O, is that of the whole subbasis, U over every open, even under a
+    wrong index: a corrupted index fails as the literal reading would.
+    """
     if against not in ("weak", "scott"):
         raise ValueError(f"unknown reference topology {against!r}")
-    cs_space = space.space
-    up = cs_space.up
-    generated = neighborhoods(space.subbasis(), cs_space.n)
+    names, up = space.space.names, space.space.up
+    generated = _least_neighborhoods(space)
     info = {"checker": "topology_coincidence", "against": against}
     if generated == list(up):
         return Verdict(True, info=info)
-    p = next(p for p in range(cs_space.n) if generated[p] != up[p])
-    return Verdict(
-        False,
-        witness={
-            "point": cs_space.names[p],
-            "generated": set_label(cs_space.names, generated[p]),
-            against: set_label(cs_space.names, up[p]),
-        },
-        info=info,
-    )
+    p = next(p for p, (m, row) in enumerate(zip(generated, up)) if m != row)
+    witness = {"point": names[p], "generated": set_label(names, generated[p]), against: set_label(names, up[p])}
+    return Verdict(False, witness=witness, info=info)
+
+
+def _least_neighborhoods(cs: ConstructedSpace) -> list[int]:
+    """Per point of cs, its least neighborhood by the principal reading."""
+    base, n = cs.base, cs.space.n
+    if cs.kind == KIND_OPENS:
+        return [cs.containing(base.interior_mask(c)) for c in transpose(cs.members, n)]
+    full = (1 << n) - 1
+    out = [full] * n
+    if cs.kind != KIND_UPPER:
+        diamonds = list(map(cs.diamond, base.up))
+        out = [intersection_of(diamonds, c, full) for c in transpose(cs.members, n)]
+    if cs.kind != KIND_LOWER:
+        out = [m & cs.box(base.saturation_mask(c)) for m, c in zip(out, transpose(cs.sat_members, n))]
+    return out

@@ -214,18 +214,6 @@ class ConstructedSpace:
         """Points whose extent, or closed part for L, contains the base set m."""
         return intersection_of(self.members, m, (1 << len(self.extents)) - 1)
 
-    def subbasis(self) -> list[int]:
-        """The generating opens listed in the module docstring, U running
-        over the opens of the base, as enumerated for this construction.
-        Built on demand for the topology audits, which compare the least
-        neighborhoods it generates with those of the order."""
-        opens = self.base._opens
-        if self.kind == KIND_OPENS:
-            return [self.containing(u) for u in opens]
-        dia = [self.diamond(u) for u in opens] if self.kind in (KIND_LOWER, KIND_CONVEX) else []
-        box = [self.box(u) for u in opens] if self.kind in (KIND_UPPER, KIND_CONVEX) else []
-        return dia + box
-
     @cached_property
     def _index(self) -> dict:
         return {e: i for i, e in enumerate(self.extents)}

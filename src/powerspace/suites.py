@@ -86,25 +86,11 @@ class SuiteReport:
         return out
 
     def to_json(self, include_timings: bool = True) -> dict:
-        body = {
-            "suite": self.suite,
-            "subjects": sorted(self.subjects),
-            "checks": [
-                {
-                    "name": r.name,
-                    "subject": r.subject,
-                    "passed": r.passed,
-                    "witness": _jsonable(r.witness),
-                }
-                for r in sorted(self.records, key=CheckRecord.sort_key)
-            ],
-            "failed": self.failed,
-        }
+        records = sorted(self.records, key=CheckRecord.sort_key)
+        checks = [{"name": r.name, "subject": r.subject, "passed": r.passed, "witness": _jsonable(r.witness)} for r in records]
+        body = {"suite": self.suite, "subjects": sorted(self.subjects), "checks": checks, "failed": self.failed}
         if include_timings:
-            body["timings"] = {
-                f"{r.subject}:{r.name}": round(r.millis, 3)
-                for r in sorted(self.records, key=CheckRecord.sort_key)
-            }
+            body["timings"] = {f"{r.subject}:{r.name}": round(r.millis, 3) for r in records}
         return body
 
 

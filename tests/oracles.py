@@ -1,6 +1,7 @@
 """Literal quantifiers kept as test oracles for the library's shortcuts."""
 
-from functools import cache, reduce
+import copy
+from functools import cached_property, reduce
 from itertools import permutations, product
 from operator import or_
 
@@ -15,11 +16,12 @@ from powerspace.core import (
     enumerate_upper_sets,
     iter_continuous_maps,
     intersection_of,
+    neighborhoods,
     set_label,
     union_of,
 )
 from powerspace.errors import PreconditionViolated
-from powerspace.powerspaces import KIND_LOWER, KIND_OPENS, KIND_UPPER, Powers, functor_map
+from powerspace.powerspaces import KIND_CONVEX, KIND_LOWER, KIND_OPENS, KIND_UPPER, Powers, functor_map
 
 
 def row_union_covers(up) -> list[tuple[int, int]]:
@@ -76,17 +78,55 @@ def least_relabeling(up) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return min((relabeled(perm), perm) for perm in permutations(range(len(up))))
 
 
-@cache
+_LABELLED: dict[int, tuple[FiniteSpace, ...]] = {}
+_AS_BUILT: dict[int, list[dict]] = {}  # per n, each space's attributes as handed out
+
+
 def labelled_spaces(n: int) -> tuple[FiniteSpace, ...]:
     """Every labelling of every T0 space on at most n points, by size,
     then by rows: each representative of enumerate_spaces(n) under all
-    k! point permutations, point i renamed perm[i], duplicates dropped."""
-    out = []
-    for k in range(n + 1):
-        reps = (s for s in enumerate_spaces(n) if s.n == k)
-        labelled = {relabel(rep.up, perm) for rep in reps for perm in permutations(range(k))}
-        out += (FiniteSpace(tuple(f"p{i}" for i in range(k)), up) for up in sorted(labelled))
-    return tuple(out)
+    k! point permutations, point i renamed perm[i], duplicates dropped.
+
+    Built once per n and shared by every caller, so a test that shadows
+    an attribute of one changes what later tests read: tests that corrupt
+    a space copy it first, and restore_labelled_spaces names and undoes
+    any change left behind."""
+    if n not in _LABELLED:
+        out = []
+        for k in range(n + 1):
+            reps = (s for s in enumerate_spaces(n) if s.n == k)
+            labelled = {relabel(rep.up, perm) for rep in reps for perm in permutations(range(k))}
+            out += (FiniteSpace(tuple(f"p{i}" for i in range(k)), up) for up in sorted(labelled))
+        _LABELLED[n] = tuple(out)
+        _AS_BUILT[n] = [dict(vars(sp)) for sp in out]
+    return _LABELLED[n]
+
+
+def restore_labelled_spaces() -> list[str]:
+    """The attributes changed since labelled_spaces handed its spaces out,
+    as "up=<rows>: <attribute>", each such space put back as built.
+
+    An attribute is changed when it is rebound to another object or
+    removed, or added other than by a cached_property of FiniteSpace with
+    the value a fresh copy of the space computes; such additions are
+    kept.  A value changed in place, with no rebinding, is not seen."""
+    changed, missing = [], object()
+    for n, spaces in _LABELLED.items():
+        as_built = _AS_BUILT[n]
+        if list(map(vars, spaces)) == as_built:
+            continue
+        for sp, built in zip(spaces, as_built):
+            now = vars(sp)
+            for key in now.keys() - built.keys():
+                if isinstance(getattr(FiniteSpace, key, None), cached_property):
+                    if now[key] == getattr(FiniteSpace(built["names"], built["up"]), key):
+                        built[key] = now[key]
+            bad = sorted(key for key in now.keys() | built.keys() if now.get(key, missing) is not built.get(key))
+            if bad:
+                changed += (f"up={built['up']}: {key}" for key in bad)
+                now.clear()
+                now.update(built)
+    return changed
 
 
 def literal_rows(cs) -> tuple[int, ...]:
@@ -134,6 +174,56 @@ def close_family(seeds, full: int) -> frozenset[int]:
                         fresh.append(c)
         frontier = fresh
     return frozenset(fam)
+
+
+def literal_subbasis(cs) -> list[int]:
+    """The generating opens of the construction cs, U running over the
+    opens of its base: containing(U) for O, diamond(U) for A, box(U) for
+    K, and the diamonds then the boxes for L."""
+    opens = cs.base._opens
+    if cs.kind == KIND_OPENS:
+        return [cs.containing(u) for u in opens]
+    diamonds = [cs.diamond(u) for u in opens] if cs.kind != KIND_UPPER else []
+    boxes = [cs.box(u) for u in opens] if cs.kind != KIND_LOWER else []
+    return diamonds + boxes
+
+
+def literal_least_neighborhoods(cs) -> list[int]:
+    """Per point of cs, the intersection of every subbasic set holding it."""
+    return neighborhoods(literal_subbasis(cs), cs.space.n)
+
+
+def literal_topology_coincidence(cs, against: str) -> Verdict:
+    """topology_coincidence on the literal least neighborhoods: the first
+    point whose generated neighborhood is not its up-set is the witness."""
+    names, up = cs.space.names, cs.space.up
+    info = {"checker": "topology_coincidence", "against": against}
+    for p, (generated, row) in enumerate(zip(literal_least_neighborhoods(cs), up)):
+        if generated != row:
+            witness = {"point": names[p], "generated": set_label(names, generated), against: set_label(names, row)}
+            return Verdict(False, witness=witness, info=info)
+    return Verdict(True, info=info)
+
+
+def flip_index_bit(cs, fields, p: int, i: int):
+    """A copy of the construction cs with bit i of row p flipped in each
+    index table named in fields ("members", "sat_members"); its extents
+    and order are cs's."""
+    out = copy.copy(cs)
+    for name in fields:
+        rows = list(getattr(cs, name))
+        rows[p] ^= 1 << i
+        object.__setattr__(out, name, tuple(rows))
+    return out
+
+
+def index_bit_flips(cs):
+    """flip_index_bit at every row of the base and every bit below the
+    point count: of members and of sat_members apart for L, of both at
+    once for A, K and O, where they are one table."""
+    groups = (("members",), ("sat_members",)) if cs.kind == KIND_CONVEX else (("members", "sat_members"),)
+    for fields, p, i in product(groups, range(cs.base.n), range(cs.space.n)):
+        yield flip_index_bit(cs, fields, p, i)
 
 
 def _upper_families(opens) -> list[int]:

@@ -163,6 +163,31 @@ def test_decompose_preconditions():
         wilker_decomposition_trace(S, r, PtSet(S, 0b10), PtSet(S, 0b01), PtSet(S, 0b10))  # {bot} is not open
 
 
+_X2 = antichain(2)
+_REFUSED = {
+    # one bad input each, on the Sierpinski space unless named
+    "relation_elsewhere": ((canonical_approx_relation(_X2), 0b11, 0b11, 0b11), "relation must live"),
+    "K_elsewhere": ((None, PtSet(_X2, 0b11), 0b11, 0b11), "sets must live"),
+    "U1_elsewhere": ((None, 0b11, PtSet(_X2, 0b11), 0b11), "sets must live"),
+    "U2_elsewhere": ((None, 0b11, 0b11, PtSet(_X2, 0b11)), "sets must live"),
+    "U1_not_open": ((None, 0b10, 0b01, 0b10), "must be open"),
+    "U2_not_open": ((None, 0b10, 0b10, 0b01), "must be open"),
+    # {bot} under U1 = U2 = X: the trace used to split it as ({bot,top}, {bot,top})
+    "K_not_saturated": ((None, 0b01, 0b11, 0b11), "K must be saturated"),
+    "K_not_covered": ((None, 0b11, 0b10, 0b10), "K must be covered"),
+}
+
+
+@pytest.mark.parametrize("entry", [wilker_decompose, wilker_decomposition_trace])
+@pytest.mark.parametrize("case", list(_REFUSED))
+def test_both_entries_refuse_each_bad_input_alike(entry, case):
+    (r, *sets), message = _REFUSED[case]
+    r = r or canonical_approx_relation(S)
+    k, u1, u2 = (m if isinstance(m, PtSet) else PtSet(S, m) for m in sets)
+    with pytest.raises(PreconditionViolated, match=message):
+        entry(S, r, k, u1, u2)
+
+
 def test_decompose_rejects_an_invalid_relation_on_every_call():
     bad = ApproxRelation(S, frozenset({(0b11, 0b10)}))  # fails the subset axiom
     assert validate_approx_relation(bad) is validate_approx_relation(bad)  # validated once

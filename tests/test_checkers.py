@@ -25,13 +25,17 @@ from powerspace.core import (
     set_label,
     sierpinski,
 )
-from powerspace.powerspaces import ConstructedSpace, open_lattice
+from powerspace.powerspaces import open_lattice
 
 from oracles import (
+    flip_index_bit,
+    index_bit_flips,
     labelled_spaces,
     least_triangle_intersections,
     literal_co_consonance,
     literal_consonance,
+    literal_least_neighborhoods,
+    literal_topology_coincidence,
     literal_wilker,
 )
 
@@ -309,18 +313,72 @@ def test_weak_and_scott_neighborhoods_are_up():
             check(cs.space)
 
 
-def test_topology_coincidence_names_the_point_a_lost_generator_changes(monkeypatch):
-    # dropping the generator for the open {top} leaves {bot,top} with a
-    # larger least neighborhood than the order gives it
-    subbasis = ConstructedSpace.subbasis
-    monkeypatch.setattr(ConstructedSpace, "subbasis", lambda cs: subbasis(cs)[::2])
+def test_topology_coincidence_names_the_point_a_corrupted_index_changes():
+    # a lost index bit and a stray one, each read as the literal subbasis
+    # reads them: {bot,top} no longer holds top for A(X), so its least
+    # neighborhood grows; {top} holds bot for K(X), so nothing smaller
+    # than the whole space is a box around it
     pw = Powers(S)
-    v = topology_coincidence(pw.A, "weak")
-    assert not v.holds
+    lost = flip_index_bit(pw.A, ("members", "sat_members"), 1, 2)
+    v = topology_coincidence(lost, "weak")
+    assert not v.holds and v == literal_topology_coincidence(lost, "weak")
     assert v.witness == {"point": "{bot,top}", "generated": "{{bot},{bot,top}}", "weak": "{{bot,top}}"}
-    v = topology_coincidence(pw.K, "scott")
-    assert not v.holds
+    stray = flip_index_bit(pw.K, ("members", "sat_members"), 0, 1)
+    v = topology_coincidence(stray, "scott")
+    assert not v.holds and v == literal_topology_coincidence(stray, "scott")
     assert v.witness == {"point": "{top}", "generated": "{{},{top},{bot,top}}", "scott": "{{},{top}}"}
+
+
+_WORDS = ("A", "K", "L", "O", "AK", "KA", "OO", "AO", "OK", "KO", "OA")
+
+
+def test_least_neighborhoods_match_the_literal_subbasis():
+    """The principal reading against the whole subbasis, as masks and as
+    verdicts: A, K, L, O and the seven iterated words over every labelled
+    space of at most 4 points."""
+    built = 0
+    for sp in labelled_spaces(4):
+        pw = Powers(sp)
+        for word in _WORDS:
+            cs = getattr(pw, word)
+            assert checkers._least_neighborhoods(cs) == literal_least_neighborhoods(cs) == list(cs.space.up), (sp, word)
+            against = ("weak", "scott")[built % 2]
+            assert topology_coincidence(cs, against) == literal_topology_coincidence(cs, against)
+            built += 1
+    assert built == 2673
+
+
+def test_least_neighborhoods_match_the_literal_subbasis_under_index_corruption():
+    """Every single-bit flip of the index (members, and sat_members apart
+    for L) of A, K, L, O and K(A(X)) over every labelled space of at most
+    3 points: the principal reading equals the literal one as masks, and
+    the verdicts and witnesses agree."""
+    flips = failing = 0
+    for sp in labelled_spaces(3):
+        pw = Powers(sp)
+        for cs in (pw.A, pw.K, pw.L, pw.O, pw.KA):
+            for bad in index_bit_flips(cs):
+                assert checkers._least_neighborhoods(bad) == literal_least_neighborhoods(bad), (sp, cs)
+                v = topology_coincidence(bad, "weak")
+                assert v == literal_topology_coincidence(bad, "weak"), (sp, cs)
+                flips += 1
+                failing += not v.holds
+    assert flips == 2782 and failing == 2137
+
+
+def test_topology_coincidence_holds_at_five_points():
+    """A(X) and K(X) of every 5-point space, and K(A(X)) of the 5-point
+    antichain, the largest subject double_weak_coincidence would take on
+    at 5 points."""
+    spaces = [sp for sp in enumerate_spaces(5) if sp.n == 5]
+    assert len(spaces) == 63
+    for sp in spaces:
+        pw = Powers(sp)
+        assert topology_coincidence(pw.A, "weak").holds, sp
+        assert topology_coincidence(pw.K, "scott").holds, sp
+    ka = Powers(antichain(5)).KA
+    assert ka.space.n == 7581
+    assert topology_coincidence(ka, "weak").holds
 
 
 def test_powerspace_sobriety():

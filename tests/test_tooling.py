@@ -1,22 +1,29 @@
 """The benchmark harness and the scripts import names from powerspace that
 no other test touches.  Parse them, without running them, and resolve
 every such name, so a change to the public API cannot break them
-silently.  The README's quickstart is run as written, no module imports
-a name it never uses, and every committed benchmark record names a
-metric the benchmark measures."""
+silently.  The README's quickstart is run as written, every dotted name
+it puts in backticks from the package resolves, no module imports a name
+it never uses, every committed benchmark record names a metric the
+benchmark measures, and the shared labelled spaces of the test oracles
+are checked after every test."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 import json
 import re
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
-from powerspace.core import PtSet, sierpinski
+from powerspace.core import FiniteSpace, PtSet, sierpinski
 from powerspace.suites import SUITES, CheckRecord, SuiteReport
+
+from oracles import labelled_spaces, restore_labelled_spaces
 
 ROOT = Path(__file__).resolve().parents[1]
 FILES = [ROOT / "perfbench" / "worker.py", ROOT / "perfbench" / "record.py", *sorted((ROOT / "scripts").glob("*.py"))]
@@ -102,6 +109,98 @@ def test_readme_quickstart_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {"__name__": "quickstart"})
     assert "digraph" in capsys.readouterr().out
+
+
+def _readme_names(text: str) -> list[str]:
+    """Each backticked dotted name outside code blocks, cut where the name
+    ends (`FiniteSpace.leq(i, j)` gives FiniteSpace.leq), a leading
+    powerspace. dropped."""
+    text = re.sub(r"```.*?```", "", text, flags=re.S)
+    return re.findall(r"`(?:powerspace\.)?([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)[^`\n]*`", text)
+
+
+def _package_roots() -> dict[str, object]:
+    """The package's modules by name, and its public classes by name."""
+    stems = sorted(p.stem for p in (ROOT / "src" / "powerspace").glob("*.py") if p.stem != "__init__")
+    modules = {stem: importlib.import_module(f"powerspace.{stem}") for stem in stems}
+    classes = {
+        name: obj
+        for mod in modules.values()
+        for name, obj in vars(mod).items()
+        if isinstance(obj, type) and obj.__module__.startswith("powerspace") and not name.startswith("_")
+    }
+    return {**classes, **modules}
+
+
+def _instance_names(cls: type) -> set[str]:
+    """What instances of cls hold beyond its class attributes: its
+    dataclass fields, or what its __init__ assigns to self."""
+    if dataclasses.is_dataclass(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+    init = cls.__dict__.get("__init__")
+    if init is None:
+        return set()
+    tree = ast.parse(textwrap.dedent(inspect.getsource(init)))
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+    }
+
+
+def _stale_names(names: list[str], roots: dict[str, object]) -> list[str]:
+    """The names that start at a module or public class of the package
+    and do not resolve: each later part must be an attribute of what the
+    parts before it name, or an instance attribute of a class, after
+    which nothing further is checked."""
+    stale = []
+    for dotted in names:
+        head, *parts = dotted.split(".")
+        obj = roots.get(head)
+        for part in parts if obj is not None else ():
+            if hasattr(obj, part):
+                obj = getattr(obj, part)
+            elif isinstance(obj, type) and part in _instance_names(obj):
+                break
+            else:
+                stale.append(dotted)
+                break
+    return stale
+
+
+def test_readme_names_from_the_package_resolve():
+    names = _readme_names((ROOT / "README.md").read_text())
+    roots = _package_roots()
+    assert sum(name.split(".")[0] in roots for name in names) >= 10
+    assert not _stale_names(names, roots)
+
+
+def test_the_check_sees_a_stale_readme_name():
+    readme = (
+        "`core.transpose` and `FiniteSpace.leq(i, j)`, `Verdict.info` (a field),\n"
+        "`Powers.limits` (set in __init__), `omega.CofinSet.mode`, `BENCH_x.json`,\n"
+        "`ConstructedSpace.subbasis()`, `core.neighbourhoods` and `Verdict.infos`.\n"
+        "```python\ncore.gone\n`core.gone_too`\n```\n"
+    )
+    names = _readme_names(readme)
+    assert "core.gone_too" not in names and "BENCH_x.json" in names
+    assert _stale_names(names, _package_roots()) == ["ConstructedSpace.subbasis", "core.neighbourhoods", "Verdict.infos"]
+
+
+def test_labelled_space_guard_names_and_undoes_a_planted_shadow():
+    # conftest fails a test that leaves a change; here one is planted and
+    # undone before that check runs
+    sp = labelled_spaces(2)[-1]
+    rows, down = sp.up, sp.down  # down, a cached_property, filled in: no change
+    assert restore_labelled_spaces() == []
+    object.__setattr__(sp, "closure_mask", lambda mask: mask)
+    object.__setattr__(sp, "down", tuple(reversed(down)))
+    object.__setattr__(sp, "_opens", ())  # not filled in yet, and wrong
+    assert restore_labelled_spaces() == [f"up={rows}: {key}" for key in ("_opens", "closure_mask", "down")]
+    assert sp.down is down and sp.closure_mask(1) == FiniteSpace(sp.names, sp.up).closure_mask(1)
+    assert sp.opens() == FiniteSpace(sp.names, sp.up).opens()
+    assert restore_labelled_spaces() == []
 
 
 def test_run_suites_prints_fail_lines_as_verify_does(monkeypatch, capsys):
