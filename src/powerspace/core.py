@@ -97,12 +97,60 @@ def set_label(names: Sequence[str], mask: int) -> str:
     return "{" + ",".join(compress(names, _selectors(mask))) + "}"
 
 
+class Labels(Sequence):
+    """The names of a construction's points: set_label(names, m) for each
+    mask m, made on the first read that needs them and then kept.
+
+    It stands for the tuple of those labels and reads as it does: the same
+    items, len, iteration, ==, hash and repr, and it pickles as that
+    tuple.  Only len and comparison with itself make no labels.
+    """
+
+    __slots__ = ("_names", "_masks", "_labels")
+
+    def __init__(self, names: Sequence[str], masks: Sequence[int]):
+        self._names, self._masks, self._labels = names, masks, None
+
+    def _tuple(self) -> tuple[str, ...]:
+        if self._labels is None:
+            self._labels = tuple(map(set_label, repeat(self._names), self._masks))
+        return self._labels
+
+    def __len__(self) -> int:
+        return len(self._masks)
+
+    def __getitem__(self, i):
+        return self._tuple()[i]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._tuple())
+
+    def __eq__(self, other) -> bool:
+        if other is self:
+            return True
+        if isinstance(other, Labels):
+            other = other._tuple()
+        return self._tuple() == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._tuple())
+
+    def __repr__(self) -> str:
+        return repr(self._tuple())
+
+    def __reduce__(self):
+        return tuple, (self._tuple(),)
+
+
 @dataclass(frozen=True)
 class FiniteSpace:
     """A finite T0 space, stored as its specialization order.
 
-    names  one identifier per point, pairwise distinct
+    names  one identifier per point, pairwise distinct; a construction's
+           are a Labels, filled in on the first read
     up     up[i] is the bit mask of {j : i <= j}, including i itself
+
+    n is len(up), so no size query reads the names.
 
     The open sets are the upper sets of the order.  They are enumerated
     lazily because iterated powerspace constructions make the family
@@ -127,7 +175,7 @@ class FiniteSpace:
     antisymmetric exactly when the rows are pairwise distinct.
     """
 
-    names: tuple[str, ...]
+    names: Sequence[str]
     up: tuple[int, ...]
 
     def __post_init__(self):
@@ -155,7 +203,7 @@ class FiniteSpace:
         self.__dict__.update(_strict_up=strict, _edges=edges)
 
     @classmethod
-    def _trusted(cls, names: tuple[str, ...], up: tuple[int, ...], edges: array) -> FiniteSpace:
+    def _trusted(cls, names: Sequence[str], up: tuple[int, ...], edges: array) -> FiniteSpace:
         """A space on an order its caller derived and answers for: the
         rows up and the Hasse edges, a flat array of (i, j) pairs by i then
         j as covers() lists them, are taken as given, with no row pass.
@@ -166,11 +214,11 @@ class FiniteSpace:
 
     @property
     def n(self) -> int:
-        return len(self.names)
+        return len(self.up)
 
     @property
     def full_mask(self) -> int:
-        return (1 << len(self.names)) - 1
+        return (1 << len(self.up)) - 1
 
     @cached_property
     def down(self) -> tuple[int, ...]:
@@ -240,10 +288,10 @@ class FiniteSpace:
         return self._opens
 
     @cached_property
-    def opens_index(self) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    def opens_index(self) -> tuple[tuple[int, ...], Labels]:
         """The transpose of the opens, entry p the mask of those holding
         point p, and their labels; K and O of this space share both."""
-        return transpose(self._opens, self.n), tuple(set_label(self.names, u) for u in self._opens)
+        return transpose(self._opens, self.n), Labels(self.names, self._opens)
 
     @cached_property
     def open_covers(self) -> tuple[array, array, array]:
@@ -737,21 +785,22 @@ def canonical_relabeling(up: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[in
 
 
 @cache
-def _canonical_posets_exact(k: int) -> list[tuple[int, ...]]:
+def _canonical_posets_exact(k: int) -> tuple[tuple[int, ...], ...]:
     """All posets on exactly k points, one canonical representative each.
 
     Grown by adding a maximal point above each lower set of a smaller
-    poset; every poset arises this way along any linear extension.
+    poset; every poset arises this way along any linear extension.  The
+    cache hands the same tuple to every caller, so none can change it.
     """
     if k == 0:
-        return [()]
+        return ((),)
     out: set[tuple[int, ...]] = set()
     for smaller in _canonical_posets_exact(k - 1):
         for low in enumerate_upper_sets(transpose(smaller, k - 1)):
             up = [m | (1 << (k - 1)) if (low >> i) & 1 else m for i, m in enumerate(smaller)]
             up.append(1 << (k - 1))
             out.add(canonical_relabeling(tuple(up))[0])
-    return sorted(out)
+    return tuple(sorted(out))
 
 
 MAX_ENUMERATION_POINTS = 6  # largest n accepted by enumerate_spaces

@@ -20,9 +20,13 @@ trusted: it enters through FiniteSpace._trusted with its Hasse edges,
 skipping the row pass that validates parsed orders and lists their
 edges, and L's edges come from its one-part covers
 (ConstructedSpace._lens_covers).  Points are sorted by extent so
-identical expressions always rebuild identical spaces.  Powers keeps
-the constructions of one subject, each built once and named by its word
-(pw.AK is A(K(X))).
+identical expressions always rebuild identical spaces.  A point of A, K
+or O is named by its extent, but only when something first reads the
+names (core.Labels): deciding the paper's maps reads orders and
+extents, and only witnesses, fingerprints and exports read names.  L
+names its lenses when it is built, since every export of it reads them
+all.  Powers keeps the constructions of one subject, each built once
+and named by its word (pw.AK is A(K(X))).
 
 The maps between constructions take the constructions they run between
 and read the kind off them: monad_unit(pw.A) is X -> A(X),
@@ -45,6 +49,7 @@ from typing import Iterable, Sequence
 from .config import DEFAULT_LIMITS, Limits
 from .core import (
     FiniteSpace,
+    Labels,
     PtSet,
     SpaceMap,
     Verdict,
@@ -72,7 +77,9 @@ class ConstructedSpace:
     is the same over the saturated parts of L, and members itself for the
     other kinds.  names are the point labels when the caller has them (K
     and O share the labels the base keeps for its opens), else None: each
-    point is then labelled by its extent, a lens by its two parts.
+    point is then labelled by its extent, a lens by its two parts.  The
+    names of A, K and O are a core.Labels, made the first time something
+    reads them; those of L are made here.
 
     The order of A, K and O is extent inclusion (subset for A and O,
     superset for K), folded here along the base's open_covers and
@@ -87,7 +94,7 @@ class ConstructedSpace:
     label: str
     members: tuple[int, ...]
     sat_members: tuple[int, ...]
-    names: InitVar[tuple[str, ...] | None]
+    names: InitVar[Labels | None]
     base_construction: "ConstructedSpace | None" = None
     space: FiniteSpace = field(init=False)
     _steps: "tuple[array, array] | None" = field(init=False, repr=False, compare=False)
@@ -105,7 +112,7 @@ class ConstructedSpace:
             space, steps = FiniteSpace._trusted(names, up, self._lens_covers()), None
         else:
             if names is None:
-                names = tuple(set_label(base_names, e) for e in self.extents)
+                names = Labels(base_names, self.extents)
             up, edges, steps = self._derived_order()
             space = FiniteSpace._trusted(names, up, edges)
         object.__setattr__(self, "space", space)
@@ -297,7 +304,7 @@ def _finish(base, base_cs, label, kind, extents) -> ConstructedSpace:
     elif kind == KIND_LOWER:
         members = sat_members = transpose(extents, base.n)
     else:
-        # the extents of K and O are the base's opens: one index and one label tuple for both
+        # the extents of K and O are the base's opens: one index and one Labels for both
         members, names = base.opens_index
         sat_members = members
     return ConstructedSpace(base, kind, tuple(extents), label, members, sat_members, names, base_cs)

@@ -8,6 +8,7 @@ from operator import or_
 from powerspace.canonical import _SQUARES, alpha_beta, gamma_delta, phi_psi, sigma_tau
 from powerspace.config import DEFAULT_LIMITS
 from powerspace.core import (
+    MAX_ENUMERATION_POINTS,
     FiniteSpace,
     Verdict,
     bits,
@@ -79,7 +80,13 @@ def least_relabeling(up) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 _LABELLED: dict[int, tuple[FiniteSpace, ...]] = {}
-_AS_BUILT: dict[int, list[dict]] = {}  # per n, each space's attributes as handed out
+_AS_BUILT: list[tuple[tuple[FiniteSpace, ...], list[dict]]] = []  # each shared tuple, its spaces' attributes as handed out
+
+
+def _guard(spaces: tuple[FiniteSpace, ...]) -> tuple[FiniteSpace, ...]:
+    """Keep spaces' attributes as handed out, for restore_shared_spaces."""
+    _AS_BUILT.append((spaces, [dict(vars(sp)) for sp in spaces]))
+    return spaces
 
 
 def labelled_spaces(n: int) -> tuple[FiniteSpace, ...]:
@@ -89,7 +96,7 @@ def labelled_spaces(n: int) -> tuple[FiniteSpace, ...]:
 
     Built once per n and shared by every caller, so a test that shadows
     an attribute of one changes what later tests read: tests that corrupt
-    a space copy it first, and restore_labelled_spaces names and undoes
+    a space copy it first, and restore_shared_spaces names and undoes
     any change left behind."""
     if n not in _LABELLED:
         out = []
@@ -97,22 +104,29 @@ def labelled_spaces(n: int) -> tuple[FiniteSpace, ...]:
             reps = (s for s in enumerate_spaces(n) if s.n == k)
             labelled = {relabel(rep.up, perm) for rep in reps for perm in permutations(range(k))}
             out += (FiniteSpace(tuple(f"p{i}" for i in range(k)), up) for up in sorted(labelled))
-        _LABELLED[n] = tuple(out)
-        _AS_BUILT[n] = [dict(vars(sp)) for sp in out]
+        _LABELLED[n] = _guard(tuple(out))
     return _LABELLED[n]
 
 
-def restore_labelled_spaces() -> list[str]:
-    """The attributes changed since labelled_spaces handed its spaces out,
-    as "up=<rows>: <attribute>", each such space put back as built.
+def guard_enumerated_spaces() -> None:
+    """Hand every tuple enumerate_spaces caches, n up to its cap, to
+    restore_shared_spaces: the suites and many tests read those same
+    objects.  Called once, before the first test."""
+    for n in range(MAX_ENUMERATION_POINTS + 1):
+        _guard(enumerate_spaces(n))
+
+
+def restore_shared_spaces() -> list[str]:
+    """The attributes changed since labelled_spaces, or
+    guard_enumerated_spaces, handed their spaces out, as "up=<rows>:
+    <attribute>", each such space put back as built.
 
     An attribute is changed when it is rebound to another object or
     removed, or added other than by a cached_property of FiniteSpace with
     the value a fresh copy of the space computes; such additions are
     kept.  A value changed in place, with no rebinding, is not seen."""
     changed, missing = [], object()
-    for n, spaces in _LABELLED.items():
-        as_built = _AS_BUILT[n]
+    for spaces, as_built in _AS_BUILT:
         if list(map(vars, spaces)) == as_built:
             continue
         for sp, built in zip(spaces, as_built):

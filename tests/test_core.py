@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from powerspace.core import (
     FiniteSpace,
+    _canonical_posets_exact,
     PtSet,
     SpaceMap,
     antichain,
@@ -308,6 +309,13 @@ def test_count_upper_sets_on_a_chain_longer_than_the_recursion_limit():
 def test_enumerate_spaces_labeled_counts():
     labeled = [s for s in labelled_spaces(3) if s.n == 3]
     assert len(labeled) == 19  # labeled posets on 3 points
+
+
+def test_cached_posets_are_one_immutable_tuple():
+    # a cached list let a caller that sorts or appends to it change every later enumerate_spaces
+    first = _canonical_posets_exact(3)
+    assert _canonical_posets_exact(3) is first
+    assert type(first) is tuple and all(type(up) is tuple for up in first)
 
 
 def test_enumerate_limit():

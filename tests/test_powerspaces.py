@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 from itertools import product
@@ -5,8 +7,10 @@ from itertools import product
 import pytest
 
 from powerspace import checkers, core, powerspaces
+from powerspace.canonical import PAIR_BUILDERS, check_preimage_identities, verify_pair
 from powerspace.core import (
     FiniteSpace,
+    Labels,
     SpaceMap,
     antichain,
     chain,
@@ -16,6 +20,7 @@ from powerspace.core import (
     enumerate_spaces,
     iter_continuous_maps,
     mask_of,
+    set_label,
     sierpinski,
     space_from_json,
     space_from_opens,
@@ -24,6 +29,7 @@ from powerspace.core import (
 from powerspace.errors import CycleDetected, NotContinuous, NotT0, PowerspaceTooLarge
 from powerspace.config import DEFAULT_LIMITS, Limits
 from powerspace.powerspaces import (
+    KIND_CONVEX,
     Powers,
     algebra_laws,
     construction_to_json,
@@ -185,6 +191,74 @@ def test_size_cap():
 
 
 HOMEO_WORDS = ("A", "K", "O", "AK", "KA", "OO", "AO", "OK", "KO", "OA")
+
+
+def test_names_read_as_the_tuple_of_their_labels():
+    """Every construction of the homeo words and L over the labelled
+    spaces of at most 3 points.  The names A, K and O make on first read
+    are set_label of each extent, and a lens is named by its two parts.
+    Read, compared, hashed, printed, pickled (as --jobs sends results) and
+    exported, the space is the same as one with those names as a tuple."""
+    built = 0
+    for sp in labelled_spaces(3):
+        pw = Powers(sp)
+        for word in (*HOMEO_WORDS, "L"):
+            cs = getattr(pw, word)
+            names, base = cs.space.names, cs.base.names
+            if cs.kind == KIND_CONVEX:
+                assert type(names) is tuple
+                want = tuple(f"<{set_label(base, a)},{set_label(base, k)}>" for a, k in cs.extents)
+            else:
+                assert type(names) is Labels
+                want = tuple(set_label(base, e) for e in cs.extents)
+                # each way in makes the labels on a fresh sequence
+                fresh = lambda: Labels(base, cs.extents)
+                assert fresh() == want and want == fresh() and fresh() != want + ("",)
+                assert hash(fresh()) == hash(want) and repr(fresh()) == repr(want)
+                assert [fresh()[i] for i in range(len(want))] == list(fresh()) == list(want)
+                assert all(w in fresh() for w in want) and fresh()[1:] == want[1:]
+                thawed = pickle.loads(pickle.dumps(fresh()))
+                assert type(thawed) is tuple and thawed == want
+            assert len(names) == len(want) and tuple(names) == want and names == want
+            eager = FiniteSpace(want, cs.space.up)
+            assert cs.space == eager and eager == cs.space and hash(cs.space) == hash(eager)
+            assert cs.space.fingerprint == eager.fingerprint and repr(cs.space) == repr(eager)
+            thawed = pickle.loads(pickle.dumps(cs.space))
+            assert thawed == eager and type(thawed.names) is tuple and thawed.covers() == eager.covers()
+            with_eager = copy.copy(cs)
+            object.__setattr__(with_eager, "space", eager)
+            assert to_dot(cs) == to_dot(eager)
+            assert construction_to_json(cs) == construction_to_json(with_eager)
+            built += 1
+    assert built == 11 * len(labelled_spaces(3))
+
+
+def test_homeo_work_makes_no_construction_label(monkeypatch):
+    """The perfbench homeo-large work on its subject: the ten builds, the
+    four canonical pairs, verify_pair and the preimage identities make no
+    label of a construction point, nor do size queries and comparing a
+    space with itself.  A first read of the names makes each label once,
+    a second read none."""
+    made = []
+    label = core.set_label
+    monkeypatch.setattr(core, "set_label", lambda names, mask: made.append(mask) or label(names, mask))
+    pw = Powers(FiniteSpace(tuple(f"p{i}" for i in range(5)), (1, 2, 4, 8, 17)))
+    spaces = [getattr(pw, word).space for word in HOMEO_WORDS]
+    assert all(verify_pair(builder(pw)).holds for builder in PAIR_BUILDERS.values())
+    assert check_preimage_identities(pw).holds
+    assert [s.n for s in spaces] == [len(s.names) for s in spaces] == [24, 24, 24, *[887] * 7]
+    assert all(s == s and s.names == s.names and s.full_mask == (1 << s.n) - 1 for s in spaces)
+    assert made == []
+    # K and O over one base share their names (K, O; KA, OA; OO, KO), and
+    # reading A(K(X))'s reads K(X)'s
+    distinct = {id(s.names): len(s.names) for s in spaces}
+    assert len(distinct) == 7
+    for s in spaces:
+        list(s.names)
+    assert len(made) == sum(distinct.values()) == 2 * 24 + 5 * 887
+    for s in spaces:
+        list(s.names)
+    assert len(made) == sum(distinct.values())
 
 
 def test_extents_are_the_upper_sets_of_the_base_and_their_complements():

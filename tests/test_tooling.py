@@ -4,8 +4,8 @@ every such name, so a change to the public API cannot break them
 silently.  The README's quickstart is run as written, every dotted name
 it puts in backticks from the package resolves, no module imports a name
 it never uses, every committed benchmark record names a metric the
-benchmark measures, and the shared labelled spaces of the test oracles
-are checked after every test."""
+benchmark measures, and the spaces the test oracles and enumerate_spaces
+share are checked after every test."""
 
 import ast
 import dataclasses
@@ -20,10 +20,10 @@ from pathlib import Path
 
 import pytest
 
-from powerspace.core import FiniteSpace, PtSet, sierpinski
+from powerspace.core import FiniteSpace, PtSet, enumerate_spaces, sierpinski
 from powerspace.suites import SUITES, CheckRecord, SuiteReport
 
-from oracles import labelled_spaces, restore_labelled_spaces
+from oracles import labelled_spaces, restore_shared_spaces
 
 ROOT = Path(__file__).resolve().parents[1]
 FILES = [ROOT / "perfbench" / "worker.py", ROOT / "perfbench" / "record.py", *sorted((ROOT / "scripts").glob("*.py"))]
@@ -193,14 +193,28 @@ def test_labelled_space_guard_names_and_undoes_a_planted_shadow():
     # undone before that check runs
     sp = labelled_spaces(2)[-1]
     rows, down = sp.up, sp.down  # down, a cached_property, filled in: no change
-    assert restore_labelled_spaces() == []
+    assert restore_shared_spaces() == []
     object.__setattr__(sp, "closure_mask", lambda mask: mask)
     object.__setattr__(sp, "down", tuple(reversed(down)))
     object.__setattr__(sp, "_opens", ())  # not filled in yet, and wrong
-    assert restore_labelled_spaces() == [f"up={rows}: {key}" for key in ("_opens", "closure_mask", "down")]
+    assert restore_shared_spaces() == [f"up={rows}: {key}" for key in ("_opens", "closure_mask", "down")]
     assert sp.down is down and sp.closure_mask(1) == FiniteSpace(sp.names, sp.up).closure_mask(1)
     assert sp.opens() == FiniteSpace(sp.names, sp.up).opens()
-    assert restore_labelled_spaces() == []
+    assert restore_shared_spaces() == []
+
+
+def test_enumerated_space_guard_names_and_undoes_a_planted_shadow():
+    # the same guard over the tuples enumerate_spaces caches, which the
+    # suites read too; a size this test session may not have asked for yet
+    sp = enumerate_spaces(5)[-1]
+    rows, names = sp.up, sp.names
+    assert restore_shared_spaces() == []
+    object.__setattr__(sp, "names", tuple(reversed(names)))
+    object.__setattr__(sp, "opens", lambda limits=None: ())
+    assert restore_shared_spaces() == [f"up={rows}: {key}" for key in ("names", "opens")]
+    assert sp.names is names and sp.opens() == FiniteSpace(names, rows).opens()
+    assert enumerate_spaces(5)[-1] is sp
+    assert restore_shared_spaces() == []
 
 
 def test_run_suites_prints_fail_lines_as_verify_does(monkeypatch, capsys):
