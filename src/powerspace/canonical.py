@@ -92,12 +92,14 @@ def _takes_tower_limits(check):
 @_kept_on_powers
 def sigma_tau(pw: Powers) -> CanonicalMapPair:
     """sigma sends a closed family of compacts to the closed sets meeting
-    all of them; tau is the analogous map back."""
-    meeting_k = tuple(map(pw.A.diamond, pw.K.extents))
-    meeting_a = tuple(map(pw.K.diamond, pw.A.extents))
+    all of them; tau is the analogous map back.  The closed sets meeting
+    each compact are the tower's pw.diamonds, one per point of K(X), and
+    the compacts meeting each closed set its pw.triangles, read as points
+    of K(X), which O(X) shares; each map intersects one table over a
+    family's members."""
     full_a, full_k = pw.A.space.full_mask, pw.K.space.full_mask
-    fwd = pw.AK.intersections(meeting_k, full_a)
-    bwd = pw.KA.intersections(meeting_a, full_k)
+    fwd = pw.AK.intersections(pw.diamonds, full_a)
+    bwd = pw.KA.intersections(pw.triangles, full_k)
     return _pair(pw, "sigma/tau", fwd, bwd)
 
 

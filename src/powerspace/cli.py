@@ -104,13 +104,7 @@ def _cmd_enumerate(args) -> int:
     spaces = enumerate_spaces(args.n)
     if not args.include_empty:
         spaces = [s for s in spaces if s.n > 0]
-    lines = [json.dumps(space_to_json(s), sort_keys=True) for s in spaces]
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
-    else:
-        for line in lines:
-            print(line)
+    _emit("".join(json.dumps(space_to_json(s), sort_keys=True) + "\n" for s in spaces), args.out)
     print(f"count={len(spaces)}", file=sys.stderr)
     return 0
 

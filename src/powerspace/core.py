@@ -404,9 +404,6 @@ class SpaceMap:
     def image_mask(self) -> int:
         return mask_of(self.table)
 
-    def is_injective(self) -> bool:
-        return len(set(self.table)) == len(self.table)
-
     @cached_property
     def _pick_preimage(self) -> itemgetter:
         # bin(mask | 1 << codomain.n) has bit v of mask at index -1 - v and

@@ -12,8 +12,9 @@ OMEGA_DISCRETE  the naturals with the discrete topology, restricted to
 
 Every certificate below rests on one move: any finite amount of data has
 a fresh natural above it, and the singleton of that natural slips into
-the set being tested.  The witness rules are plain functions so the test
-suite can replay them against a truncated concrete model of the algebra.
+the set being tested.  That rule is one plain function, fresh_natural:
+the three verifiers call it, and the test suite replays it against a
+truncated concrete model of the algebra.
 Compactness of the sets involved (where the argument needs it) is taken
 from the image-of-a-compact-space description and recorded in the verdict
 rather than machine-checked.
@@ -115,35 +116,15 @@ OMEGA_DISCRETE = SymbolicSpace(
 )
 
 
-def _fresh_natural(supports: Iterable[frozenset[int]]) -> int:
-    """The least natural above everything mentioned."""
+def fresh_natural(supports: Iterable[frozenset[int]]) -> int:
+    """The least natural above everything the supports mention.  Its
+    singleton meets every cofinite set over them and holds none of the
+    non-empty finite ones, which is the witness each verifier needs."""
     top = -1
     for s in supports:
         if s:
             top = max(top, max(s))
     return top + 1
-
-
-# ---------------------------------------------------------------------------
-# witness rules, exposed for replay against the truncated oracle
-
-
-def scott_but_not_vietoris_witness(families: list[frozenset[int]]) -> int:
-    """For a basic lower-Vietoris open, the fresh natural whose closed
-    singleton lies in the basic open but has fewer than two elements."""
-    return _fresh_natural(families)
-
-
-def vietoris_but_not_weak_witness(compacts: list[frozenset[int]]) -> int:
-    """For a finite intersection of weak subbasics around the empty
-    compact set, the fresh natural whose singleton also lies in it."""
-    return _fresh_natural(compacts)
-
-
-def not_finitely_saturated_witness(finite_members: list[frozenset[int]]) -> int:
-    """A natural whose closed singleton avoids the saturation of the
-    given finite family of non-empty closed sets."""
-    return _fresh_natural(finite_members)
 
 
 def _random_supports(rng: random.Random, count: int, width: int = 31) -> list[frozenset[int]]:
@@ -195,7 +176,7 @@ def verify_scott_open_not_vietoris_open(samples: int = 100, seed: int = 0) -> Ve
     checked = 0
     for _ in range(samples):
         fams = _random_supports(rng, rng.randrange(0, 5))
-        n = scott_but_not_vietoris_witness(fams)
+        n = fresh_natural(fams)
         singleton = finite([n])
         for f in fams:
             basic = cofinite(f)  # the open below the diamond
@@ -235,7 +216,7 @@ def verify_vietoris_open_not_weak_open(samples: int = 100, seed: int = 0) -> Ver
     checked = 0
     for _ in range(samples):
         compacts = [s for s in _random_supports(rng, rng.randrange(0, 5)) if s]
-        n = vietoris_but_not_weak_witness(compacts)
+        n = fresh_natural(compacts)
         singleton = finite([n])
         for ksup in compacts:
             if finite(ksup).is_subset(singleton):
@@ -274,7 +255,7 @@ def verify_lower_powerspace_not_coconsonant(samples: int = 100, seed: int = 0) -
         if rng.random() < 0.3:
             members.append(FULL_WITH_TOP)
         finite_supports = [m.support for m in members if not m.cofinite]
-        n = not_finitely_saturated_witness(finite_supports)
+        n = fresh_natural(finite_supports)
         singleton = finite([n])
         if singleton.is_empty():
             return Verdict(False, witness={"sub_check": "witness_nonempty", "point": n})

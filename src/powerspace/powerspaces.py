@@ -377,6 +377,12 @@ class Powers:
     these builds: pw.over("K").A is pw.AK.  pairs keeps what checks
     computed on this tower (canonical pairs, checker verdicts), keyed by
     the function that computed it.
+
+    The four modal tables (diamonds, boxes, triangles, nablas) read A(X)
+    and K(X) only.  K(X) and O(X) take the base's opens as extents, in
+    one order, and share one members index (FiniteSpace.opens_index), so
+    K.diamond and K.containing are O.diamond and O.containing, and a
+    table over K.extents is indexed like O(X): none of them builds O(X).
     """
 
     def __init__(self, base: FiniteSpace, limits: Limits = DEFAULT_LIMITS):
@@ -409,23 +415,23 @@ class Powers:
 
     @cached_property
     def diamonds(self) -> tuple[int, ...]:
-        """diamond(U) over the points of A(X), indexed like O(X)."""
-        return tuple(map(self.A.diamond, self.O.extents))
+        """diamond(U) over A(X) for each open U, in K(X)'s order, so indexed like O(X)."""
+        return tuple(map(self.A.diamond, self.K.extents))
 
     @cached_property
     def boxes(self) -> tuple[int, ...]:
-        """box(U) over the points of K(X), indexed like O(X)."""
-        return tuple(map(self.K.box, self.O.extents))
+        """box(U) over K(X) for each open U, in K(X)'s order, so indexed like O(X)."""
+        return tuple(map(self.K.box, self.K.extents))
 
     @cached_property
     def triangles(self) -> tuple[int, ...]:
-        """The opens meeting each closed set, over O(X), indexed like A(X)."""
-        return tuple(map(self.O.diamond, self.A.extents))
+        """The opens meeting each closed set, as points of O(X) read off K.diamond, indexed like A(X)."""
+        return tuple(map(self.K.diamond, self.A.extents))
 
     @cached_property
     def nablas(self) -> tuple[int, ...]:
-        """The opens containing each compact, over O(X), indexed like K(X)."""
-        return tuple(map(self.O.containing, self.K.extents))
+        """The opens containing each compact, as points of O(X) read off K.containing, indexed like K(X)."""
+        return tuple(map(self.K.containing, self.K.extents))
 
 
 def _kept_on_powers(compute):

@@ -10,8 +10,10 @@ from powerspace.config import DEFAULT_LIMITS
 from powerspace.core import (
     MAX_ENUMERATION_POINTS,
     FiniteSpace,
+    SpaceMap,
     Verdict,
     bits,
+    check_continuous,
     compose,
     enumerate_spaces,
     enumerate_upper_sets,
@@ -54,6 +56,18 @@ def row_union_covers(up) -> list[tuple[int, int]]:
     if len(set(up)) != n:
         raise ValueError("order must be antisymmetric")
     return edges
+
+
+def three_test_embedding(f: SpaceMap) -> bool:
+    """validate_embedding by its three literal tests, none of them
+    _first_unembedded's row test: f is injective, check_continuous
+    holds, and the image of every up(i) is relatively open, the trace on
+    the image of some open of the codomain, found by scanning them."""
+    image = set(f.table)
+    if len(image) != f.domain.n or not check_continuous(f).holds:
+        return False
+    traces = {frozenset(image & set(bits(w))) for w in f.codomain.opens()}
+    return all(frozenset(f.table[j] for j in bits(m)) in traces for m in f.domain.up)
 
 
 def relabel(up, perm) -> tuple[int, ...]:

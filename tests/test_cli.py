@@ -249,6 +249,24 @@ def test_enumerate_counts(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 1
 
 
+# sha256 of the lines `enumerate -n 3` writes, to stdout or through --out,
+# without and with --include-empty
+ENUMERATE_N3 = {(): ("cea4f40f9963ddc065dd158a348d9c001d54a4eb3fc8b3b46a36f18832a6a8f1", 8),
+                ("--include-empty",): ("7ca780c45703527045f0b3db6f3b154bfa611103a0e75b7c6f3d7d3f35ed0e09", 9)}
+
+
+@pytest.mark.parametrize("flags", list(ENUMERATE_N3))
+def test_enumerate_bytes_match_the_pins(flags, tmp_path, capsys):
+    digest, count = ENUMERATE_N3[flags]
+    assert main(["enumerate", "-n", "3", *flags]) == 0
+    out, err = capsys.readouterr()
+    assert (hashlib.sha256(out.encode()).hexdigest(), err) == (digest, f"count={count}\n")
+    path = tmp_path / "spaces.jsonl"
+    assert main(["enumerate", "-n", "3", *flags, "--out", str(path)]) == 0
+    assert capsys.readouterr() == ("", f"count={count}\n")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def test_enumerate_limit_exit_code(capsys):
     assert main(["enumerate", "-n", "7"]) == 2
 

@@ -12,12 +12,10 @@ from powerspace.omega import (
     CofinSet,
     cofinite,
     finite,
-    not_finitely_saturated_witness,
-    scott_but_not_vietoris_witness,
+    fresh_natural,
     verify_lower_powerspace_not_coconsonant,
     verify_scott_open_not_vietoris_open,
     verify_vietoris_open_not_weak_open,
-    vietoris_but_not_weak_witness,
 )
 
 UNIVERSE = 32
@@ -95,17 +93,17 @@ def test_space_predicates():
 
 
 def test_witness_rule_instances():
-    assert scott_but_not_vietoris_witness([frozenset({0, 1})]) == 2
-    assert vietoris_but_not_weak_witness([frozenset({3})]) == 4
-    assert not_finitely_saturated_witness([frozenset({0}), frozenset({1, 2})]) == 3
-    assert not_finitely_saturated_witness([]) == 0
+    assert fresh_natural([frozenset({0, 1})]) == 2
+    assert fresh_natural([frozenset({3})]) == 4
+    assert fresh_natural([frozenset({0}), frozenset({1, 2})]) == 3
+    assert fresh_natural([]) == 0
 
 
 def test_witness_rules_against_truncated_model():
     rng = random.Random(7)
     for _ in range(100):
         fams = [frozenset(rng.randrange(30) for _ in range(rng.randrange(3))) for _ in range(rng.randrange(4))]
-        n = scott_but_not_vietoris_witness(fams)
+        n = fresh_natural(fams)
         assert n < UNIVERSE
         singleton, _ = finite([n]).realize(UNIVERSE)
         for f in fams:
@@ -114,7 +112,7 @@ def test_witness_rules_against_truncated_model():
         assert len(singleton) < 2
 
         compacts = [s for s in fams if s]
-        m = vietoris_but_not_weak_witness(compacts)
+        m = fresh_natural(compacts)
         sing, _ = finite([m]).realize(UNIVERSE)
         for ksup in compacts:
             kreal, _ = finite(ksup).realize(UNIVERSE)

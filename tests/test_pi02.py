@@ -30,7 +30,7 @@ from powerspace.pi02 import (
     validate_embedding,
 )
 
-from oracles import labelled_spaces
+from oracles import labelled_spaces, three_test_embedding
 
 S = sierpinski()
 D2 = antichain(2, names=("a", "b"))
@@ -88,7 +88,7 @@ def test_validate_embedding_rejects():
         validate_embedding(collapse)
     # injective and continuous but not an embedding: discrete pair into the chain
     flatten = SpaceMap(D2, S, (0, 1))
-    with pytest.raises(NotEmbedding, match=r"image of up\(a\) is not relatively open"):
+    with pytest.raises(NotEmbedding, match=r"^up\(a\) is not the preimage of up\(e\(a\)\)$"):
         validate_embedding(flatten)
 
 
@@ -118,6 +118,28 @@ def test_validate_embedding_matches_the_literal_scan():
                 checked += 1
                 embeddings += literal
     assert (checked, embeddings) == (2614, 322)
+
+
+def test_validate_embedding_agrees_with_the_three_tests_on_every_small_map():
+    # every table between the non-empty labelled spaces of at most 3
+    # points; a rejection names the point _first_unembedded returns
+    spaces = [sp for sp in labelled_spaces(3) if sp.n]
+    checked = embeddings = 0
+    for dom in spaces:
+        for cod in spaces:
+            for table in product(range(cod.n), repeat=dom.n):
+                f = SpaceMap(dom, cod, table)
+                literal = three_test_embedding(f)
+                try:
+                    validate_embedding(f)
+                except NotEmbedding as exc:
+                    x = dom.names[_first_unembedded(f)]
+                    assert not literal and str(exc) == f"up({x}) is not the preimage of up(e({x}))", (dom, cod, table)
+                else:
+                    assert literal, (dom, cod, table)
+                checked += 1
+                embeddings += literal
+    assert (checked, embeddings) == (10838, 298)
 
 
 def test_presentation_mismatch():

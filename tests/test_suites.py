@@ -15,6 +15,8 @@ from powerspace.errors import PowerspaceTooLarge
 from powerspace.powerspaces import Powers
 from powerspace.suites import SUITES, _space_job, _timed, consonance_space_job, monad_space_job, run_suite
 
+from oracles import labelled_spaces
+
 # sha256 of each suite's report body without timings and of its stdout
 # lines, at default scope; they pin every verdict and witness.
 GOLDEN = {
@@ -48,6 +50,13 @@ WILKER_AT_5 = ("8c83397dc3c0750d0b836cde8766b02367999ef550b7d8c3386e80c66823261e
 # candidate pairs (default scope stops at 3 points)
 PI02_AT_5 = ("9d3af1a2ae88b2745f33b8cf1373636cfdcee39a989244283bd04bb4438fa92f",
              "bef18313ef6416e70a44aa5561342edf4166f16cc1a0afb69f291e8b6016e1f4")
+
+# and for the homeo and monad suites at --max-points 5: both read
+# sigma/tau, homeo as a canonical pair, monad in the distributive law
+HOMEO_AT_5 = ("2043ac6d0be1af3cbbb16756b6349b20d1a7629b6005d941e94bc342945f99fc",
+              "3fbfc6247e917b634bdbdf53fc06756c40704f8ed443398c5cfbdb7c9591efbc")
+MONAD_AT_5 = ("487550763f9eeb5b6ef278b06aa57464b61bc1ffeaae14c60613983f3c6c6eea",
+              "e6f8eb10dccff63d747f7833fbb87fe60bd17f143538963a932597fe277c311c")
 
 
 def _sha256(text: str) -> str:
@@ -174,6 +183,13 @@ def test_golden_pi02_body_at_five_points():
     assert (_sha256(body), _sha256("\n".join(report.lines()))) == PI02_AT_5
 
 
+@pytest.mark.parametrize("suite, pins", [("homeo", HOMEO_AT_5), ("monad", MONAD_AT_5)])
+def test_golden_bodies_at_five_points(suite, pins):
+    report = run_suite(suite, max_points=5)
+    body = json.dumps(report.to_json(include_timings=False), sort_keys=True)
+    assert (_sha256(body), _sha256("\n".join(report.lines()))) == pins
+
+
 @pytest.mark.parametrize("job", [monad_space_job, consonance_space_job])
 def test_jobs_build_each_construction_once(job, builds):
     for space in enumerate_spaces(3):
@@ -187,6 +203,22 @@ def test_jobs_build_each_construction_once(job, builds):
 def test_default_scope_build_counts(suite, most, builds):
     run_suite(suite)
     assert len(builds) <= most
+
+
+def test_tower_tables_read_a_and_k_only(builds):
+    """The four modal tables equal their definitions over O(X)'s points,
+    and reading all four on a fresh tower builds A(X) and K(X) alone."""
+    for sp in labelled_spaces(3):
+        builds.clear()
+        pw = Powers(sp)
+        tables = pw.diamonds, pw.boxes, pw.triangles, pw.nablas
+        assert sorted(label for label, _ in builds) == ["A(X)", "K(X)"], sp
+        assert tables == (
+            tuple(map(pw.A.diamond, pw.O.extents)),
+            tuple(map(pw.K.box, pw.O.extents)),
+            tuple(map(pw.O.diamond, pw.A.extents)),
+            tuple(map(pw.O.containing, pw.K.extents)),
+        ), sp
 
 
 def test_all_builds_each_construction_once(builds):
